@@ -3,6 +3,7 @@ parameter merging, exit codes, and the oracle validation command."""
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -17,6 +18,24 @@ def runner():
     return CliRunner()
 
 
+GOLDEN = Path(__file__).parent / "golden"
+PRESET_NAMES = ("fig2-solid", "fig2-dashed", "fig2-dotted")
+ALL_STRATEGIES = ["--strategy", "single", "--strategy", "differential", "--strategy", "optimal",
+                  "--strategy", "suboptimal", "--phi-apr", "0.7"]
+GOLDEN_RUNS = {
+    **{f"sweep-{p}.csv": ["sweep", "--preset", p, "--points", "73", *ALL_STRATEGIES]
+       for p in PRESET_NAMES},
+    **{f"sweep-{p}.json": ["sweep", "--preset", p, "--points", "13", "--format", "json",
+                           *ALL_STRATEGIES] for p in PRESET_NAMES},
+    **{f"report-{p}.txt": ["report", "--preset", p] for p in PRESET_NAMES},
+    **{f"report-{p}.json": ["report", "--preset", p, "--format", "json",
+                            "--implied-gain-db", "3"] for p in PRESET_NAMES},
+    # preset < config < flag, with siblings displaced in both directions
+    "layered.json": ["sweep", "--preset", "fig2-dashed", "--config", str(GOLDEN / "layered.conf"),
+                     "--A", "3", "--r1-db", "8", "--phi-end", "3.0"],
+}
+
+
 def _rows(output: str) -> list[list[str]]:
     lines = output.strip().splitlines()
     assert lines[0] == CSV_HEADER
@@ -27,6 +46,13 @@ def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "0.1.0" in result.output
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_output_matches_golden(runner, name):
+    result = runner.invoke(main, GOLDEN_RUNS[name])
+    assert result.exit_code == 0, result.output
+    assert result.output == (GOLDEN / name).read_text()
 
 
 def test_sweep_csv_values_round_trip(runner):
