@@ -3,29 +3,18 @@
 
 Writes one file per preset (10 dB input squeezing; lossless / eps^2 = 0.04 /
 doubled excess noise), each sweeping the single, differential and optimal
-read-outs over a 721-point phase grid.  Equivalent to running
+read-outs over a 721-point phase grid, by running
 
-    sqzmzi sweep --preset <name> -o <name>.csv
+    sqzmzi sweep --preset <name> --points <points> -o <output-dir>/<name>.csv
 
-for every preset, but going through the library API so the script doubles as a
-usage example.
+for every preset.
 """
 
 import argparse
 from pathlib import Path
 
-from sqzmzi.cli import PRESETS, SweepSpec, render_csv, sweep
-from sqzmzi.model import InterferometerParams, Strategy, db_to_squeeze_factor
-
-
-def params_from_preset(preset: dict) -> InterferometerParams:
-    return InterferometerParams.with_technical_noise(
-        preset["a_factor"],
-        r1=db_to_squeeze_factor(preset["r1_db"]),
-        mu=preset["mu"],
-        eta=preset["eta"],
-        n_photons=preset["n_photons"],
-    )
+from sqzmzi.cli import PRESETS
+from sqzmzi.cli import main as sqzmzi
 
 
 def main() -> None:
@@ -35,16 +24,11 @@ def main() -> None:
     parser.add_argument("--points", type=int, default=721, help="phase grid size")
     args = parser.parse_args()
 
-    strategies = (Strategy.single(), Strategy.differential(), Strategy.optimal())
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    for name, preset in PRESETS.items():
-        spec = SweepSpec(
-            params=params_from_preset(preset),
-            n_points=args.points,
-            strategies=strategies,
-        )
+    for name in PRESETS:
         path = args.output_dir / f"{name}.csv"
-        path.write_text(render_csv(sweep(spec)))
+        # absolute, so that $SQZMZI_OUTPUT_DIR does not move it
+        sqzmzi.main(["sweep", "--preset", name, "--points", str(args.points),
+                     "-o", str(path.absolute())], prog_name="sqzmzi", standalone_mode=False)
         print(f"wrote {path}")
 
 

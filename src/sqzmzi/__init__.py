@@ -11,7 +11,6 @@ forms, and a CLI for sweeps and design reports.
 from .model import (
     InterferometerParams,
     ParameterError,
-    PhaseConfig,
     Strategy,
     StrategyKind,
     db_to_squeeze_factor,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "InterferometerParams",
     "ParameterError",
-    "PhaseConfig",
     "Strategy",
     "StrategyKind",
     "db_to_squeeze_factor",

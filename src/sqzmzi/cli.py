@@ -1,8 +1,10 @@
 """Command-line interface: phase sweeps, design reports, oracle validation.
 
 Parameter sources merge in a fixed order: preset defaults, then a config file,
-then explicit command-line flags (later sources win key by key).  Squeezing can
-be given in dB (variance convention, 10 log10 e^{2r}) or as a raw factor r, but
+then explicit command-line flags (later sources win key by key).  The preset and
+the config file become click's ``default_map``, so the option that declares a
+key converts and checks its value whichever layer gives it.  Squeezing can be
+given in dB (variance convention, 10 log10 e^{2r}) or as a raw factor r, but
 not both.  All machine-readable output uses 12 significant digits and the
 literal ``inf`` for divergent uncertainties.
 """
@@ -12,10 +14,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import fields
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from . import oracle as oracle_mod
@@ -57,27 +60,14 @@ PRESETS: dict[str, dict[str, float]] = {
     "fig2-dotted": {"r1_db": 10.0, "mu": 1.0, "eta": 1.0, "n_photons": 1e6, "a_factor": 2.0},
 }
 
-_PARAM_KEYS = ("r1", "r1_db", "r2", "r2_db", "mu", "eta", "n_photons", "g2", "a_factor")
-_GRID_KEYS = ("phi_start", "phi_end", "points", "strategy", "phi_apr", "format")
-_ORACLE_KEYS = ("oracle_samples", "seed", "z_threshold", "mode")
-_EXCLUSIVE_GROUPS = (("r1", "r1_db"), ("r2", "r2_db"), ("g2", "a_factor"))
+# pairs of alternative spellings of one knob: a layer gives at most one of
+# each pair, and a later layer's value displaces the sibling from earlier ones
+_SIBLINGS = (("r1", "r1_db"), ("r2", "r2_db"), ("g2", "a_factor"))
+_SIBLING = {a: b for a, b in _SIBLINGS} | {b: a for a, b in _SIBLINGS}
 
-_FLOAT_KEYS = {
-    "r1",
-    "r1_db",
-    "r2",
-    "r2_db",
-    "mu",
-    "eta",
-    "n_photons",
-    "g2",
-    "a_factor",
-    "phi_start",
-    "phi_end",
-    "phi_apr",
-    "z_threshold",
-}
-_INT_KEYS = {"points", "oracle_samples", "seed"}
+# options a config file cannot set: the layer sources themselves, the output
+# path and the one-off gain query
+_NOT_IN_CONFIG = {"preset", "config", "output", "implied_gain_db"}
 
 
 def _fmt(x: float) -> str:
@@ -86,43 +76,26 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A phase sweep request: parameter set, grid, strategies, output format."""
-
-    params: InterferometerParams
-    phi_start: float = 0.0
-    phi_end: float = 2.0 * math.pi
-    n_points: int = 721
-    strategies: tuple[Strategy, ...] = ()
-    output_format: str = "csv"
-    oracle: OracleConfig | None = None
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.phi_start) and math.isfinite(self.phi_end)):
-            raise ParameterError("phi_start and phi_end must be finite")
-        if self.phi_end <= self.phi_start:
-            raise ParameterError(
-                f"phi_end must exceed phi_start, got [{self.phi_start}, {self.phi_end}]"
-            )
-        if self.n_points < 2:
-            raise ParameterError(f"a sweep needs at least 2 grid points, got {self.n_points}")
-        if not self.strategies:
-            raise ParameterError("at least one strategy is required")
-        if self.output_format not in ("csv", "json"):
-            raise ParameterError(f"unknown output format {self.output_format!r}")
-
-    def grid(self) -> list[float]:
-        step = (self.phi_end - self.phi_start) / (self.n_points - 1)
-        return [self.phi_start + i * step for i in range(self.n_points)]
+def _grid(phi_start: float, phi_end: float, points: int) -> list[float]:
+    """``points`` evenly spaced phases from ``phi_start`` to ``phi_end``."""
+    if not (math.isfinite(phi_start) and math.isfinite(phi_end)):
+        raise ParameterError("phi_start and phi_end must be finite")
+    if phi_end <= phi_start:
+        raise ParameterError(f"phi_end must exceed phi_start, got [{phi_start}, {phi_end}]")
+    if points < 2:
+        raise ParameterError(f"a sweep needs at least 2 grid points, got {points}")
+    step = (phi_end - phi_start) / (points - 1)
+    return [phi_start + i * step for i in range(points)]
 
 
-def sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate every (phi, strategy) pair of the sweep; rows in grid order."""
+def sweep(
+    params: InterferometerParams, phis: list[float], strategies: tuple[Strategy, ...]
+) -> list[dict]:
+    """Evaluate every (phi, strategy) pair; rows in grid order."""
     rows = []
-    for phi in spec.grid():
-        for strategy in spec.strategies:
-            res = phase_uncertainty(strategy, spec.params, phi)
+    for phi in phis:
+        for strategy in strategies:
+            res = phase_uncertainty(strategy, params, phi)
             rows.append(
                 {
                     "phi": phi,
@@ -157,20 +130,16 @@ def render_json(rows: list[dict]) -> str:
 
 
 def validate_against_oracle(
-    spec: SweepSpec, z_threshold: float = 5.0
-) -> tuple[list[dict], dict[str, float], bool]:
-    """Run the Monte-Carlo oracle at every grid point of ``spec``.
+    params: InterferometerParams, phis: list[float], config: OracleConfig
+) -> tuple[list[dict], dict[str, float]]:
+    """Run the Monte-Carlo oracle at every phase of ``phis``.
 
-    Returns (per-point rows, per-moment max |z| over the grid, overall pass).
+    Returns (per-point rows, per-moment max |z| over the grid).
     """
-    if spec.oracle is None:
-        raise ParameterError("the sweep spec carries no oracle configuration")
-    if not (math.isfinite(z_threshold) and z_threshold > 0.0):
-        raise ParameterError(f"z threshold must be > 0, got {z_threshold!r}")
     rows = []
     worst: dict[str, float] = {}
-    for phi in spec.grid():
-        report = oracle_mod.run(spec.params, phi, spec.oracle)
+    for phi in phis:
+        report = oracle_mod.run(params, phi, config)
         point_worst = 0.0
         point_moment = ""
         for name, z in report.z_scores.items():
@@ -181,14 +150,40 @@ def validate_against_oracle(
                 point_worst = az
                 point_moment = name
         rows.append({"phi": phi, "max_abs_z": point_worst, "worst_moment": point_moment})
-    passed = all(v <= z_threshold for v in worst.values())
-    return rows, worst, passed
+    return rows, worst
 
 
-def _read_config(path: str) -> dict:
-    """Parse a ``key = value`` config file ('#' starts a comment)."""
+def _one_of(keys: list[str], source: str) -> None:
+    if len(keys) > 1:
+        raise click.UsageError(f"{source}: give only one of {' / '.join(keys)}")
+
+
+def _over(lower: dict, upper: dict) -> dict:
+    """``lower`` overridden key by key by ``upper``, whose keys also displace
+    their siblings."""
+    merged = {k: v for k, v in lower.items() if _SIBLING.get(k) not in upper}
+    merged.update(upper)
+    return merged
+
+
+def _config_keys() -> dict[str, str]:
+    """Config key -> option name, over every command: each option's name and
+    its long flags, lowercased with '-' as '_' (so 'a' as well as 'a_factor')."""
+    keys = {}
+    for command in main.commands.values():
+        for opt in command.params:
+            if isinstance(opt, click.Option) and not opt.is_flag and opt.name not in _NOT_IN_CONFIG:
+                for flag in (opt.name, *(o for o in opt.opts if o.startswith("--"))):
+                    keys[flag.lstrip("-").lower().replace("-", "_")] = opt.name
+    return keys
+
+
+def _read_config(ctx: click.Context, path: str) -> dict:
+    """Parse a ``key = value`` config file ('#' starts a comment) into raw
+    values keyed by option name; a repeatable option takes a comma list."""
+    keys = _config_keys()
+    repeatable = {p.name for p in ctx.command.params if getattr(p, "multiple", False)}
     values: dict = {}
-    known = set(_PARAM_KEYS) | set(_GRID_KEYS) | set(_ORACLE_KEYS)
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -197,93 +192,52 @@ def _read_config(path: str) -> dict:
             raise click.UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        if key == "a":
-            key = "a_factor"
-        text = text.strip()
-        if key not in known:
+        if key not in keys:
             raise click.UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            if key in _FLOAT_KEYS:
-                values[key] = float(text)
-            elif key in _INT_KEYS:
-                values[key] = int(text)
-            else:
-                values[key] = text
-        except ValueError:
-            raise click.UsageError(f"{path}:{lineno}: bad value for {key}: {text!r}") from None
+        name, text = keys[key], text.strip()
+        if name in repeatable:
+            values[name] = [v.strip() for v in text.split(",") if v.strip()]
+        else:
+            values[name] = text
+    for pair in _SIBLINGS:
+        _one_of([k for k in pair if k in values], path)
     return values
 
 
-def _apply_layer(values: dict, layer: dict, source: str) -> None:
-    for group in _EXCLUSIVE_GROUPS:
-        present = [k for k in group if k in layer]
-        if len(present) > 1:
-            raise click.UsageError(f"{source}: give only one of {' / '.join(present)}")
-    siblings = {k: g for g in _EXCLUSIVE_GROUPS for k in g}
-    for key, val in layer.items():
-        for other in siblings.get(key, ()):
-            if other != key:
-                values.pop(other, None)
-        values[key] = val
+def _preset_layer(ctx: click.Context, param: click.Parameter, name: str | None) -> None:
+    # eager: runs before any option reads ctx.default_map; a preset goes under
+    # a config file whichever comes first on the command line
+    if name is not None:
+        ctx.default_map = _over(PRESETS[name], ctx.default_map or {})
 
 
-def _collect(ctx: click.Context, preset: str | None, config: str | None, cli_layer: dict) -> dict:
-    values: dict = {}
-    if preset is not None:
-        _apply_layer(values, PRESETS[preset], f"preset {preset}")
-    if config is not None:
-        _apply_layer(values, _read_config(config), config)
-    provided = {
-        key: val
-        for key, val in cli_layer.items()
-        if ctx.get_parameter_source(key) == click.core.ParameterSource.COMMANDLINE
-    }
-    _apply_layer(values, provided, "command line")
-    return values
+def _config_layer(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    if path is not None:
+        ctx.default_map = _over(ctx.default_map or {}, _read_config(ctx, path))
 
 
-def _params_from(values: dict) -> InterferometerParams:
-    kwargs: dict = {}
+def _params_from(ctx: click.Context, values: dict) -> InterferometerParams:
+    """The parameter set from the parameter options' merged values; a flag on
+    the command line displaces its sibling from the preset or config file."""
+    for pair in _SIBLINGS:
+        flags = [k for k in pair if ctx.get_parameter_source(k) is ParameterSource.COMMANDLINE]
+        _one_of(flags, "command line")
+        if flags:
+            values[_SIBLING[flags[0]]] = None
     try:
-        if "r1_db" in values:
-            kwargs["r1"] = db_to_squeeze_factor(values["r1_db"])
-        elif "r1" in values:
-            kwargs["r1"] = values["r1"]
-        if "r2_db" in values:
-            kwargs["r2"] = db_to_squeeze_factor(values["r2_db"])
-        elif "r2" in values:
-            kwargs["r2"] = values["r2"]
-        for key in ("mu", "eta", "n_photons"):
-            if key in values:
-                kwargs[key] = values[key]
-        if "a_factor" in values:
+        for r in ("r1", "r2"):
+            if values[f"{r}_db"] is not None:
+                values[r] = db_to_squeeze_factor(values[f"{r}_db"])
+        kwargs = {
+            f.name: values[f.name]
+            for f in fields(InterferometerParams)
+            if values[f.name] is not None
+        }
+        if values["a_factor"] is not None:
             return InterferometerParams.with_technical_noise(values["a_factor"], **kwargs)
-        if "g2" in values:
-            kwargs["g2"] = values["g2"]
         return InterferometerParams(**kwargs)
     except ParameterError as exc:
         raise click.UsageError(str(exc)) from exc
-
-
-def _strategies_from(values: dict) -> tuple[Strategy, ...]:
-    raw = values.get("strategy") or DEFAULT_STRATEGIES
-    if isinstance(raw, str):
-        raw = tuple(part.strip() for part in raw.split(",") if part.strip())
-    out = []
-    for name in raw:
-        if name == "suboptimal":
-            if "phi_apr" not in values:
-                raise click.UsageError("the suboptimal strategy needs --phi-apr")
-            out.append(Strategy.suboptimal(values["phi_apr"]))
-        elif name == "single":
-            out.append(Strategy.single())
-        elif name == "differential":
-            out.append(Strategy.differential())
-        elif name == "optimal":
-            out.append(Strategy.optimal())
-        else:
-            raise click.UsageError(f"unknown strategy {name!r}")
-    return tuple(out)
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -300,10 +254,12 @@ def _write_output(text: str, output: str | None) -> None:
 
 def _param_options(f):
     options = [
-        click.option("--preset", type=click.Choice(sorted(PRESETS)), default=None,
+        click.option("--preset", type=click.Choice(sorted(PRESETS)), is_eager=True,
+                     expose_value=False, callback=_preset_layer,
                      help="Start from a named parameter set."),
-        click.option("--config", "config_file", type=click.Path(exists=True, dir_okay=False),
-                     default=None, help="key = value file; flags override it."),
+        click.option("--config", type=click.Path(exists=True, dir_okay=False),
+                     is_eager=True, expose_value=False, callback=_config_layer,
+                     help="key = value file; flags override it."),
         click.option("--r1-db", type=float, help="Input squeezing in dB (10 log10 e^{2 r1})."),
         click.option("--r1", type=float, help="Input squeeze factor r1 (raw)."),
         click.option("--r2-db", type=float, help="Output amplifier gain in dB."),
@@ -333,47 +289,43 @@ def main() -> None:
 @click.option("--phi-end", type=float, default=2.0 * math.pi, show_default="2 pi",
               help="Last phase of the grid (rad).")
 @click.option("--points", type=int, default=721, show_default=True, help="Grid size.")
-@click.option("--strategy", "strategy", multiple=True,
-              type=click.Choice(["single", "differential", "optimal", "suboptimal"]),
-              help="Strategy to evaluate (repeatable); default: single differential optimal.")
+@click.option("--strategy", multiple=True, type=click.Choice([k.value for k in StrategyKind]),
+              default=DEFAULT_STRATEGIES, show_default=True,
+              help="Strategy to evaluate (repeatable).")
 @click.option("--phi-apr", type=float, help="A-priori phase for the suboptimal strategy (rad).")
-@click.option("--format", "output_format", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
+@click.option("--format", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
               help=f"Output file (relative paths resolve under ${OUTPUT_DIR_ENV}).")
 @click.pass_context
-def sweep_cmd(ctx, preset, config_file, output, **cli_layer) -> None:
+def sweep_cmd(ctx, phi_start, phi_end, points, strategy, phi_apr, format, output, **values):
     """Tabulate phase uncertainty over a phase grid."""
-    values = _collect(ctx, preset, config_file, cli_layer)
-    params = _params_from(values)
+    params = _params_from(ctx, values)
+    if not strategy:
+        raise click.UsageError("at least one strategy is required")
+    if "suboptimal" in strategy and phi_apr is None:
+        raise click.UsageError("the suboptimal strategy needs --phi-apr")
     try:
-        spec = SweepSpec(
-            params=params,
-            phi_start=float(values.get("phi_start", 0.0)),
-            phi_end=float(values.get("phi_end", 2.0 * math.pi)),
-            n_points=int(values.get("points", 721)),
-            strategies=_strategies_from(values),
-            output_format=str(values.get("output_format") or values.get("format") or "csv"),
+        strategies = tuple(
+            Strategy(StrategyKind(name), phi_apr if name == "suboptimal" else None)
+            for name in strategy
         )
+        phis = _grid(phi_start, phi_end, points)
     except ParameterError as exc:
         raise click.UsageError(str(exc)) from exc
-    rows = sweep(spec)
-    text = render_csv(rows) if spec.output_format == "csv" else render_json(rows)
-    _write_output(text, output)
+    rows = sweep(params, phis, strategies)
+    _write_output(render_csv(rows) if format == "csv" else render_json(rows), output)
 
 
 @main.command(name="report")
 @_param_options
 @click.option("--implied-gain-db", type=float, default=None,
               help="Also solve for the eps^2 implied by this measured gain.")
-@click.option("--format", "output_format", type=click.Choice(["text", "json"]), default="text",
-              show_default=True)
+@click.option("--format", type=click.Choice(["text", "json"]), default="text", show_default=True)
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None)
 @click.pass_context
-def report_cmd(ctx, preset, config_file, implied_gain_db, output, **cli_layer) -> None:
+def report_cmd(ctx, implied_gain_db, format, output, **values):
     """Summarize the design quantities of one parameter set."""
-    values = _collect(ctx, preset, config_file, cli_layer)
-    params = _params_from(values)
+    params = _params_from(ctx, values)
     floor = dphi_min(params)
     shot = snl(params.n_photons)
     gain_db = -20.0 * math.log10(floor / shot)
@@ -404,8 +356,7 @@ def report_cmd(ctx, preset, config_file, implied_gain_db, output, **cli_layer) -
             quantities["implied_eps2"] = implied_inefficiency(params.r1, implied_gain_db)
         except ParameterError as exc:
             raise click.UsageError(str(exc)) from exc
-    fmt = str(values.get("output_format") or values.get("format") or "text")
-    if fmt == "json":
+    if format == "json":
         text = json.dumps(quantities, indent=2) + "\n"
     else:
         q = quantities
@@ -452,41 +403,34 @@ def report_cmd(ctx, preset, config_file, implied_gain_db, output, **cli_layer) -
 @click.option("--z-threshold", type=float, default=5.0, show_default=True,
               help="Maximum tolerated |z| per moment.")
 @click.pass_context
-def validate_cmd(ctx, preset, config_file, no_vacuum_offset, **cli_layer) -> None:
+def validate_cmd(ctx, phi_start, phi_end, points, oracle_samples, seed, mode,
+                 no_vacuum_offset, z_threshold, **values):
     """Check the closed-form moments against the Monte-Carlo oracle."""
-    values = _collect(ctx, preset, config_file, cli_layer)
-    params = _params_from(values)
-    threshold = float(values.get("z_threshold", 5.0))
-    mode = str(values.get("mode", "linearized"))
+    params = _params_from(ctx, values)
     try:
-        spec = SweepSpec(
-            params=params,
-            phi_start=float(values.get("phi_start", 0.0)),
-            phi_end=float(values.get("phi_end", 2.0 * math.pi)),
-            n_points=int(values.get("points", 12)),
-            strategies=(Strategy.optimal(),),  # strategies are irrelevant to moments
-            output_format="csv",
-            oracle=OracleConfig(
-                n_samples=int(values.get("oracle_samples", 100_000)),
-                seed=int(values.get("seed", 0)),
-                include_vacuum_offset=not no_vacuum_offset,
-                linearized_mode=(mode == "linearized"),
-            ),
+        phis = _grid(phi_start, phi_end, points)
+        config = OracleConfig(
+            n_samples=oracle_samples,
+            seed=seed,
+            include_vacuum_offset=not no_vacuum_offset,
+            linearized_mode=(mode == "linearized"),
         )
-        rows, worst, passed = validate_against_oracle(spec, z_threshold=threshold)
+        if not (math.isfinite(z_threshold) and z_threshold > 0.0):
+            raise ParameterError(f"z threshold must be > 0, got {z_threshold!r}")
+        rows, worst = validate_against_oracle(params, phis, config)
     except ParameterError as exc:
         raise click.UsageError(str(exc)) from exc
-    click.echo(f"oracle validation, {mode} mode, {spec.oracle.n_samples} samples per point")
+    click.echo(f"oracle validation, {mode} mode, {oracle_samples} samples per point")
     click.echo(f"{'phi':>12}  {'max |z|':>10}  worst moment")
     for row in rows:
         click.echo(f"{row['phi']:12.6f}  {row['max_abs_z']:10.3f}  {row['worst_moment']}")
     click.echo("per-moment max |z| over the grid:")
     for name in sorted(worst):
         click.echo(f"  {name:12s} {worst[name]:10.3f}")
-    if passed:
-        click.echo(f"PASS: all moments within |z| <= {threshold:g}")
+    if all(v <= z_threshold for v in worst.values()):
+        click.echo(f"PASS: all moments within |z| <= {z_threshold:g}")
     else:
-        click.echo(f"FAIL: some moment exceeds |z| = {threshold:g}")
+        click.echo(f"FAIL: some moment exceeds |z| = {z_threshold:g}")
         ctx.exit(1)
 
 

@@ -10,7 +10,7 @@ package: phases in radians, squeeze factors as natural-log amplitude gains
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 LN10 = math.log(10.0)
@@ -126,20 +126,6 @@ def inefficiency(params: InterferometerParams) -> float:
     return (1.0 - params.mu) / params.mu + (1.0 - params.eta) / (
         params.mu * params.eta
     ) * math.exp(-2.0 * params.r2)
-
-
-@dataclass(frozen=True)
-class PhaseConfig:
-    """A working point: interferometer phase and the a-priori estimate of it."""
-
-    phi: float
-    phi_apr: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.phi):
-            raise ParameterError(f"phi must be finite, got {self.phi!r}")
-        if not math.isfinite(self.phi_apr):
-            raise ParameterError(f"phi_apr must be finite, got {self.phi_apr!r}")
 
 
 class StrategyKind(Enum):

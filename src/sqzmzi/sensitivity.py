@@ -219,18 +219,16 @@ def fwhm(strategy: Strategy, params: InterferometerParams) -> float:
     """Width of the phase interval where (Delta phi)^2 stays within twice its
     minimum.
 
-    Single: 4 arctan sqrt((e^{-2 r1} + eps^2)/(A + eps^2)), one lobe per 2 pi
-    period centered on phi = 0.  Differential: exactly half that, but two lobes
-    per period (centered on pi/2 and 3 pi/2), so the total usable phase range
-    per period is the same.
+    Single: 4 arctan of :func:`apriori_tolerance`, i.e.
+    4 arctan sqrt((e^{-2 r1} + eps^2)/(A + eps^2)), one lobe per 2 pi period
+    centered on phi = 0.  Differential: exactly half that, but two lobes per
+    period (centered on pi/2 and 3 pi/2), so the total usable phase range per
+    period is the same.
     """
-    ratio = (math.exp(-2.0 * params.r1) + inefficiency(params)) / (
-        technical_noise_factor(params) + inefficiency(params)
-    )
     if strategy.kind is StrategyKind.SINGLE:
-        return 4.0 * math.atan(math.sqrt(ratio))
+        return 4.0 * math.atan(apriori_tolerance(params))
     if strategy.kind is StrategyKind.DIFFERENTIAL:
-        return 2.0 * math.atan(math.sqrt(ratio))
+        return 2.0 * math.atan(apriori_tolerance(params))
     raise ValueError(
         "FWHM is defined only for the single-detector and differential "
         f"strategies; the {strategy.kind.value} read-out has a phase-independent "

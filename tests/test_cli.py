@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from sqzmzi.cli import CSV_HEADER, main
+from sqzmzi.cli import CSV_HEADER, _config_keys, main
 from sqzmzi.model import InterferometerParams, Strategy, db_to_squeeze_factor
 from sqzmzi.sensitivity import phase_uncertainty
 
@@ -171,12 +171,48 @@ def test_flag_replaces_preset_sibling(runner):
     assert json.loads(result.output)["r1"] == 0.3
 
 
-def test_config_rejects_unknown_key(runner, tmp_path):
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("sweep", "squeeze = 10\n", "unknown key 'squeeze'"),
+        ("validate", "mode = bogus\n", "Invalid value for '--mode'"),
+        ("report", "format = csv\n", "Invalid value for '--format'"),
+        ("sweep", "points = 2.5\n", "Invalid value for '--points'"),
+        ("sweep", "strategy = bogus\n", "Invalid value for '--strategy'"),
+    ],
+    ids=["unknown-key", "mode", "format", "points", "strategy"],
+)
+def test_config_rejects_bad_entry(runner, tmp_path, command, content, message):
+    # config values pass the same checks as the flags of the same name
     config = tmp_path / "bad.conf"
-    config.write_text("squeeze = 10\n")
-    result = runner.invoke(main, ["sweep", "--config", str(config)])
-    assert result.exit_code == 2
-    assert "unknown key" in result.output
+    config.write_text(content)
+    result = runner.invoke(main, [command, "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+def test_config_keys_are_the_option_names():
+    assert set(_config_keys()) == {
+        "r1", "r1_db", "r2", "r2_db", "mu", "eta", "n_photons", "g2", "a_factor", "a",
+        "phi_start", "phi_end", "points", "strategy", "phi_apr", "format",
+        "oracle_samples", "seed", "z_threshold", "mode",
+    }
+
+
+def test_config_strategy_list_and_layer_order(runner, tmp_path):
+    # 'strategy' takes a comma list; a preset sits under the config file
+    # whichever comes first on the command line
+    config = tmp_path / "run.conf"
+    config.write_text("strategy = optimal, single\nr1-db = 6\npoints = 3\n")
+    outputs = [
+        runner.invoke(main, ["sweep", *order]).output
+        for order in (["--preset", "fig2-solid", "--config", str(config)],
+                      ["--config", str(config), "--preset", "fig2-solid"])
+    ]
+    assert outputs[0] == outputs[1]
+    rows = _rows(outputs[0])
+    assert [r[1] for r in rows] == ["optimal", "single"] * 3
+    assert rows[0][3] == "0.501187233627"  # the config's 6 dB, not the preset's 10
 
 
 def test_output_dir_env_var(runner, tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ from conftest import interferometer_params
 from sqzmzi import (
     InterferometerParams,
     ParameterError,
-    PhaseConfig,
     Strategy,
     StrategyKind,
     db_to_squeeze_factor,
@@ -149,15 +148,6 @@ def test_generated_params_are_self_consistent(params):
     validate(params)
     assert technical_noise_factor(params) >= 1.0 - 1e-9
     assert inefficiency(params) >= 0.0
-
-
-def test_phase_config_requires_finite_entries():
-    cfg = PhaseConfig(phi=0.3, phi_apr=0.25)
-    assert cfg.phi == 0.3
-    with pytest.raises(ParameterError):
-        PhaseConfig(phi=math.nan)
-    with pytest.raises(ParameterError):
-        PhaseConfig(phi=0.0, phi_apr=math.inf)
 
 
 def test_strategy_constructors():
