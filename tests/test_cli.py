@@ -1,8 +1,10 @@
 """End-to-end CLI tests through click's test runner: output schemas, layered
 parameter merging, exit codes, and the oracle validation command."""
 
+import hashlib
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,12 @@ GOLDEN_RUNS = {
 }
 
 
+# sha256 of full-size sweeps (721 points, all four strategies, CSV and JSON)
+# for every preset and one lossy, amplified flag set, keyed by name, each with
+# the command line that produced it
+DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
+
+
 def _rows(output: str) -> list[list[str]]:
     lines = output.strip().splitlines()
     assert lines[0] == CSV_HEADER
@@ -53,6 +61,13 @@ def test_output_matches_golden(runner, name):
     result = runner.invoke(main, GOLDEN_RUNS[name])
     assert result.exit_code == 0, result.output
     assert result.output == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_output_matches_golden_digest(runner, name):
+    result = runner.invoke(main, shlex.split(DIGESTS[name]["command"])[1:])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == DIGESTS[name]["sha256"]
 
 
 def test_sweep_csv_values_round_trip(runner):
