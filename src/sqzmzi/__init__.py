@@ -37,6 +37,7 @@ from .quadratures import (
     detector_field_stats,
 )
 from .sensitivity import (
+    SensitivityGrid,
     SensitivityResult,
     apriori_tolerance,
     dphi_min,
@@ -46,6 +47,7 @@ from .sensitivity import (
     k_factor,
     optimal_weight,
     phase_uncertainty,
+    phase_uncertainty_grid,
     required_r2,
     small_deviation_dphi_squared,
     snl,
@@ -76,11 +78,13 @@ __all__ = [
     "transfer_gain",
     "weighted_variance",
     "SensitivityResult",
+    "SensitivityGrid",
     "snl",
     "dphi_min",
     "k_factor",
     "optimal_weight",
     "phase_uncertainty",
+    "phase_uncertainty_grid",
     "fwhm",
     "fwhm_approx",
     "apriori_tolerance",

@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import fields
+from itertools import repeat
 from pathlib import Path
 
 import click
@@ -34,13 +35,14 @@ from .model import (
 )
 from .oracle import OracleConfig
 from .sensitivity import (
+    SensitivityGrid,
     apriori_tolerance,
     dphi_min,
     fwhm,
     fwhm_approx,
     implied_inefficiency,
     k_factor,
-    phase_uncertainty,
+    phase_uncertainty_grid,
     snl,
 )
 
@@ -90,43 +92,53 @@ def _grid(phi_start: float, phi_end: float, points: int) -> list[float]:
 
 def sweep(
     params: InterferometerParams, phis: list[float], strategies: tuple[Strategy, ...]
-) -> list[dict]:
-    """Evaluate every (phi, strategy) pair; rows in grid order."""
-    rows = []
-    for phi in phis:
-        for strategy in strategies:
-            res = phase_uncertainty(strategy, params, phi)
-            rows.append(
-                {
-                    "phi": phi,
-                    "strategy": strategy.kind.value,
-                    "dphi": res.dphi,
-                    "dphi_normalized": res.normalized,
-                    "k_opt": res.k_opt,
-                }
+) -> list[SensitivityGrid]:
+    """One grid evaluation per strategy over ``phis``."""
+    return [phase_uncertainty_grid(strategy, params, phis) for strategy in strategies]
+
+
+def _rows(grids: list[SensitivityGrid], fmt, row: str, missing: str) -> list[str]:
+    """The rows of a sweep in grid order, each phase followed by every
+    strategy: ``row`` formatted with the phase, the strategy name and, in
+    ``fmt``, dphi, dphi_normalized and k_opt (``missing`` where a strategy
+    applies no weight)."""
+    columns = [
+        list(
+            zip(
+                repeat(grid.strategy.kind.value),
+                map(fmt, grid.dphi.tolist()),
+                map(fmt, grid.normalized.tolist()),
+                repeat(missing) if grid.k_opt is None else map(fmt, grid.k_opt.tolist()),
             )
-    return rows
-
-
-def render_csv(rows: list[dict]) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        k_opt = "" if row["k_opt"] is None else _fmt(row["k_opt"])
-        lines.append(
-            f"{_fmt(row['phi'])},{row['strategy']},{_fmt(row['dphi'])},"
-            f"{_fmt(row['dphi_normalized'])},{k_opt}"
         )
-    return "\n".join(lines) + "\n"
+        for grid in grids
+    ]
+    phis = map(fmt, grids[0].phi.tolist())
+    return [row % (phi, *column[i]) for i, phi in enumerate(phis) for column in columns]
 
 
-def render_json(rows: list[dict]) -> str:
-    def convert(value):
-        if isinstance(value, float) and not math.isfinite(value):
-            return "inf"
-        return value
+def render_csv(grids: list[SensitivityGrid]) -> str:
+    return "\n".join([CSV_HEADER, *_rows(grids, _fmt, "%s,%s,%s,%s,%s", "")]) + "\n"
 
-    payload = [{key: convert(val) for key, val in row.items()} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+
+def _json_number(x: float) -> str:
+    # what json.dumps writes for a float, with the literal "inf" for the
+    # divergent points
+    return repr(x) if math.isfinite(x) else '"inf"'
+
+
+# one row of json.dumps(rows, indent=2)
+_JSON_ROW = """  {
+    "phi": %s,
+    "strategy": "%s",
+    "dphi": %s,
+    "dphi_normalized": %s,
+    "k_opt": %s
+  }"""
+
+
+def render_json(grids: list[SensitivityGrid]) -> str:
+    return "[\n" + ",\n".join(_rows(grids, _json_number, _JSON_ROW, "null")) + "\n]\n"
 
 
 def validate_against_oracle(
@@ -201,7 +213,28 @@ def _read_config(ctx: click.Context, path: str) -> dict:
             values[name] = text
     for pair in _SIBLINGS:
         _one_of([k for k in pair if k in values], path)
+    own = {p.name for p in ctx.command.params}
+    for name, value in values.items():
+        if name not in own:
+            _check_elsewhere(ctx, name, value)
     return values
+
+
+def _check_elsewhere(ctx: click.Context, name: str, value) -> None:
+    """A config value for an option the running command lacks never reaches
+    click, so convert it with the option that declares it on another command;
+    it must be valid for at least one of them ('format' has other choices on
+    'sweep' than on 'report')."""
+    errors = []
+    for command in main.commands.values():
+        for opt in command.params:
+            if opt.name == name:
+                try:
+                    opt.type_cast_value(ctx, value)
+                    return
+                except click.BadParameter as exc:
+                    errors.append(exc)
+    raise errors[0]
 
 
 def _preset_layer(ctx: click.Context, param: click.Parameter, name: str | None) -> None:
@@ -312,8 +345,8 @@ def sweep_cmd(ctx, phi_start, phi_end, points, strategy, phi_apr, format, output
         phis = _grid(phi_start, phi_end, points)
     except ParameterError as exc:
         raise click.UsageError(str(exc)) from exc
-    rows = sweep(params, phis, strategies)
-    _write_output(render_csv(rows) if format == "csv" else render_json(rows), output)
+    grids = sweep(params, phis, strategies)
+    _write_output(render_csv(grids) if format == "csv" else render_json(grids), output)
 
 
 @main.command(name="report")

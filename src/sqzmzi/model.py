@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 LN10 = math.log(10.0)
 
 
@@ -32,6 +34,20 @@ def squeeze_factor_to_db(r: float) -> float:
     if not math.isfinite(r):
         raise ParameterError(f"squeeze factor must be finite, got {r!r}")
     return 20.0 * r / LN10
+
+
+def _per_phase(fn, phi):
+    """``fn``, a function of the ``math`` module, at a phase or elementwise over
+    a 1-D array of phases.
+
+    numpy's tan and exp differ from ``math``'s in the last bit for some
+    arguments, and one ulp can change a 12-digit output, so every per-phase
+    transcendental of the package goes through ``math``, for one phase or a
+    grid alike.
+    """
+    if isinstance(phi, np.ndarray) and phi.ndim:
+        return np.fromiter(map(fn, phi.tolist()), float, phi.size)
+    return fn(phi)
 
 
 def _check(ok: bool, msg: str, errors: list[str]) -> None:

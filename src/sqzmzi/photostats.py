@@ -4,20 +4,25 @@ For a bright interferometer the photon number of each detected mode splits as
 N = <N> + <g> dg, with <N> = <g>^2/2 set by the mean field and the fluctuation
 carried entirely by the measured quadrature.  All first and second moments of
 N1, N2 and of the sum/difference combinations then follow from the quadrature
-moments; this module provides them in closed form.
+moments; this module provides them in closed form.  Every moment function
+takes the phase as a float or as a 1-D array of phases and answers in kind,
+elementwise over the grid (a phase-independent moment stays a float).
 
 Every second moment is computed twice: from the compact closed form and by
 propagating the detector quadrature statistics.  The two routes must agree to
 near machine precision; a disagreement raises, since it can only mean an
-internal coding error.
+internal coding error.  Over a grid each check runs once, on all its points.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
-from .model import InterferometerParams, inefficiency, technical_noise_factor
+import numpy as np
+
+from .model import InterferometerParams, _per_phase, inefficiency, technical_noise_factor
 from .quadratures import InputNoiseSpec, core_output_means, detector_field_stats
 
 CONSISTENCY_RTOL = 1e-12
@@ -44,9 +49,37 @@ class ConsistencyError(RuntimeError):
     """Two independent internal computations of the same moment disagree."""
 
 
-def _require_close(name: str, a: float, b: float, floor: float) -> None:
-    if abs(a - b) > CONSISTENCY_RTOL * max(abs(a), abs(b), floor):
+def _require_close(name: str, a, b, floor: float, rtol: float = CONSISTENCY_RTOL) -> None:
+    """Raise :class:`ConsistencyError` where |a - b| > rtol max(|a|, |b|, floor).
+
+    ``a`` and ``b`` are floats or arrays over one grid, compared point by
+    point; the first point out of tolerance is reported.  A comparison with
+    nan is False, so nan passes.
+    """
+    bad = abs(a - b) > rtol * _largest(abs(a), abs(b), floor)
+    if _anywhere(bad):
+        i = int(np.argmax(bad))
+        a, b = (float(np.broadcast_to(v, np.shape(bad)).flat[i]) for v in (a, b))
         raise ConsistencyError(f"{name}: {a!r} vs {b!r} differ beyond tolerance")
+
+
+# The two helpers below let one comparison serve a float and a grid; on plain
+# floats they stay in Python, where numpy's dispatch would cost more than the
+# comparison itself.
+
+
+def _largest(*values):
+    """Elementwise maximum of floats and arrays over one grid."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            return functools.reduce(np.maximum, values)
+    return max(values)
+
+
+def _anywhere(condition) -> bool:
+    """Whether ``condition``, a bool or a boolean array over a grid, holds
+    at any point."""
+    return bool(condition.any()) if isinstance(condition, np.ndarray) else bool(condition)
 
 
 @dataclass(frozen=True)
@@ -54,7 +87,9 @@ class PhotonStats:
     """First and second moments of the detected photon numbers.
 
     Carries N1, N2 moments plus the derived sum/difference combinations
-    N+ = N1 + N2 and N- = N1 - N2 (cov_npm is Cov(N+, N-)).
+    N+ = N1 + N2 and N- = N1 - N2 (cov_npm is Cov(N+, N-)).  Over a grid of
+    phases the phase-dependent fields are arrays, and the identities below
+    are checked at every point.
     """
 
     mean_n1: float
@@ -69,22 +104,24 @@ class PhotonStats:
     cov_npm: float
 
     def __post_init__(self) -> None:
-        scale = max(abs(self.var_n1), abs(self.var_n2), abs(self.cov_n1n2), 1.0)
-        if self.var_n1 < -IDENTITY_RTOL * scale or self.var_n2 < -IDENTITY_RTOL * scale:
+        scale = _largest(abs(self.var_n1), abs(self.var_n2), abs(self.cov_n1n2), 1.0)
+        if _anywhere(self.var_n1 < -IDENTITY_RTOL * scale) or _anywhere(
+            self.var_n2 < -IDENTITY_RTOL * scale
+        ):
             raise ValueError("variances must be nonnegative")
-        if self.cov_n1n2**2 > self.var_n1 * self.var_n2 + IDENTITY_RTOL * scale**2:
+        if _anywhere(self.cov_n1n2**2 > self.var_n1 * self.var_n2 + IDENTITY_RTOL * scale**2):
             raise ValueError("cov_n1n2 violates the Cauchy-Schwarz bound")
-        mean_scale = max(abs(self.mean_n1), abs(self.mean_n2), 1.0)
-        if abs(self.mean_nplus - (self.mean_n1 + self.mean_n2)) > IDENTITY_RTOL * mean_scale:
+        mean_scale = _largest(abs(self.mean_n1), abs(self.mean_n2), 1.0)
+        if _anywhere(abs(self.mean_nplus - (self.mean_n1 + self.mean_n2)) > IDENTITY_RTOL * mean_scale):
             raise ValueError("mean_nplus must equal mean_n1 + mean_n2")
-        if abs(self.mean_nminus - (self.mean_n1 - self.mean_n2)) > IDENTITY_RTOL * mean_scale:
+        if _anywhere(abs(self.mean_nminus - (self.mean_n1 - self.mean_n2)) > IDENTITY_RTOL * mean_scale):
             raise ValueError("mean_nminus must equal mean_n1 - mean_n2")
-        if (
+        if _anywhere(
             abs(self.var_nplus + self.var_nminus - 2.0 * (self.var_n1 + self.var_n2))
             > IDENTITY_RTOL * scale
         ):
             raise ValueError("var_nplus + var_nminus must equal 2(var_n1 + var_n2)")
-        if abs(self.cov_npm - (self.var_n1 - self.var_n2)) > IDENTITY_RTOL * scale:
+        if _anywhere(abs(self.cov_npm - (self.var_n1 - self.var_n2)) > IDENTITY_RTOL * scale):
             raise ValueError("cov_npm must equal var_n1 - var_n2")
 
     def as_dict(self) -> dict[str, float]:
@@ -104,22 +141,22 @@ def _moment_ingredients(params: InterferometerParams) -> tuple[float, float, flo
     return g2, excess, squeezed, eps2
 
 
-def photon_means(params: InterferometerParams, phi: float) -> tuple[float, float]:
+def photon_means(params: InterferometerParams, phi) -> tuple:
     """Mean photocounts (<N1>, <N2>) = G^2 N (sin^2(phi/2), cos^2(phi/2))."""
     g2 = transfer_gain(params) ** 2
     n = params.n_photons
-    s = math.sin(0.5 * phi)
-    c = math.cos(0.5 * phi)
+    s = _per_phase(math.sin, 0.5 * phi)
+    c = _per_phase(math.cos, 0.5 * phi)
     return g2 * n * s * s, g2 * n * c * c
 
 
-def photon_mean_slopes(params: InterferometerParams, phi: float) -> tuple[float, float]:
+def photon_mean_slopes(params: InterferometerParams, phi) -> tuple:
     """Analytic derivatives (d<N1>/dphi, d<N2>/dphi) = +/- G^2 N sin(phi)/2."""
-    half = 0.5 * transfer_gain(params) ** 2 * params.n_photons * math.sin(phi)
+    half = 0.5 * transfer_gain(params) ** 2 * params.n_photons * _per_phase(math.sin, phi)
     return half, -half
 
 
-def photon_second_moments(params: InterferometerParams, phi: float) -> tuple[float, float, float]:
+def photon_second_moments(params: InterferometerParams, phi) -> tuple:
     """(Var N1, Var N2, Cov(N1, N2)) of the two photocounts.
 
     Var N1 = G^4 N sin^2(phi/2) [e^{-2 r1} cos^2(phi/2) + A sin^2(phi/2) + eps^2]
@@ -128,12 +165,12 @@ def photon_second_moments(params: InterferometerParams, phi: float) -> tuple[flo
     """
     g2, excess, squeezed, eps2 = _moment_ingredients(params)
     n = params.n_photons
-    s2 = math.sin(0.5 * phi) ** 2
-    c2 = math.cos(0.5 * phi) ** 2
+    s2 = _per_phase(math.sin, 0.5 * phi) ** 2
+    c2 = _per_phase(math.cos, 0.5 * phi) ** 2
     scale = g2 * g2 * n
     var1 = scale * s2 * (squeezed * c2 + excess * s2 + eps2)
     var2 = scale * c2 * (squeezed * s2 + excess * c2 + eps2)
-    cov = scale * 0.25 * (excess - squeezed) * math.sin(phi) ** 2
+    cov = scale * 0.25 * (excess - squeezed) * _per_phase(math.sin, phi) ** 2
 
     # independent route: <N> = <g>^2/2, Var N = <g>^2 Var(dg), Cov likewise
     det = detector_field_stats(params, phi)
@@ -145,7 +182,7 @@ def photon_second_moments(params: InterferometerParams, phi: float) -> tuple[flo
     return var1, var2, cov
 
 
-def sumdiff_stats(params: InterferometerParams, phi: float) -> tuple[float, float, float, float, float]:
+def sumdiff_stats(params: InterferometerParams, phi) -> tuple:
     """Moments of N+ = N1 + N2 and N- = N1 - N2.
 
     Returns (mean_nplus, mean_nminus, var_nplus, var_nminus, cov_npm).
@@ -153,12 +190,12 @@ def sumdiff_stats(params: InterferometerParams, phi: float) -> tuple[float, floa
     """
     g2, excess, squeezed, eps2 = _moment_ingredients(params)
     n = params.n_photons
-    cs = math.cos(phi)
+    cs = _per_phase(math.cos, phi)
     scale = g2 * g2 * n
     mean_plus = g2 * n
     mean_minus = -g2 * n * cs
     var_plus = scale * (excess + eps2)
-    var_minus = scale * (squeezed * math.sin(phi) ** 2 + excess * cs * cs + eps2)
+    var_minus = scale * (squeezed * _per_phase(math.sin, phi) ** 2 + excess * cs * cs + eps2)
     cov_pm = -scale * (excess + eps2) * cs
 
     # independent route through the per-detector moments
@@ -170,22 +207,21 @@ def sumdiff_stats(params: InterferometerParams, phi: float) -> tuple[float, floa
     return mean_plus, mean_minus, var_plus, var_minus, cov_pm
 
 
-def sumdiff_mean_slopes(params: InterferometerParams, phi: float) -> tuple[float, float]:
+def sumdiff_mean_slopes(params: InterferometerParams, phi) -> tuple:
     """Analytic derivatives (d<N+>/dphi, d<N->/dphi) = (0, G^2 N sin(phi))."""
-    return 0.0, transfer_gain(params) ** 2 * params.n_photons * math.sin(phi)
+    return 0.0, transfer_gain(params) ** 2 * params.n_photons * _per_phase(math.sin, phi)
 
 
-def weighted_variance_terms(
-    params: InterferometerParams, phi: float, phi_apr: float
-) -> tuple[float, float, float]:
+def weighted_variance_terms(params: InterferometerParams, phi, phi_apr) -> tuple:
     """Addends of Var(N- + cos(phi_apr) N+): (Var N-, 2 cos(phi_apr) Cov(N+,N-),
-    cos^2(phi_apr) Var N+)."""
+    cos^2(phi_apr) Var N+).  ``phi_apr`` is a float or, like ``phi``, an array
+    over the grid."""
     _, _, var_plus, var_minus, cov_pm = sumdiff_stats(params, phi)
-    k = math.cos(phi_apr)
+    k = _per_phase(math.cos, phi_apr)
     return var_minus, 2.0 * k * cov_pm, k * k * var_plus
 
 
-def weighted_variance(params: InterferometerParams, phi: float, phi_apr: float) -> float:
+def weighted_variance(params: InterferometerParams, phi, phi_apr):
     """Variance of the weighted combination N_k = N- + k N+ with k = cos(phi_apr).
 
     Compact form G^4 N [(e^{-2 r1} + eps^2) sin^2(phi) + (A + eps^2)(cos(phi) -
@@ -194,9 +230,9 @@ def weighted_variance(params: InterferometerParams, phi: float, phi_apr: float) 
     """
     g2, excess, squeezed, eps2 = _moment_ingredients(params)
     scale = g2 * g2 * params.n_photons
-    dcos = math.cos(phi) - math.cos(phi_apr)
+    dcos = _per_phase(math.cos, phi) - _per_phase(math.cos, phi_apr)
     compact = scale * (
-        (squeezed + eps2) * math.sin(phi) ** 2 + (excess + eps2) * dcos * dcos
+        (squeezed + eps2) * _per_phase(math.sin, phi) ** 2 + (excess + eps2) * dcos * dcos
     )
     decomposition = sum(weighted_variance_terms(params, phi, phi_apr))
     _require_close(
@@ -205,8 +241,9 @@ def weighted_variance(params: InterferometerParams, phi: float, phi_apr: float) 
     return compact
 
 
-def photon_stats(params: InterferometerParams, phi: float) -> PhotonStats:
-    """All closed-form photocounting moments at one working point."""
+def photon_stats(params: InterferometerParams, phi) -> PhotonStats:
+    """All closed-form photocounting moments at one working point, or over a
+    1-D array of them."""
     mean_n1, mean_n2 = photon_means(params, phi)
     var_n1, var_n2, cov_n1n2 = photon_second_moments(params, phi)
     mean_plus, mean_minus, var_plus, var_minus, cov_pm = sumdiff_stats(params, phi)

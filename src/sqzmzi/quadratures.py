@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InterferometerParams, ParameterError, technical_noise_factor
+from .model import InterferometerParams, ParameterError, _per_phase, technical_noise_factor
 
 PSD_TOL = 1e-10
 
@@ -34,7 +34,13 @@ DETECTOR_LABELS_EXTENDED = ("g1c", "g1s", "g2c", "g2s")
 
 @dataclass(frozen=True)
 class QuadratureStats:
-    """Mean vector and covariance matrix of a set of labeled quadratures."""
+    """Mean vector and covariance matrix of a set of labeled quadratures.
+
+    Over a grid of working points the grid is the leading axis, mean (m, n)
+    and cov (m, n, n); the accessors then return arrays over the grid, and
+    symmetry and positive semidefiniteness are checked point by point, each
+    against its own point's scale, in one batched pass.
+    """
 
     labels: tuple[str, ...]
     mean: np.ndarray
@@ -44,15 +50,19 @@ class QuadratureStats:
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         n = len(self.labels)
-        if mean.shape != (n,):
+        if mean.shape[-1:] != (n,):
             raise ValueError(f"mean shape {mean.shape} does not match {n} labels")
-        if cov.shape != (n, n):
+        if cov.shape != mean.shape + (n,):
             raise ValueError(f"cov shape {cov.shape} does not match {n} labels")
-        scale = max(1.0, float(np.max(np.abs(cov))) if n else 1.0)
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=PSD_TOL * scale):
-            raise ValueError("covariance matrix is not symmetric")
-        if n and float(np.linalg.eigvalsh(cov).min()) < -PSD_TOL * scale:
-            raise ValueError("covariance matrix is not positive semidefinite")
+        if n:
+            tol = PSD_TOL * np.maximum(1.0, abs(cov).max(axis=(-2, -1)))
+            # np.allclose(cov, cov^T, rtol=0, atol=tol) spelled out: its
+            # generality costs more than the whole check on a 2 x 2 matrix
+            cov_t = cov.swapaxes(-2, -1)
+            if not ((abs(cov - cov_t) <= tol[..., None, None]) | (cov == cov_t)).all():
+                raise ValueError("covariance matrix is not symmetric")
+            if (np.linalg.eigvalsh(cov).min(axis=-1) < -tol).any():
+                raise ValueError("covariance matrix is not positive semidefinite")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -64,15 +74,26 @@ class QuadratureStats:
         except ValueError:
             raise KeyError(f"unknown quadrature label {label!r}") from None
 
-    def mean_of(self, label: str) -> float:
-        return float(self.mean[self._index(label)])
+    def mean_of(self, label: str):
+        return _float_or_grid(self.mean[..., self._index(label)])
 
-    def variance(self, label: str) -> float:
+    def variance(self, label: str):
         i = self._index(label)
-        return float(self.cov[i, i])
+        return _float_or_grid(self.cov[..., i, i])
 
-    def covariance(self, label_a: str, label_b: str) -> float:
-        return float(self.cov[self._index(label_a), self._index(label_b)])
+    def covariance(self, label_a: str, label_b: str):
+        return _float_or_grid(self.cov[..., self._index(label_a), self._index(label_b)])
+
+
+def _float_or_grid(x):
+    return float(x) if x.ndim == 0 else x
+
+
+def _stack(entries: list, shape: tuple[int, ...]) -> np.ndarray:
+    """``entries``, all floats or all arrays over one grid, in row-major order
+    as an array of ``shape`` behind the grid axis."""
+    flat = np.array(entries)
+    return flat.T.reshape(flat.shape[1:] + shape)
 
 
 @dataclass(frozen=True)
@@ -119,14 +140,15 @@ def _noise_or_default(params: InterferometerParams, noise: InputNoiseSpec | None
     return InputNoiseSpec.from_params(params) if noise is None else noise
 
 
-def core_output_means(params: InterferometerParams, phi: float) -> tuple[float, float]:
+def core_output_means(params: InterferometerParams, phi):
     """Mean signal quadratures at the recombining beamsplitter outputs.
 
-    Returns (<e1s>, <e2c>) = sqrt(2 mu) alpha (sin(phi/2), cos(phi/2)); the
-    orthogonal quadratures e1c, e2s have zero mean.
+    Returns (<e1s>, <e2c>) = sqrt(2 mu) alpha (sin(phi/2), cos(phi/2)), floats
+    at one phase and arrays over a 1-D array of phases; the orthogonal
+    quadratures e1c, e2s have zero mean.
     """
     amp = math.sqrt(2.0 * params.mu) * params.alpha
-    return amp * math.sin(0.5 * phi), amp * math.cos(0.5 * phi)
+    return amp * _per_phase(math.sin, 0.5 * phi), amp * _per_phase(math.cos, 0.5 * phi)
 
 
 def _core_coefficients(mu: float, phi: float) -> np.ndarray:
@@ -182,14 +204,14 @@ def core_noise_covariance(
     return QuadratureStats(labels=CORE_LABELS, mean=np.zeros(4), cov=cov)
 
 
-def _core_variances_scalar(
-    params: InterferometerParams, phi: float, noise: InputNoiseSpec
-) -> dict[str, float]:
-    """Scalar closed forms for the core second moments (independent of the
-    matrix route above; the two are compared in tests)."""
-    c2 = math.cos(0.5 * phi) ** 2
-    s2 = math.sin(0.5 * phi) ** 2
-    sc = math.sin(0.5 * phi) * math.cos(0.5 * phi)
+def _core_variances(params: InterferometerParams, phi, noise: InputNoiseSpec) -> dict:
+    """Closed forms, entry by entry, for the core second moments (independent
+    of the matrix route above; the two are compared in tests)."""
+    c = _per_phase(math.cos, 0.5 * phi)
+    s = _per_phase(math.sin, 0.5 * phi)
+    c2 = c**2
+    s2 = s**2
+    sc = s * c
     mu = params.mu
     leak = (1.0 - mu) * noise.vacuum
     return {
@@ -204,11 +226,12 @@ def _core_variances_scalar(
 
 def detector_field_stats(
     params: InterferometerParams,
-    phi: float,
+    phi,
     noise: InputNoiseSpec | None = None,
     extended: bool = False,
 ) -> QuadratureStats:
-    """Moments of the quadratures reaching the detectors.
+    """Moments of the quadratures reaching the detectors, at one phase or over
+    a 1-D array of phases.
 
     Default: the two measured quadratures (g1s, g2c), amplified by e^{r2} and
     attenuated by the external loss.  With ``extended=True`` the deamplified
@@ -216,7 +239,7 @@ def detector_field_stats(
     of the detected modes.
     """
     noise = _noise_or_default(params, noise)
-    core = _core_variances_scalar(params, phi, noise)
+    core = _core_variances(params, phi, noise)
     m1s, m2c = core_output_means(params, phi)
     eta = params.eta
     amp2 = eta * math.exp(2.0 * params.r2)
@@ -231,34 +254,23 @@ def detector_field_stats(
     mean_g2c = gain * m2c
 
     if not extended:
-        cov = np.array([[var_g1s, cov_sig], [cov_sig, var_g2c]])
-        return QuadratureStats(DETECTOR_LABELS, np.array([mean_g1s, mean_g2c]), cov)
+        cov = _stack([var_g1s, cov_sig, cov_sig, var_g2c], (2, 2))
+        return QuadratureStats(DETECTOR_LABELS, _stack([mean_g1s, mean_g2c], (2,)), cov)
 
     var_g1c = deamp2 * core["var_e1c"] + leak
     var_g2s = deamp2 * core["var_e2s"] + leak
     cov_orth = deamp2 * core["cov_e1c_e2s"]
     # amplification keeps c and s uncorrelated, so the only nonzero cross terms
     # pair like quadratures of opposite ports
-    cov = np.array(
+    zero = np.zeros_like(var_g1c)
+    cov = _stack(
         [
-            [var_g1c, 0.0, 0.0, cov_orth],
-            [0.0, var_g1s, cov_sig, 0.0],
-            [0.0, cov_sig, var_g2c, 0.0],
-            [cov_orth, 0.0, 0.0, var_g2s],
-        ]
+            var_g1c, zero, zero, cov_orth,
+            zero, var_g1s, cov_sig, zero,
+            zero, cov_sig, var_g2c, zero,
+            cov_orth, zero, zero, var_g2s,
+        ],
+        (4, 4),
     )
-    mean = np.array([0.0, mean_g1s, mean_g2c, 0.0])
+    mean = _stack([zero, mean_g1s, mean_g2c, zero], (4,))
     return QuadratureStats(DETECTOR_LABELS_EXTENDED, mean, cov)
-
-
-def amplification_loss_map(params: InterferometerParams) -> tuple[np.ndarray, np.ndarray]:
-    """Linear map from (e1c, e1s, e2c, e2s, n1c, n1s, n2c, n2s) to the detected
-    quadratures (g1c, g1s, g2c, g2s), split as (matrix on core, matrix on loss
-    ports).  Used to check that detector_field_stats composes the core stats
-    with this map."""
-    g = math.exp(params.r2)
-    t = math.sqrt(params.eta)
-    l = math.sqrt(1.0 - params.eta)
-    core = t * np.diag([1.0 / g, g, g, 1.0 / g])
-    ports = l * np.eye(4)
-    return core, ports

@@ -9,9 +9,10 @@ working-point penalty:
     optimal       dphi_min^2                      (flat in phi)
     suboptimal    dphi_min^2 + K (cos phi - cos phi_apr)^2 / sin^2 phi
 
-with dphi_min^2 = (e^{-2 r1} + eps^2)/N and K = (A + eps^2)/N.  The closed
-forms are cross-checked against the error-propagation route through the
-photocounting moments on every call.
+with dphi_min^2 = (e^{-2 r1} + eps^2)/N and K = (A + eps^2)/N.  Every penalty
+is elementwise in phi, so a whole grid of working points is evaluated in one
+pass, and the closed forms are cross-checked against the error-propagation
+route through the photocounting moments once per grid, at every point.
 """
 
 from __future__ import annotations
@@ -19,12 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import photostats
 from .model import (
     InterferometerParams,
     ParameterError,
     Strategy,
     StrategyKind,
+    _per_phase,
     inefficiency,
     technical_noise_factor,
 )
@@ -32,11 +36,13 @@ from .model import (
 # re-exported: eps^2 belongs to the loss model but is mostly consumed here
 __all__ = [
     "SensitivityResult",
+    "SensitivityGrid",
     "snl",
     "dphi_min",
     "k_factor",
     "optimal_weight",
     "phase_uncertainty",
+    "phase_uncertainty_grid",
     "fwhm",
     "fwhm_approx",
     "apriori_tolerance",
@@ -71,15 +77,17 @@ def k_factor(params: InterferometerParams) -> float:
     return (technical_noise_factor(params) + inefficiency(params)) / params.n_photons
 
 
-def optimal_weight(phi: float) -> float:
-    """Variance-minimizing weight k = cos(phi) of the N- + k N+ combination.
+def optimal_weight(phi):
+    """Variance-minimizing weight k = cos(phi) of the N- + k N+ combination, at
+    a phase or over a 1-D array of phases.
 
     Equals -Cov(N+, N-)/Var(N+); the loss and noise factors cancel in the ratio,
     so the weight depends on the phase alone.
     """
-    if not math.isfinite(phi):
+    finite = np.isfinite(phi).all() if isinstance(phi, np.ndarray) else math.isfinite(phi)
+    if not finite:
         raise ParameterError(f"phi must be finite, got {phi!r}")
-    return math.cos(phi)
+    return _per_phase(math.cos, phi)
 
 
 @dataclass(frozen=True)
@@ -106,113 +114,183 @@ class SensitivityResult:
     diagnostic: str | None = None
 
 
-def _error_propagation_check(
-    strategy: Strategy, params: InterferometerParams, phi: float, dphi: float
-) -> None:
-    """Recompute dphi as sqrt(Var O)/|d<O>/dphi| and compare.
+@dataclass(frozen=True)
+class SensitivityGrid:
+    """Phase uncertainty of one strategy over a 1-D grid of working points.
 
-    Skipped where the derivative vanishes (the ratio is 0/0 there while the
-    closed form stays finite)."""
-    scale = photostats.transfer_gain(params) ** 2 * params.n_photons
+    ``phi``, ``dphi``, ``normalized``, ``divergent`` and, for the weighted
+    strategies, ``k_opt`` are arrays over the grid (0-d for a single phase);
+    the other fields are those of :class:`SensitivityResult`.  dphi is inf
+    exactly where ``divergent`` marks a singular phase, and ``diagnostic``
+    says why it diverges there.
+    """
+
+    strategy: Strategy
+    phi: np.ndarray
+    dphi: np.ndarray
+    normalized: np.ndarray
+    divergent: np.ndarray
+    dphi_min: float
+    dphi_snl: float
+    k_factor: float
+    eps2: float
+    fwhm: float | None = None
+    fwhm_lobes: int | None = None
+    k_opt: np.ndarray | None = None
+    diagnostic: str | None = None
+
+    def point(self, i=()) -> SensitivityResult:
+        """The result at the grid's ``i``-th phase; the default index () is
+        the one point of a grid evaluated at a single phase."""
+        return SensitivityResult(
+            strategy=self.strategy,
+            phi=float(self.phi[i]),
+            dphi=float(self.dphi[i]),
+            dphi_min=self.dphi_min,
+            dphi_snl=self.dphi_snl,
+            k_factor=self.k_factor,
+            eps2=self.eps2,
+            normalized=float(self.normalized[i]),
+            fwhm=self.fwhm,
+            fwhm_lobes=self.fwhm_lobes,
+            k_opt=None if self.k_opt is None else float(self.k_opt[i]),
+            diagnostic=self.diagnostic if self.divergent[i] else None,
+        )
+
+
+def _replace(values, where, fill):
+    """``values`` with ``fill`` where ``where`` holds, for one phase or a
+    grid; one phase stays clear of numpy's slower scalar dispatch."""
+    if isinstance(values, np.ndarray) and values.ndim:
+        return np.where(where, fill, values)
+    return fill if where else values
+
+
+def _squared(x: float) -> float:
+    # x ** 2 of a Python float is C pow(), which rounds differently from
+    # numpy's x * x for about one argument in a thousand
+    return float(x) ** 2
+
+
+def phase_uncertainty_grid(
+    strategy: Strategy, params: InterferometerParams, phis
+) -> SensitivityGrid:
+    """Phase uncertainty of ``strategy`` at every working point of ``phis``, a
+    1-D sequence of phases, in one pass over the grid.
+
+    A single float phase is a grid of one point whose arrays are 0-d; it keeps
+    the moments in Python-float arithmetic, which is faster for one point.
+    The closed form is cross-checked against error propagation,
+    sqrt(Var O)/|d<O>/dphi| of the strategy's photocount observable O, at every
+    point where both are defined: not at the singular phases, and not where
+    the slope vanishes (the ratio is 0/0 there while the closed form stays
+    finite).  The photocount moments check themselves on the same grid.
+    """
+    if isinstance(phis, float) or np.ndim(phis) == 0:
+        phi = float(phis)
+        shape = ()
+        bad = None if math.isfinite(phi) else phi
+    else:
+        phi = np.array(phis, dtype=float)
+        shape = phi.shape
+        if len(shape) != 1:
+            raise ParameterError(f"phases must form a 1-D grid, got shape {shape}")
+        finite = np.isfinite(phi)
+        bad = None if finite.all() else float(phi[np.argmin(finite)])
+    if bad is not None:
+        raise ParameterError(f"phi must be finite, got {bad!r}")
+    floor = dphi_min(params)
+    floor2 = floor * floor
+    k = k_factor(params)
+    shot = snl(params.n_photons)
     kind = strategy.kind
+
+    width = None
+    lobes = None
+    k_opt = None
+    diagnostic = None
+
     if kind is StrategyKind.SINGLE:
+        divergent = np.abs(_per_phase(math.cos, 0.5 * phi)) <= SINGULARITY_TOL
+        t = _per_phase(math.tan, 0.5 * phi)
+        dphi = np.sqrt(floor2 + k * t * t)
+        diagnostic = "single-detector read-out diverges at phi = pi (mod 2 pi): the fringe slope vanishes"
+        width = fwhm(strategy, params)
+        lobes = 1
         var_o = photostats.photon_second_moments(params, phi)[0]
         slope = photostats.photon_mean_slopes(params, phi)[0]
-    elif kind is StrategyKind.DIFFERENTIAL:
-        var_o = photostats.sumdiff_stats(params, phi)[3]
-        slope = photostats.sumdiff_mean_slopes(params, phi)[1]
-    elif kind is StrategyKind.OPTIMAL:
-        var_o = photostats.weighted_variance(params, phi, phi)
-        slope = photostats.sumdiff_mean_slopes(params, phi)[1]
     else:
-        var_o = photostats.weighted_variance(params, phi, strategy.phi_apr)
         slope = photostats.sumdiff_mean_slopes(params, phi)[1]
-    if abs(slope) <= 1e-9 * scale:
-        return
-    alt = math.sqrt(var_o) / abs(slope)
-    if abs(alt - dphi) > CROSSCHECK_RTOL * max(alt, dphi):
-        raise photostats.ConsistencyError(
-            f"{kind.value} dphi: closed form {dphi!r} vs error propagation {alt!r}"
-        )
+        if kind is StrategyKind.DIFFERENTIAL:
+            s = _per_phase(math.sin, phi)
+            divergent = np.abs(s) <= SINGULARITY_TOL
+            cot = _per_phase(math.cos, phi) / _replace(s, divergent, 1.0)
+            dphi = np.sqrt(floor2 + k * cot * cot)
+            diagnostic = "differential read-out diverges at phi = 0 and pi (mod pi): the fringe slope vanishes"
+            width = fwhm(strategy, params)
+            lobes = 2
+            var_o = photostats.sumdiff_stats(params, phi)[3]
+        elif kind is StrategyKind.OPTIMAL:
+            # [()] leaves a grid as it is and makes one phase a numpy scalar
+            divergent = np.zeros(shape, dtype=bool)[()]
+            dphi = np.full(shape, floor)[()]
+            k_opt = optimal_weight(phi)
+            var_o = photostats.weighted_variance(params, phi, phi)
+        elif kind is StrategyKind.SUBOPTIMAL:
+            s = _per_phase(math.sin, phi)
+            dcos = _per_phase(math.cos, phi) - math.cos(strategy.phi_apr)
+            k_opt = np.full(shape, math.cos(strategy.phi_apr))
+            singular = np.abs(s) <= SINGULARITY_TOL
+            # removable singularity: where cos(phi_apr) = cos(phi) the frozen
+            # weight is exactly optimal
+            removable = singular & (np.abs(dcos) <= SINGULARITY_TOL)
+            divergent = singular & ~removable
+            penalty = _per_phase(_squared, dcos / _replace(s, singular, 1.0))
+            dphi = _replace(np.sqrt(floor2 + k * penalty), removable, floor)
+            diagnostic = (
+                "suboptimal read-out diverges where sin(phi) = 0 unless "
+                "cos(phi_apr) = cos(phi)"
+            )
+            var_o = photostats.weighted_variance(params, phi, strategy.phi_apr)
+        else:  # pragma: no cover - exhaustive over StrategyKind
+            raise ParameterError(f"unknown strategy kind {kind!r}")
+
+    # error propagation where the check applies, the closed form itself
+    # elsewhere; compared while the singular phases still hold finite values
+    scale = photostats.transfer_gain(params) ** 2 * params.n_photons
+    unchecked = divergent | (abs(slope) <= 1e-9 * scale)
+    propagated = np.sqrt(var_o) / _replace(abs(slope), unchecked, 1.0)
+    photostats._require_close(
+        f"{kind.value} dphi, closed form vs error propagation",
+        dphi,
+        _replace(propagated, unchecked, dphi),
+        0.0,
+        rtol=CROSSCHECK_RTOL,
+    )
+    dphi = np.asarray(_replace(dphi, divergent, math.inf))
+    return SensitivityGrid(
+        strategy=strategy,
+        phi=np.asarray(phi),
+        dphi=dphi,
+        normalized=dphi / shot,
+        divergent=np.asarray(divergent),
+        dphi_min=floor,
+        dphi_snl=shot,
+        k_factor=k,
+        eps2=inefficiency(params),
+        fwhm=width,
+        fwhm_lobes=lobes,
+        k_opt=None if k_opt is None else np.asarray(k_opt),
+        diagnostic=diagnostic,
+    )
 
 
 def phase_uncertainty(
     strategy: Strategy, params: InterferometerParams, phi: float
 ) -> SensitivityResult:
-    """Phase uncertainty of ``strategy`` at working point ``phi``."""
-    if not math.isfinite(phi):
-        raise ParameterError(f"phi must be finite, got {phi!r}")
-    floor = dphi_min(params)
-    floor2 = floor * floor
-    k = k_factor(params)
-    shot = snl(params.n_photons)
-    eps2 = inefficiency(params)
-    kind = strategy.kind
-
-    diagnostic = None
-    width = None
-    lobes = None
-    k_opt = None
-
-    if kind is StrategyKind.SINGLE:
-        c = math.cos(0.5 * phi)
-        if abs(c) <= SINGULARITY_TOL:
-            dphi = math.inf
-            diagnostic = "single-detector read-out diverges at phi = pi (mod 2 pi): the fringe slope vanishes"
-        else:
-            t = math.tan(0.5 * phi)
-            dphi = math.sqrt(floor2 + k * t * t)
-        width = fwhm(strategy, params)
-        lobes = 1
-    elif kind is StrategyKind.DIFFERENTIAL:
-        s = math.sin(phi)
-        if abs(s) <= SINGULARITY_TOL:
-            dphi = math.inf
-            diagnostic = "differential read-out diverges at phi = 0 and pi (mod pi): the fringe slope vanishes"
-        else:
-            cot = math.cos(phi) / s
-            dphi = math.sqrt(floor2 + k * cot * cot)
-        width = fwhm(strategy, params)
-        lobes = 2
-    elif kind is StrategyKind.OPTIMAL:
-        dphi = floor
-        k_opt = optimal_weight(phi)
-    elif kind is StrategyKind.SUBOPTIMAL:
-        s = math.sin(phi)
-        dcos = math.cos(phi) - math.cos(strategy.phi_apr)
-        k_opt = math.cos(strategy.phi_apr)
-        if abs(s) <= SINGULARITY_TOL:
-            if abs(dcos) <= SINGULARITY_TOL:
-                # removable singularity: the weight is exactly optimal here
-                dphi = floor
-            else:
-                dphi = math.inf
-                diagnostic = (
-                    "suboptimal read-out diverges where sin(phi) = 0 unless "
-                    "cos(phi_apr) = cos(phi)"
-                )
-        else:
-            dphi = math.sqrt(floor2 + k * (dcos / s) ** 2)
-    else:  # pragma: no cover - exhaustive over StrategyKind
-        raise ParameterError(f"unknown strategy kind {kind!r}")
-
-    if math.isfinite(dphi):
-        _error_propagation_check(strategy, params, phi, dphi)
-
-    return SensitivityResult(
-        strategy=strategy,
-        phi=phi,
-        dphi=dphi,
-        dphi_min=floor,
-        dphi_snl=shot,
-        k_factor=k,
-        eps2=eps2,
-        normalized=dphi / shot,
-        fwhm=width,
-        fwhm_lobes=lobes,
-        k_opt=k_opt,
-        diagnostic=diagnostic,
-    )
+    """Phase uncertainty of ``strategy`` at working point ``phi``: the grid of
+    :func:`phase_uncertainty_grid` at this one phase."""
+    return phase_uncertainty_grid(strategy, params, phi).point()
 
 
 def fwhm(strategy: Strategy, params: InterferometerParams) -> float:

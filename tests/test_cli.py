@@ -194,8 +194,15 @@ def test_flag_replaces_preset_sibling(runner):
         ("report", "format = csv\n", "Invalid value for '--format'"),
         ("sweep", "points = 2.5\n", "Invalid value for '--points'"),
         ("sweep", "strategy = bogus\n", "Invalid value for '--strategy'"),
+        # keys of another command are checked by that command's option
+        ("report", "points = 2.5\n", "Invalid value for '--points'"),
+        ("report", "mode = bogus\n", "Invalid value for '--mode'"),
+        ("sweep", "seed = x\n", "Invalid value for '--seed'"),
+        ("validate", "format = bogus\n", "Invalid value for '--format'"),
     ],
-    ids=["unknown-key", "mode", "format", "points", "strategy"],
+    ids=["unknown-key", "mode", "format", "points", "strategy",
+         "other-command-points", "other-command-mode", "other-command-seed",
+         "other-command-format"],
 )
 def test_config_rejects_bad_entry(runner, tmp_path, command, content, message):
     # config values pass the same checks as the flags of the same name

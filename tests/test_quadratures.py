@@ -19,7 +19,6 @@ from sqzmzi import (
     db_to_squeeze_factor,
     detector_field_stats,
 )
-from sqzmzi.quadratures import amplification_loss_map
 
 R1_10DB = db_to_squeeze_factor(10.0)
 
@@ -186,6 +185,19 @@ def test_bright_port_phase_noise_never_reaches_the_measured_pair():
         ext_b = detector_field_stats(params, phi, noise=hot, extended=True)
         if abs(math.sin(phi / 2.0)) > 1e-6:
             assert ext_b.variance("g1c") > ext_a.variance("g1c")
+
+
+def amplification_loss_map(params: InterferometerParams) -> tuple[np.ndarray, np.ndarray]:
+    """Linear map from (e1c, e1s, e2c, e2s, n1c, n1s, n2c, n2s) to the detected
+    quadratures (g1c, g1s, g2c, g2s), split as (matrix on core, matrix on loss
+    ports): the output stage written as a matrix, independently of
+    detector_field_stats."""
+    g = math.exp(params.r2)
+    t = math.sqrt(params.eta)
+    l = math.sqrt(1.0 - params.eta)
+    core = t * np.diag([1.0 / g, g, g, 1.0 / g])
+    ports = l * np.eye(4)
+    return core, ports
 
 
 def _compose_through_output_stage(params, phi):

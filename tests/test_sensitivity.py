@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import R1_10DB, interferometer_params, midpoint_grid, phases
+from sqzmzi import photostats, sensitivity
 from sqzmzi.model import InterferometerParams, ParameterError, Strategy
+from sqzmzi.photostats import ConsistencyError
 from sqzmzi.sensitivity import (
     apriori_tolerance,
     dphi_min,
@@ -18,6 +20,7 @@ from sqzmzi.sensitivity import (
     k_factor,
     optimal_weight,
     phase_uncertainty,
+    phase_uncertainty_grid,
     required_r2,
     small_deviation_dphi_squared,
     snl,
@@ -128,6 +131,10 @@ def test_phase_must_be_finite(solid_params):
             phase_uncertainty(Strategy.single(), solid_params, bad)
         with pytest.raises(ParameterError):
             optimal_weight(bad)
+        with pytest.raises(ParameterError, match="finite"):
+            phase_uncertainty_grid(Strategy.single(), solid_params, [0.5, bad, 1.0])
+    with pytest.raises(ParameterError, match="1-D"):
+        phase_uncertainty_grid(Strategy.single(), solid_params, [[0.5, 1.0]])
 
 
 def test_output_gain_cancels_without_loss():
@@ -285,3 +292,43 @@ def test_closed_forms_survive_error_propagation(params, phi):
     for strategy in ALL_STRATEGIES + (Strategy.suboptimal(1.2),):
         res = phase_uncertainty(strategy, params, phi)
         assert res.dphi > 0.0
+
+
+@settings(max_examples=100)
+@given(
+    interferometer_params(),
+    st.lists(phases, min_size=1, max_size=20),
+    st.sampled_from([0.0, math.pi, 1.2]),
+)
+def test_grid_matches_scalar_bit_for_bit(params, phis, phi_apr):
+    # the singular phases of every strategy, one removable for phi_apr = 0
+    phis = phis + [0.0, math.pi, 2.0 * math.pi, -math.pi]
+    for strategy in ALL_STRATEGIES + (Strategy.suboptimal(phi_apr),):
+        grid = phase_uncertainty_grid(strategy, params, phis)
+        for i, phi in enumerate(phis):
+            # repr tells every float apart, -0.0 from 0.0 included
+            assert repr(grid.point(i)) == repr(phase_uncertainty(strategy, params, phi))
+        assert list(grid.divergent) == [math.isinf(d) for d in grid.dphi]
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(sensitivity, "dphi_min"), (photostats, "inefficiency")],
+    ids=["error-propagation", "photocount-moments"],
+)
+@pytest.mark.parametrize(
+    "strategy", ALL_STRATEGIES + (Strategy.suboptimal(1.0),), ids=lambda s: s.kind.value
+)
+def test_grid_cross_checks_are_live(monkeypatch, module, name, strategy):
+    # one closed form off by 1e-8 relative must trip the grid's checks:
+    # dphi_min feeds the strategy formulas but not the photocount route,
+    # inefficiency feeds the photocount closed forms but not the quadratures
+    params = InterferometerParams.with_technical_noise(
+        2.0, r1=R1_10DB, r2=0.5, mu=0.95, eta=0.8, n_photons=1e6
+    )
+    grid = midpoint_grid(24)
+    phase_uncertainty_grid(strategy, params, grid)
+    exact = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda p: exact(p) * (1.0 + 1e-8))
+    with pytest.raises(ConsistencyError):
+        phase_uncertainty_grid(strategy, params, grid)
