@@ -192,9 +192,15 @@ def _config_keys() -> dict[str, str]:
 
 def _read_config(ctx: click.Context, path: str) -> dict:
     """Parse a ``key = value`` config file ('#' starts a comment) into raw
-    values keyed by option name; a repeatable option takes a comma list."""
+    values keyed by option name; an option repeatable on any command takes a
+    comma list."""
     keys = _config_keys()
-    repeatable = {p.name for p in ctx.command.params if getattr(p, "multiple", False)}
+    repeatable = {
+        opt.name
+        for command in main.commands.values()
+        for opt in command.params
+        if getattr(opt, "multiple", False)
+    }
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

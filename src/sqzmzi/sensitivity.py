@@ -77,17 +77,15 @@ def k_factor(params: InterferometerParams) -> float:
     return (technical_noise_factor(params) + inefficiency(params)) / params.n_photons
 
 
-def optimal_weight(phi):
-    """Variance-minimizing weight k = cos(phi) of the N- + k N+ combination, at
-    a phase or over a 1-D array of phases.
+def optimal_weight(phi: float) -> float:
+    """Variance-minimizing weight k = cos(phi) of the N- + k N+ combination.
 
     Equals -Cov(N+, N-)/Var(N+); the loss and noise factors cancel in the ratio,
     so the weight depends on the phase alone.
     """
-    finite = np.isfinite(phi).all() if isinstance(phi, np.ndarray) else math.isfinite(phi)
-    if not finite:
+    if not math.isfinite(phi):
         raise ParameterError(f"phi must be finite, got {phi!r}")
-    return _per_phase(math.cos, phi)
+    return math.cos(phi)
 
 
 @dataclass(frozen=True)
@@ -119,8 +117,8 @@ class SensitivityGrid:
     """Phase uncertainty of one strategy over a 1-D grid of working points.
 
     ``phi``, ``dphi``, ``normalized``, ``divergent`` and, for the weighted
-    strategies, ``k_opt`` are arrays over the grid (0-d for a single phase);
-    the other fields are those of :class:`SensitivityResult`.  dphi is inf
+    strategies, ``k_opt`` are arrays over the grid; the other fields are
+    those of :class:`SensitivityResult`.  dphi is inf
     exactly where ``divergent`` marks a singular phase, and ``diagnostic``
     says why it diverges there.
     """
@@ -139,23 +137,31 @@ class SensitivityGrid:
     k_opt: np.ndarray | None = None
     diagnostic: str | None = None
 
-    def point(self, i=()) -> SensitivityResult:
-        """The result at the grid's ``i``-th phase; the default index () is
-        the one point of a grid evaluated at a single phase."""
-        return SensitivityResult(
-            strategy=self.strategy,
-            phi=float(self.phi[i]),
-            dphi=float(self.dphi[i]),
-            dphi_min=self.dphi_min,
-            dphi_snl=self.dphi_snl,
-            k_factor=self.k_factor,
-            eps2=self.eps2,
-            normalized=float(self.normalized[i]),
-            fwhm=self.fwhm,
-            fwhm_lobes=self.fwhm_lobes,
-            k_opt=None if self.k_opt is None else float(self.k_opt[i]),
-            diagnostic=self.diagnostic if self.divergent[i] else None,
+    def point(self, i: int) -> SensitivityResult:
+        """The result at the grid's ``i``-th phase."""
+        return _result(
+            self.strategy, self.phi[i], self.dphi[i], self.normalized[i], self.divergent[i],
+            None if self.k_opt is None else self.k_opt[i],
+            dphi_min=self.dphi_min, dphi_snl=self.dphi_snl, k_factor=self.k_factor,
+            eps2=self.eps2, fwhm=self.fwhm, fwhm_lobes=self.fwhm_lobes,
+            diagnostic=self.diagnostic,
         )
+
+
+def _result(
+    strategy, phi, dphi, normalized, divergent, k_opt, *, diagnostic, **constants
+) -> SensitivityResult:
+    """The :class:`SensitivityResult` at one phase from the per-phase values
+    there and the phase-independent ``constants``."""
+    return SensitivityResult(
+        strategy=strategy,
+        phi=float(phi),
+        dphi=float(dphi),
+        normalized=float(normalized),
+        k_opt=None if k_opt is None else float(k_opt),
+        diagnostic=diagnostic if divergent else None,
+        **constants,
+    )
 
 
 def _replace(values, where, fill):
@@ -164,6 +170,11 @@ def _replace(values, where, fill):
     if isinstance(values, np.ndarray) and values.ndim:
         return np.where(where, fill, values)
     return fill if where else values
+
+
+def _constant(phi, value):
+    """``value`` at every phase of ``phi``, one phase or a grid."""
+    return np.full(phi.shape, value) if isinstance(phi, np.ndarray) else value
 
 
 def _squared(x: float) -> float:
@@ -176,29 +187,38 @@ def phase_uncertainty_grid(
     strategy: Strategy, params: InterferometerParams, phis
 ) -> SensitivityGrid:
     """Phase uncertainty of ``strategy`` at every working point of ``phis``, a
-    1-D sequence of phases, in one pass over the grid.
+    1-D sequence of phases, in one pass over the grid (see :func:`_evaluate`)."""
+    phi = np.array(phis, dtype=float)
+    if phi.ndim != 1:
+        raise ParameterError(f"phases must form a 1-D grid, got shape {phi.shape}")
+    finite = np.isfinite(phi)
+    if not finite.all():
+        raise ParameterError(f"phi must be finite, got {float(phi[np.argmin(finite)])!r}")
+    return SensitivityGrid(strategy=strategy, phi=phi, **_evaluate(strategy, params, phi))
 
-    A single float phase is a grid of one point whose arrays are 0-d; it keeps
-    the moments in Python-float arithmetic, which is faster for one point.
+
+def phase_uncertainty(
+    strategy: Strategy, params: InterferometerParams, phi: float
+) -> SensitivityResult:
+    """Phase uncertainty of ``strategy`` at working point ``phi``: the values
+    of :func:`phase_uncertainty_grid` at this one phase, computed by the same
+    code in Python-float arithmetic, which is faster for one point."""
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise ParameterError(f"phi must be finite, got {phi!r}")
+    return _result(strategy, phi, **_evaluate(strategy, params, phi))
+
+
+def _evaluate(strategy: Strategy, params: InterferometerParams, phi) -> dict:
+    """The fields of a :class:`SensitivityGrid` but its strategy and phases,
+    at ``phi``, a finite float or a 1-D array of finite phases.
+
     The closed form is cross-checked against error propagation,
     sqrt(Var O)/|d<O>/dphi| of the strategy's photocount observable O, at every
     point where both are defined: not at the singular phases, and not where
     the slope vanishes (the ratio is 0/0 there while the closed form stays
-    finite).  The photocount moments check themselves on the same grid.
+    finite).  The photocount moments check themselves at the same phases.
     """
-    if isinstance(phis, float) or np.ndim(phis) == 0:
-        phi = float(phis)
-        shape = ()
-        bad = None if math.isfinite(phi) else phi
-    else:
-        phi = np.array(phis, dtype=float)
-        shape = phi.shape
-        if len(shape) != 1:
-            raise ParameterError(f"phases must form a 1-D grid, got shape {shape}")
-        finite = np.isfinite(phi)
-        bad = None if finite.all() else float(phi[np.argmin(finite)])
-    if bad is not None:
-        raise ParameterError(f"phi must be finite, got {bad!r}")
     floor = dphi_min(params)
     floor2 = floor * floor
     k = k_factor(params)
@@ -211,7 +231,7 @@ def phase_uncertainty_grid(
     diagnostic = None
 
     if kind is StrategyKind.SINGLE:
-        divergent = np.abs(_per_phase(math.cos, 0.5 * phi)) <= SINGULARITY_TOL
+        divergent = abs(_per_phase(math.cos, 0.5 * phi)) <= SINGULARITY_TOL
         t = _per_phase(math.tan, 0.5 * phi)
         dphi = np.sqrt(floor2 + k * t * t)
         diagnostic = "single-detector read-out diverges at phi = pi (mod 2 pi): the fringe slope vanishes"
@@ -223,7 +243,7 @@ def phase_uncertainty_grid(
         slope = photostats.sumdiff_mean_slopes(params, phi)[1]
         if kind is StrategyKind.DIFFERENTIAL:
             s = _per_phase(math.sin, phi)
-            divergent = np.abs(s) <= SINGULARITY_TOL
+            divergent = abs(s) <= SINGULARITY_TOL
             cot = _per_phase(math.cos, phi) / _replace(s, divergent, 1.0)
             dphi = np.sqrt(floor2 + k * cot * cot)
             diagnostic = "differential read-out diverges at phi = 0 and pi (mod pi): the fringe slope vanishes"
@@ -231,20 +251,19 @@ def phase_uncertainty_grid(
             lobes = 2
             var_o = photostats.sumdiff_stats(params, phi)[3]
         elif kind is StrategyKind.OPTIMAL:
-            # [()] leaves a grid as it is and makes one phase a numpy scalar
-            divergent = np.zeros(shape, dtype=bool)[()]
-            dphi = np.full(shape, floor)[()]
-            k_opt = optimal_weight(phi)
+            divergent = _constant(phi, False)
+            dphi = _constant(phi, floor)
+            k_opt = _per_phase(math.cos, phi)
             var_o = photostats.weighted_variance(params, phi, phi)
         elif kind is StrategyKind.SUBOPTIMAL:
             s = _per_phase(math.sin, phi)
             dcos = _per_phase(math.cos, phi) - math.cos(strategy.phi_apr)
-            k_opt = np.full(shape, math.cos(strategy.phi_apr))
-            singular = np.abs(s) <= SINGULARITY_TOL
+            k_opt = _constant(phi, math.cos(strategy.phi_apr))
+            singular = abs(s) <= SINGULARITY_TOL
             # removable singularity: where cos(phi_apr) = cos(phi) the frozen
             # weight is exactly optimal
-            removable = singular & (np.abs(dcos) <= SINGULARITY_TOL)
-            divergent = singular & ~removable
+            removable = singular & (abs(dcos) <= SINGULARITY_TOL)
+            divergent = singular & (abs(dcos) > SINGULARITY_TOL)
             penalty = _per_phase(_squared, dcos / _replace(s, singular, 1.0))
             dphi = _replace(np.sqrt(floor2 + k * penalty), removable, floor)
             diagnostic = (
@@ -267,30 +286,20 @@ def phase_uncertainty_grid(
         0.0,
         rtol=CROSSCHECK_RTOL,
     )
-    dphi = np.asarray(_replace(dphi, divergent, math.inf))
-    return SensitivityGrid(
-        strategy=strategy,
-        phi=np.asarray(phi),
+    dphi = _replace(dphi, divergent, math.inf)
+    return dict(
         dphi=dphi,
         normalized=dphi / shot,
-        divergent=np.asarray(divergent),
+        divergent=divergent,
         dphi_min=floor,
         dphi_snl=shot,
         k_factor=k,
         eps2=inefficiency(params),
         fwhm=width,
         fwhm_lobes=lobes,
-        k_opt=None if k_opt is None else np.asarray(k_opt),
+        k_opt=k_opt,
         diagnostic=diagnostic,
     )
-
-
-def phase_uncertainty(
-    strategy: Strategy, params: InterferometerParams, phi: float
-) -> SensitivityResult:
-    """Phase uncertainty of ``strategy`` at working point ``phi``: the grid of
-    :func:`phase_uncertainty_grid` at this one phase."""
-    return phase_uncertainty_grid(strategy, params, phi).point()
 
 
 def fwhm(strategy: Strategy, params: InterferometerParams) -> float:

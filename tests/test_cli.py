@@ -235,6 +235,11 @@ def test_config_strategy_list_and_layer_order(runner, tmp_path):
     rows = _rows(outputs[0])
     assert [r[1] for r in rows] == ["optimal", "single"] * 3
     assert rows[0][3] == "0.501187233627"  # the config's 6 dB, not the preset's 10
+    # one file serves every command: the commands without --strategy check
+    # the comma list with sweep's option instead of rejecting it
+    for args in (["report"], ["validate", "--oracle-samples", "2000"]):
+        result = runner.invoke(main, [*args, "--config", str(config)])
+        assert result.exit_code == 0, result.output
 
 
 def test_output_dir_env_var(runner, tmp_path, monkeypatch):
