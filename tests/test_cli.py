@@ -43,6 +43,11 @@ GOLDEN_RUNS = {
 # the command line that produced it
 DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
 
+# sha256 and exit code of oracle validations (5 points over [0, 2 pi]) for the
+# same four parameter sets, in both detection modes, at 4, 5, 7 and 2000
+# samples per point
+VALIDATE_DIGESTS = json.loads((GOLDEN / "validate-digests.json").read_text())
+
 
 def _rows(output: str) -> list[list[str]]:
     lines = output.strip().splitlines()
@@ -68,6 +73,14 @@ def test_output_matches_golden_digest(runner, name):
     result = runner.invoke(main, shlex.split(DIGESTS[name]["command"])[1:])
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == DIGESTS[name]["sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_DIGESTS))
+def test_validate_matches_golden_digest(runner, name):
+    golden = VALIDATE_DIGESTS[name]
+    result = runner.invoke(main, shlex.split(golden["command"])[1:])
+    assert result.exit_code == golden["exit_code"], result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == golden["sha256"]
 
 
 def test_sweep_csv_values_round_trip(runner):
