@@ -146,7 +146,8 @@ def validate_against_oracle(
 ) -> tuple[list[dict], dict[str, float]]:
     """Run the Monte-Carlo oracle at every phase of ``phis``.
 
-    Returns (per-point rows, per-moment max |z| over the grid).
+    Returns (per-point rows, per-moment max |z| over the grid); a nan |z|
+    counts as the largest.
     """
     rows = []
     worst: dict[str, float] = {}
@@ -156,9 +157,10 @@ def validate_against_oracle(
         point_moment = ""
         for name, z in report.z_scores.items():
             az = abs(z)
-            if az > worst.get(name, 0.0):
+            rank = oracle_mod.rank_abs_z(az)
+            if rank > oracle_mod.rank_abs_z(worst.get(name, 0.0)):
                 worst[name] = az
-            if az > point_worst:
+            if rank > oracle_mod.rank_abs_z(point_worst):
                 point_worst = az
                 point_moment = name
         rows.append({"phi": phi, "max_abs_z": point_worst, "worst_moment": point_moment})
@@ -178,15 +180,17 @@ def _over(lower: dict, upper: dict) -> dict:
     return merged
 
 
-def _config_keys() -> dict[str, str]:
-    """Config key -> option name, over every command: each option's name and
-    its long flags, lowercased with '-' as '_' (so 'a' as well as 'a_factor')."""
-    keys = {}
+def _config_keys() -> dict[str, list[click.Option]]:
+    """Config key -> the options that declare it, over every command: each
+    option's name and its long flags, lowercased with '-' as '_' (so 'a' as
+    well as 'a_factor'), name the same option."""
+    keys: dict[str, list[click.Option]] = {}
     for command in main.commands.values():
         for opt in command.params:
             if isinstance(opt, click.Option) and not opt.is_flag and opt.name not in _NOT_IN_CONFIG:
-                for flag in (opt.name, *(o for o in opt.opts if o.startswith("--"))):
-                    keys[flag.lstrip("-").lower().replace("-", "_")] = opt.name
+                flags = (opt.name, *(o for o in opt.opts if o.startswith("--")))
+                for key in dict.fromkeys(f.lstrip("-").lower().replace("-", "_") for f in flags):
+                    keys.setdefault(key, []).append(opt)
     return keys
 
 
@@ -195,13 +199,8 @@ def _read_config(ctx: click.Context, path: str) -> dict:
     values keyed by option name; an option repeatable on any command takes a
     comma list."""
     keys = _config_keys()
-    repeatable = {
-        opt.name
-        for command in main.commands.values()
-        for opt in command.params
-        if getattr(opt, "multiple", False)
-    }
     values: dict = {}
+    declared: dict[str, list[click.Option]] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -212,8 +211,10 @@ def _read_config(ctx: click.Context, path: str) -> dict:
         key = key.strip().lower().replace("-", "_")
         if key not in keys:
             raise click.UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        name, text = keys[key], text.strip()
-        if name in repeatable:
+        options, text = keys[key], text.strip()
+        name = options[0].name
+        declared[name] = options
+        if any(opt.multiple for opt in options):
             values[name] = [v.strip() for v in text.split(",") if v.strip()]
         else:
             values[name] = text
@@ -222,24 +223,22 @@ def _read_config(ctx: click.Context, path: str) -> dict:
     own = {p.name for p in ctx.command.params}
     for name, value in values.items():
         if name not in own:
-            _check_elsewhere(ctx, name, value)
+            _check_elsewhere(ctx, declared[name], value)
     return values
 
 
-def _check_elsewhere(ctx: click.Context, name: str, value) -> None:
+def _check_elsewhere(ctx: click.Context, options: list[click.Option], value) -> None:
     """A config value for an option the running command lacks never reaches
-    click, so convert it with the option that declares it on another command;
+    click, so convert it with the options that declare it on other commands;
     it must be valid for at least one of them ('format' has other choices on
     'sweep' than on 'report')."""
     errors = []
-    for command in main.commands.values():
-        for opt in command.params:
-            if opt.name == name:
-                try:
-                    opt.type_cast_value(ctx, value)
-                    return
-                except click.BadParameter as exc:
-                    errors.append(exc)
+    for opt in options:
+        try:
+            opt.type_cast_value(ctx, value)
+            return
+        except click.BadParameter as exc:
+            errors.append(exc)
     raise errors[0]
 
 

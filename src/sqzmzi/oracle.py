@@ -60,8 +60,10 @@ class OracleConfig:
     linearized_mode: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_samples, int) or self.n_samples < 1:
-            raise ParameterError(f"n_samples must be a positive integer, got {self.n_samples!r}")
+        # the batch standard errors need at least 2 batches of at least 2
+        # samples; with the batch edges run() uses, every n >= 4 gives that
+        if not isinstance(self.n_samples, int) or self.n_samples < 4:
+            raise ParameterError(f"n_samples must be an integer >= 4, got {self.n_samples!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ParameterError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
@@ -84,7 +86,13 @@ class MomentReport:
     z_scores: dict[str, float]
 
     def max_abs_z(self) -> float:
-        return max(abs(z) for z in self.z_scores.values())
+        return max((abs(z) for z in self.z_scores.values()), key=rank_abs_z)
+
+
+def rank_abs_z(abs_z: float) -> tuple[bool, float]:
+    """Sort key for |z| that ranks nan above every number, inf included, so a
+    z-score that could not be computed is never passed over as small."""
+    return (math.isnan(abs_z), abs_z)
 
 
 def _channel_variances(noise: InputNoiseSpec) -> dict[str, float]:
@@ -200,42 +208,20 @@ def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict[str, float]:
     }
 
 
-def _fallback_standard_errors(moments: dict[str, float], n: int) -> dict[str, float]:
-    """Gaussian-theory standard errors, used when n is too small for batching."""
-    out = {}
-    for name, value in moments.items():
-        if name.startswith("mean"):
-            var = moments["var" + name[4:]] if "var" + name[4:] in moments else None
-            out[name] = math.sqrt(max(var, 0.0) / n) if var is not None else math.nan
-        elif name.startswith("var"):
-            out[name] = abs(value) * math.sqrt(2.0 / (n - 1))
-        elif name == "cov_n1n2":
-            out[name] = math.sqrt(
-                max(moments["var_n1"] * moments["var_n2"] + value**2, 0.0) / (n - 1)
-            )
-        else:  # cov_npm
-            out[name] = math.sqrt(
-                max(moments["var_nplus"] * moments["var_nminus"] + value**2, 0.0) / (n - 1)
-            )
-    return out
-
-
 def run(
     params: InterferometerParams,
     phi: float,
     config: OracleConfig,
-    noise: InputNoiseSpec | None = None,
     sample_dump: str | None = None,
 ) -> MomentReport:
     """Sample the chain and compare empirical photocounting moments with the
     closed forms.
 
-    Standard errors come from 32-batch batch means (fewer batches for tiny
-    runs); sample_dump, if given, writes the raw (N1, N2) pairs to a text file.
+    Standard errors come from 32-batch batch means (n // 2 batches below 64
+    samples); sample_dump, if given, writes the raw (N1, N2) pairs to a text
+    file.
     """
-    if config.n_samples < 2:
-        raise ParameterError("variance estimation needs n_samples >= 2")
-    noise = InputNoiseSpec.from_params(params) if noise is None else noise
+    noise = InputNoiseSpec.from_params(params)
     n = config.n_samples
     streams = _spawn_streams(config.seed)
 
@@ -262,20 +248,13 @@ def run(
 
     moments = _moments_of(n1, n2)
 
-    n_batches = max(2, min(N_BATCHES, n // 2))
+    n_batches = min(N_BATCHES, n // 2)
     edges = np.linspace(0, n, n_batches + 1).astype(int)
-    if all(edges[i + 1] - edges[i] >= 2 for i in range(n_batches)):
-        batch_values = {name: [] for name in photostats.MOMENT_FIELDS}
-        for i in range(n_batches):
-            block = _moments_of(n1[edges[i] : edges[i + 1]], n2[edges[i] : edges[i + 1]])
-            for name, value in block.items():
-                batch_values[name].append(value)
-        ses = {
-            name: float(np.std(values, ddof=1)) / math.sqrt(n_batches)
-            for name, values in batch_values.items()
-        }
-    else:
-        ses = _fallback_standard_errors(moments, n)
+    blocks = [_moments_of(n1[a:b], n2[a:b]) for a, b in zip(edges[:-1], edges[1:])]
+    ses = {
+        name: float(np.std([block[name] for block in blocks], ddof=1)) / math.sqrt(n_batches)
+        for name in photostats.MOMENT_FIELDS
+    }
 
     closed = photostats.photon_stats(params, phi)
     closed_dict = closed.as_dict()

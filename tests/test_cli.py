@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from sqzmzi import oracle
 from sqzmzi.cli import CSV_HEADER, _config_keys, main
 from sqzmzi.model import InterferometerParams, Strategy, db_to_squeeze_factor
 from sqzmzi.sensitivity import phase_uncertainty
@@ -163,6 +164,7 @@ def test_sweep_suboptimal_strategy(runner):
         ["sweep", "--mu", "0.0"],
         ["sweep", "--preset", "no-such-preset"],
         ["validate", "--oracle-samples", "1"],
+        ["validate", "--oracle-samples", "3"],
         ["validate", "--z-threshold", "0", "--points", "2", "--oracle-samples", "10"],
         ["report", "--r1-db", "7.2", "--implied-gain-db", "20"],
     ],
@@ -318,3 +320,23 @@ def test_validate_fails_for_dim_light_in_exact_mode(runner):
     )
     assert result.exit_code == 1, result.output
     assert "FAIL" in result.output
+
+
+def test_validate_fails_on_nan_z(runner, monkeypatch):
+    # a nan z-score (e.g. from overflowing moments) is a failure, printed as
+    # such, not a moment silently left out of the table
+    real_run = oracle.run
+
+    def run_with_nan(params, phi, config):
+        report = real_run(params, phi, config)
+        report.z_scores["cov_n1n2"] = math.nan
+        return report
+
+    monkeypatch.setattr(oracle, "run", run_with_nan)
+    result = runner.invoke(
+        main, ["validate", "--preset", "fig2-solid", "--points", "2", "--oracle-samples", "2000"]
+    )
+    assert result.exit_code == 1, result.output
+    assert "FAIL" in result.output
+    assert "  cov_n1n2            nan" in result.output
+    assert all(line.endswith("cov_n1n2") for line in result.output.splitlines()[2:4])

@@ -28,6 +28,11 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         OracleConfig(n_samples=100, seed=2**64)
     assert OracleConfig(n_samples=100, seed=2**64 - 1).seed == 2**64 - 1
+    # batch standard errors need 2 batches of 2 samples
+    for n in (2, 3):
+        with pytest.raises(ParameterError, match="n_samples must be an integer >= 4"):
+            OracleConfig(n_samples=n)
+    assert OracleConfig(n_samples=4).n_samples == 4
 
 
 def test_run_rejects_single_sample(solid_params):
@@ -112,6 +117,17 @@ def test_degenerate_moments_report_zero_z(solid_params):
     assert report.z_scores["mean_n1"] == 0.0
     assert report.z_scores["var_n1"] == 0.0
     assert math.isfinite(report.max_abs_z())
+
+
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_max_abs_z_ranks_nan_highest(solid_params, position):
+    # a z-score that could not be computed must not hide behind a finite one,
+    # wherever it sits in the dict
+    report = run(solid_params, 1.0, OracleConfig(n_samples=1000, seed=4))
+    names = list(report.z_scores)
+    nan_name = names[0] if position == "first" else names[-1]
+    report.z_scores[nan_name] = math.nan
+    assert math.isnan(report.max_abs_z())
 
 
 def test_linearization_error_exact_mode_bias(solid_params):
