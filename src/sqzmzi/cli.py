@@ -183,7 +183,7 @@ def _over(lower: dict, upper: dict) -> dict:
 def _config_keys() -> dict[str, list[click.Option]]:
     """Config key -> the options that declare it, over every command: each
     option's name and its long flags, lowercased with '-' as '_' (so 'a' as
-    well as 'a_factor'), name the same option."""
+    well as 'a_factor'), are keys of that option."""
     keys: dict[str, list[click.Option]] = {}
     for command in main.commands.values():
         for opt in command.params:
@@ -200,7 +200,6 @@ def _read_config(ctx: click.Context, path: str) -> dict:
     comma list."""
     keys = _config_keys()
     values: dict = {}
-    declared: dict[str, list[click.Option]] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -213,7 +212,6 @@ def _read_config(ctx: click.Context, path: str) -> dict:
             raise click.UsageError(f"{path}:{lineno}: unknown key {key!r}")
         options, text = keys[key], text.strip()
         name = options[0].name
-        declared[name] = options
         if any(opt.multiple for opt in options):
             values[name] = [v.strip() for v in text.split(",") if v.strip()]
         else:
@@ -223,7 +221,7 @@ def _read_config(ctx: click.Context, path: str) -> dict:
     own = {p.name for p in ctx.command.params}
     for name, value in values.items():
         if name not in own:
-            _check_elsewhere(ctx, declared[name], value)
+            _check_elsewhere(ctx, keys[name], value)
     return values
 
 
