@@ -26,6 +26,7 @@ from . import oracle as oracle_mod
 from .model import (
     InterferometerParams,
     ParameterError,
+    Phase,
     Strategy,
     StrategyKind,
     db_to_squeeze_factor,
@@ -93,8 +94,9 @@ def _grid(phi_start: float, phi_end: float, points: int) -> list[float]:
 def sweep(
     params: InterferometerParams, phis: list[float], strategies: tuple[Strategy, ...]
 ) -> list[SensitivityGrid]:
-    """One grid evaluation per strategy over ``phis``."""
-    return [phase_uncertainty_grid(strategy, params, phis) for strategy in strategies]
+    """One grid evaluation per strategy over ``phis``, all on one :class:`Phase`."""
+    phase = Phase(phis)
+    return [phase_uncertainty_grid(strategy, params, phase) for strategy in strategies]
 
 
 def _rows(grids: list[SensitivityGrid], fmt, row: str, missing: str) -> list[str]:

@@ -50,6 +50,33 @@ def _per_phase(fn, phi):
     return fn(phi)
 
 
+class Phase:
+    """A finite phase phi, or a finite 1-D grid of them, with sin and cos of phi
+    and sin_half, cos_half and tan_half of phi/2, each taken once through
+    :func:`_per_phase`.  ``Phase(phi)`` returns a ``Phase`` unchanged, so a
+    phase handed down one evaluation is checked and tabulated once."""
+
+    def __new__(cls, phi):
+        if isinstance(phi, Phase):
+            return phi
+        if isinstance(phi, float) or np.ndim(phi) == 0:
+            phi = float(phi)
+            bad = [] if math.isfinite(phi) else [phi]
+        else:
+            phi = np.array(phi, dtype=float)
+            if phi.ndim != 1:
+                raise ParameterError(f"phases must form a 1-D grid, got shape {phi.shape}")
+            bad = phi[~np.isfinite(phi)][:1].tolist()
+        if bad:
+            raise ParameterError(f"phi must be finite, got {bad[0]!r}")
+        self = object.__new__(cls)
+        self.phi, half = phi, 0.5 * phi
+        self.sin, self.cos = _per_phase(math.sin, phi), _per_phase(math.cos, phi)
+        self.sin_half, self.cos_half = _per_phase(math.sin, half), _per_phase(math.cos, half)
+        self.tan_half = _per_phase(math.tan, half)
+        return self
+
+
 def _check(ok: bool, msg: str, errors: list[str]) -> None:
     if not ok:
         errors.append(msg)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import photostats
-from .model import InterferometerParams, ParameterError, technical_noise_factor
+from .model import InterferometerParams, ParameterError, Phase, technical_noise_factor
 from .quadratures import InputNoiseSpec
 
 # the 12 independent Gaussian inputs; order fixes the RNG stream assignment
@@ -74,7 +74,8 @@ class MomentReport:
 
     z_scores holds (empirical - closed_form)/standard_error per moment; a zero
     standard error with zero difference (degenerate but consistent moments,
-    e.g. at an exact fringe null in linearized mode) reports z = 0.
+    e.g. at an exact fringe null in linearized mode) reports z = 0; a non-finite
+    empirical moment, closed form or standard error reports z = nan.
     """
 
     params: InterferometerParams
@@ -208,19 +209,14 @@ def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict[str, float]:
     }
 
 
-def run(
-    params: InterferometerParams,
-    phi: float,
-    config: OracleConfig,
-    sample_dump: str | None = None,
-) -> MomentReport:
+def run(params: InterferometerParams, phi: float, config: OracleConfig) -> MomentReport:
     """Sample the chain and compare empirical photocounting moments with the
     closed forms.
 
     Standard errors come from 32-batch batch means (n // 2 batches below 64
-    samples); sample_dump, if given, writes the raw (N1, N2) pairs to a text
-    file.
+    samples).  A non-finite phi raises :class:`ParameterError` before any draw.
     """
+    phase = Phase(phi)
     noise = InputNoiseSpec.from_params(params)
     n = config.n_samples
     streams = _spawn_streams(config.seed)
@@ -243,9 +239,6 @@ def run(
             n2[done : done + m] = 0.5 * (g2c * g2c + g2s * g2s - offset)
         done += m
 
-    if sample_dump is not None:
-        np.savetxt(sample_dump, np.column_stack([n1, n2]), fmt="%.17g", header="N1 N2")
-
     moments = _moments_of(n1, n2)
 
     n_batches = min(N_BATCHES, n // 2)
@@ -256,13 +249,15 @@ def run(
         for name in photostats.MOMENT_FIELDS
     }
 
-    closed = photostats.photon_stats(params, phi)
+    closed = photostats.photon_stats(params, phase)
     closed_dict = closed.as_dict()
     z = {}
     for name in photostats.MOMENT_FIELDS:
         diff = moments[name] - closed_dict[name]
         se = ses[name]
-        if se == 0.0:
+        if not all(map(math.isfinite, (moments[name], closed_dict[name], se))):
+            z[name] = math.nan
+        elif se == 0.0:
             z[name] = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
         else:
             z[name] = diff / se

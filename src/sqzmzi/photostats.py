@@ -5,8 +5,9 @@ N = <N> + <g> dg, with <N> = <g>^2/2 set by the mean field and the fluctuation
 carried entirely by the measured quadrature.  All first and second moments of
 N1, N2 and of the sum/difference combinations then follow from the quadrature
 moments; this module provides them in closed form.  Every moment function
-takes the phase as a float or as a 1-D array of phases and answers in kind,
-elementwise over the grid (a phase-independent moment stays a float).
+takes its phase, a finite float or 1-D grid (else ``ParameterError``), through
+:class:`~sqzmzi.model.Phase` and answers in kind, elementwise over the grid (a
+phase-independent moment stays a float).
 
 Every second moment is computed twice: from the compact closed form and by
 propagating the detector quadrature statistics.  The two routes must agree to
@@ -22,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import InterferometerParams, _per_phase, inefficiency, technical_noise_factor
+from .model import InterferometerParams, Phase, inefficiency, technical_noise_factor
 from .quadratures import InputNoiseSpec, core_output_means, detector_field_stats
 
 CONSISTENCY_RTOL = 1e-12
@@ -143,16 +144,16 @@ def _moment_ingredients(params: InterferometerParams) -> tuple[float, float, flo
 
 def photon_means(params: InterferometerParams, phi) -> tuple:
     """Mean photocounts (<N1>, <N2>) = G^2 N (sin^2(phi/2), cos^2(phi/2))."""
+    phase = Phase(phi)
     g2 = transfer_gain(params) ** 2
     n = params.n_photons
-    s = _per_phase(math.sin, 0.5 * phi)
-    c = _per_phase(math.cos, 0.5 * phi)
+    s, c = phase.sin_half, phase.cos_half
     return g2 * n * s * s, g2 * n * c * c
 
 
 def photon_mean_slopes(params: InterferometerParams, phi) -> tuple:
     """Analytic derivatives (d<N1>/dphi, d<N2>/dphi) = +/- G^2 N sin(phi)/2."""
-    half = 0.5 * transfer_gain(params) ** 2 * params.n_photons * _per_phase(math.sin, phi)
+    half = 0.5 * transfer_gain(params) ** 2 * params.n_photons * Phase(phi).sin
     return half, -half
 
 
@@ -163,17 +164,18 @@ def photon_second_moments(params: InterferometerParams, phi) -> tuple:
     and symmetrically for N2; the cross covariance G^4 N (A - e^{-2 r1}) sin^2(phi)/4
     changes sign with the squeezing/excess-noise balance.
     """
+    phase = Phase(phi)
     g2, excess, squeezed, eps2 = _moment_ingredients(params)
     n = params.n_photons
-    s2 = _per_phase(math.sin, 0.5 * phi) ** 2
-    c2 = _per_phase(math.cos, 0.5 * phi) ** 2
+    s2 = phase.sin_half ** 2
+    c2 = phase.cos_half ** 2
     scale = g2 * g2 * n
     var1 = scale * s2 * (squeezed * c2 + excess * s2 + eps2)
     var2 = scale * c2 * (squeezed * s2 + excess * c2 + eps2)
-    cov = scale * 0.25 * (excess - squeezed) * _per_phase(math.sin, phi) ** 2
+    cov = scale * 0.25 * (excess - squeezed) * phase.sin ** 2
 
     # independent route: <N> = <g>^2/2, Var N = <g>^2 Var(dg), Cov likewise
-    det = detector_field_stats(params, phi)
+    det = detector_field_stats(params, phase)
     m1, m2 = det.mean_of("g1s"), det.mean_of("g2c")
     floor = scale * (excess + squeezed + eps2 + 1.0)
     _require_close("var_n1", var1, m1 * m1 * det.variance("g1s"), floor)
@@ -188,18 +190,19 @@ def sumdiff_stats(params: InterferometerParams, phi) -> tuple:
     Returns (mean_nplus, mean_nminus, var_nplus, var_nminus, cov_npm).
     <N+> = G^2 N is phase-independent, <N-> = -G^2 N cos(phi) carries the fringe.
     """
+    phase = Phase(phi)
     g2, excess, squeezed, eps2 = _moment_ingredients(params)
     n = params.n_photons
-    cs = _per_phase(math.cos, phi)
+    cs = phase.cos
     scale = g2 * g2 * n
     mean_plus = g2 * n
     mean_minus = -g2 * n * cs
     var_plus = scale * (excess + eps2)
-    var_minus = scale * (squeezed * _per_phase(math.sin, phi) ** 2 + excess * cs * cs + eps2)
+    var_minus = scale * (squeezed * phase.sin ** 2 + excess * cs * cs + eps2)
     cov_pm = -scale * (excess + eps2) * cs
 
     # independent route through the per-detector moments
-    v1, v2, c12 = photon_second_moments(params, phi)
+    v1, v2, c12 = photon_second_moments(params, phase)
     floor = scale * (excess + squeezed + eps2 + 1.0)
     _require_close("var_nplus", var_plus, v1 + v2 + 2.0 * c12, floor)
     _require_close("var_nminus", var_minus, v1 + v2 - 2.0 * c12, floor)
@@ -209,7 +212,7 @@ def sumdiff_stats(params: InterferometerParams, phi) -> tuple:
 
 def sumdiff_mean_slopes(params: InterferometerParams, phi) -> tuple:
     """Analytic derivatives (d<N+>/dphi, d<N->/dphi) = (0, G^2 N sin(phi))."""
-    return 0.0, transfer_gain(params) ** 2 * params.n_photons * _per_phase(math.sin, phi)
+    return 0.0, transfer_gain(params) ** 2 * params.n_photons * Phase(phi).sin
 
 
 def weighted_variance_terms(params: InterferometerParams, phi, phi_apr) -> tuple:
@@ -217,7 +220,7 @@ def weighted_variance_terms(params: InterferometerParams, phi, phi_apr) -> tuple
     cos^2(phi_apr) Var N+).  ``phi_apr`` is a float or, like ``phi``, an array
     over the grid."""
     _, _, var_plus, var_minus, cov_pm = sumdiff_stats(params, phi)
-    k = _per_phase(math.cos, phi_apr)
+    k = Phase(phi_apr).cos
     return var_minus, 2.0 * k * cov_pm, k * k * var_plus
 
 
@@ -228,13 +231,12 @@ def weighted_variance(params: InterferometerParams, phi, phi_apr):
     cos(phi_apr))^2]; the quadratic in (cos phi - cos phi_apr) is why freezing k
     at an a-priori phase costs only second order in the phase error.
     """
+    phase, apr = Phase(phi), Phase(phi_apr)
     g2, excess, squeezed, eps2 = _moment_ingredients(params)
     scale = g2 * g2 * params.n_photons
-    dcos = _per_phase(math.cos, phi) - _per_phase(math.cos, phi_apr)
-    compact = scale * (
-        (squeezed + eps2) * _per_phase(math.sin, phi) ** 2 + (excess + eps2) * dcos * dcos
-    )
-    decomposition = sum(weighted_variance_terms(params, phi, phi_apr))
+    dcos = phase.cos - apr.cos
+    compact = scale * ((squeezed + eps2) * phase.sin ** 2 + (excess + eps2) * dcos * dcos)
+    decomposition = sum(weighted_variance_terms(params, phase, apr))
     _require_close(
         "weighted_variance", compact, decomposition, scale * (excess + eps2 + 1.0)
     )
@@ -244,9 +246,10 @@ def weighted_variance(params: InterferometerParams, phi, phi_apr):
 def photon_stats(params: InterferometerParams, phi) -> PhotonStats:
     """All closed-form photocounting moments at one working point, or over a
     1-D array of them."""
-    mean_n1, mean_n2 = photon_means(params, phi)
-    var_n1, var_n2, cov_n1n2 = photon_second_moments(params, phi)
-    mean_plus, mean_minus, var_plus, var_minus, cov_pm = sumdiff_stats(params, phi)
+    phase = Phase(phi)
+    mean_n1, mean_n2 = photon_means(params, phase)
+    var_n1, var_n2, cov_n1n2 = photon_second_moments(params, phase)
+    mean_plus, mean_minus, var_plus, var_minus, cov_pm = sumdiff_stats(params, phase)
     return PhotonStats(
         mean_n1=mean_n1,
         mean_n2=mean_n2,

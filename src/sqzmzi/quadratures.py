@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InterferometerParams, ParameterError, _per_phase, technical_noise_factor
+from .model import InterferometerParams, ParameterError, Phase, technical_noise_factor
 
 PSD_TOL = 1e-10
 
@@ -147,11 +147,12 @@ def core_output_means(params: InterferometerParams, phi):
     at one phase and arrays over a 1-D array of phases; the orthogonal
     quadratures e1c, e2s have zero mean.
     """
+    phase = Phase(phi)
     amp = math.sqrt(2.0 * params.mu) * params.alpha
-    return amp * _per_phase(math.sin, 0.5 * phi), amp * _per_phase(math.cos, 0.5 * phi)
+    return amp * phase.sin_half, amp * phase.cos_half
 
 
-def _core_coefficients(mu: float, phi: float) -> np.ndarray:
+def _core_coefficients(mu: float, phase: Phase) -> np.ndarray:
     """Coefficients of the core output fluctuations over CORE_SOURCES.
 
     Rows are (de1c, de1s, de2c, de2s).  Obtained by pushing the input noise
@@ -159,8 +160,7 @@ def _core_coefficients(mu: float, phi: float) -> np.ndarray:
     the two arm phases collapse into cos/sin(phi/2) couplings between the
     squeezer and bright-port noise.
     """
-    c = math.cos(0.5 * phi)
-    s = math.sin(0.5 * phi)
+    c, s = phase.cos_half, phase.sin_half
     t = math.sqrt(mu)
     l = math.sqrt(1.0 - mu)
     # columns: a1c, a1s, z2c, z2s, m+c, m+s, m-c, m-s
@@ -198,17 +198,16 @@ def core_noise_covariance(
     semidefiniteness is structural.  Means are zero by construction (the
     fluctuations are defined about the signal)."""
     noise = _noise_or_default(params, noise)
-    b = _core_coefficients(params.mu, phi)
+    b = _core_coefficients(params.mu, Phase(phi))
     v = _core_source_variances(noise)
     cov = (b * v) @ b.T
     return QuadratureStats(labels=CORE_LABELS, mean=np.zeros(4), cov=cov)
 
 
-def _core_variances(params: InterferometerParams, phi, noise: InputNoiseSpec) -> dict:
+def _core_variances(params: InterferometerParams, phase: Phase, noise: InputNoiseSpec) -> dict:
     """Closed forms, entry by entry, for the core second moments (independent
     of the matrix route above; the two are compared in tests)."""
-    c = _per_phase(math.cos, 0.5 * phi)
-    s = _per_phase(math.sin, 0.5 * phi)
+    c, s = phase.cos_half, phase.sin_half
     c2 = c**2
     s2 = s**2
     sc = s * c
@@ -238,9 +237,10 @@ def detector_field_stats(
     orthogonal pair (g1c, g2s) is included, which fixes the full Gaussian state
     of the detected modes.
     """
+    phase = Phase(phi)
     noise = _noise_or_default(params, noise)
-    core = _core_variances(params, phi, noise)
-    m1s, m2c = core_output_means(params, phi)
+    core = _core_variances(params, phase, noise)
+    m1s, m2c = core_output_means(params, phase)
     eta = params.eta
     amp2 = eta * math.exp(2.0 * params.r2)
     deamp2 = eta * math.exp(-2.0 * params.r2)

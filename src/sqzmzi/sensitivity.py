@@ -26,6 +26,7 @@ from . import photostats
 from .model import (
     InterferometerParams,
     ParameterError,
+    Phase,
     Strategy,
     StrategyKind,
     _per_phase,
@@ -83,9 +84,7 @@ def optimal_weight(phi: float) -> float:
     Equals -Cov(N+, N-)/Var(N+); the loss and noise factors cancel in the ratio,
     so the weight depends on the phase alone.
     """
-    if not math.isfinite(phi):
-        raise ParameterError(f"phi must be finite, got {phi!r}")
-    return math.cos(phi)
+    return Phase(phi).cos
 
 
 @dataclass(frozen=True)
@@ -187,14 +186,12 @@ def phase_uncertainty_grid(
     strategy: Strategy, params: InterferometerParams, phis
 ) -> SensitivityGrid:
     """Phase uncertainty of ``strategy`` at every working point of ``phis``, a
-    1-D sequence of phases, in one pass over the grid (see :func:`_evaluate`)."""
-    phi = np.array(phis, dtype=float)
-    if phi.ndim != 1:
-        raise ParameterError(f"phases must form a 1-D grid, got shape {phi.shape}")
-    finite = np.isfinite(phi)
-    if not finite.all():
-        raise ParameterError(f"phi must be finite, got {float(phi[np.argmin(finite)])!r}")
-    return SensitivityGrid(strategy=strategy, phi=phi, **_evaluate(strategy, params, phi))
+    1-D sequence of phases or a :class:`Phase` over one, in one pass over the
+    grid (see :func:`_evaluate`)."""
+    phase = Phase(phis)
+    if not isinstance(phase.phi, np.ndarray):
+        raise ParameterError(f"phases must form a 1-D grid, got shape {np.shape(phis)}")
+    return SensitivityGrid(strategy=strategy, phi=phase.phi, **_evaluate(strategy, params, phase))
 
 
 def phase_uncertainty(
@@ -203,15 +200,13 @@ def phase_uncertainty(
     """Phase uncertainty of ``strategy`` at working point ``phi``: the values
     of :func:`phase_uncertainty_grid` at this one phase, computed by the same
     code in Python-float arithmetic, which is faster for one point."""
-    phi = float(phi)
-    if not math.isfinite(phi):
-        raise ParameterError(f"phi must be finite, got {phi!r}")
-    return _result(strategy, phi, **_evaluate(strategy, params, phi))
+    phase = Phase(phi)
+    return _result(strategy, phase.phi, **_evaluate(strategy, params, phase))
 
 
-def _evaluate(strategy: Strategy, params: InterferometerParams, phi) -> dict:
+def _evaluate(strategy: Strategy, params: InterferometerParams, phase: Phase) -> dict:
     """The fields of a :class:`SensitivityGrid` but its strategy and phases,
-    at ``phi``, a finite float or a 1-D array of finite phases.
+    at ``phase``, one phase or a 1-D grid of them.
 
     The closed form is cross-checked against error propagation,
     sqrt(Var O)/|d<O>/dphi| of the strategy's photocount observable O, at every
@@ -231,34 +226,35 @@ def _evaluate(strategy: Strategy, params: InterferometerParams, phi) -> dict:
     diagnostic = None
 
     if kind is StrategyKind.SINGLE:
-        divergent = abs(_per_phase(math.cos, 0.5 * phi)) <= SINGULARITY_TOL
-        t = _per_phase(math.tan, 0.5 * phi)
+        divergent = abs(phase.cos_half) <= SINGULARITY_TOL
+        t = phase.tan_half
         dphi = np.sqrt(floor2 + k * t * t)
         diagnostic = "single-detector read-out diverges at phi = pi (mod 2 pi): the fringe slope vanishes"
         width = fwhm(strategy, params)
         lobes = 1
-        var_o = photostats.photon_second_moments(params, phi)[0]
-        slope = photostats.photon_mean_slopes(params, phi)[0]
+        var_o = photostats.photon_second_moments(params, phase)[0]
+        slope = photostats.photon_mean_slopes(params, phase)[0]
     else:
-        slope = photostats.sumdiff_mean_slopes(params, phi)[1]
+        slope = photostats.sumdiff_mean_slopes(params, phase)[1]
         if kind is StrategyKind.DIFFERENTIAL:
-            s = _per_phase(math.sin, phi)
+            s = phase.sin
             divergent = abs(s) <= SINGULARITY_TOL
-            cot = _per_phase(math.cos, phi) / _replace(s, divergent, 1.0)
+            cot = phase.cos / _replace(s, divergent, 1.0)
             dphi = np.sqrt(floor2 + k * cot * cot)
             diagnostic = "differential read-out diverges at phi = 0 and pi (mod pi): the fringe slope vanishes"
             width = fwhm(strategy, params)
             lobes = 2
-            var_o = photostats.sumdiff_stats(params, phi)[3]
+            var_o = photostats.sumdiff_stats(params, phase)[3]
         elif kind is StrategyKind.OPTIMAL:
-            divergent = _constant(phi, False)
-            dphi = _constant(phi, floor)
-            k_opt = _per_phase(math.cos, phi)
-            var_o = photostats.weighted_variance(params, phi, phi)
+            divergent = _constant(phase.phi, False)
+            dphi = _constant(phase.phi, floor)
+            k_opt = phase.cos
+            var_o = photostats.weighted_variance(params, phase, phase)
         elif kind is StrategyKind.SUBOPTIMAL:
-            s = _per_phase(math.sin, phi)
-            dcos = _per_phase(math.cos, phi) - math.cos(strategy.phi_apr)
-            k_opt = _constant(phi, math.cos(strategy.phi_apr))
+            apr = Phase(strategy.phi_apr)
+            s = phase.sin
+            dcos = phase.cos - apr.cos
+            k_opt = _constant(phase.phi, apr.cos)
             singular = abs(s) <= SINGULARITY_TOL
             # removable singularity: where cos(phi_apr) = cos(phi) the frozen
             # weight is exactly optimal
@@ -270,7 +266,7 @@ def _evaluate(strategy: Strategy, params: InterferometerParams, phi) -> dict:
                 "suboptimal read-out diverges where sin(phi) = 0 unless "
                 "cos(phi_apr) = cos(phi)"
             )
-            var_o = photostats.weighted_variance(params, phi, strategy.phi_apr)
+            var_o = photostats.weighted_variance(params, phase, apr)
         else:  # pragma: no cover - exhaustive over StrategyKind
             raise ParameterError(f"unknown strategy kind {kind!r}")
 

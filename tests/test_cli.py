@@ -5,12 +5,14 @@ import hashlib
 import json
 import math
 import shlex
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sqzmzi import oracle
+from sqzmzi import cli, oracle
 from sqzmzi.cli import CSV_HEADER, _config_keys, main
 from sqzmzi.model import InterferometerParams, Strategy, db_to_squeeze_factor
 from sqzmzi.sensitivity import phase_uncertainty
@@ -122,6 +124,23 @@ def test_sweep_marks_divergent_points(runner):
         assert (row[2] == "inf") == expect_inf, row
     finite = [row for (_, name), row in by.items() if name == "optimal"]
     assert all(row[2] != "inf" for row in finite)
+
+
+def test_sweep_takes_each_phase_function_once(monkeypatch):
+    # one Phase serves all four strategies: sin, cos, sin_half, cos_half and
+    # tan_half over the grid, plus the suboptimal penalty's squaring
+    grid_calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sqzmzi") and hasattr(module, "_per_phase"):
+            def counted(fn, phi, per_phase=module._per_phase):
+                grid_calls.append(np.size(phi) == 721)
+                return per_phase(fn, phi)
+
+            monkeypatch.setattr(module, "_per_phase", counted)
+    strategies = (Strategy.single(), Strategy.differential(), Strategy.optimal(),
+                  Strategy.suboptimal(0.7))
+    cli.sweep(InterferometerParams(r1=1.0), cli._grid(0.0, 2.0 * math.pi, 721), strategies)
+    assert 0 < sum(grid_calls) <= 6
 
 
 def test_sweep_json_format(runner):

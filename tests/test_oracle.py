@@ -100,15 +100,6 @@ def test_standard_errors_shrink_with_sample_size(solid_params):
     assert ratio < 0.4
 
 
-def test_sample_dump_round_trip(tmp_path, solid_params):
-    path = tmp_path / "counts.txt"
-    report = run(solid_params, 1.1, OracleConfig(n_samples=100, seed=1), sample_dump=str(path))
-    data = np.loadtxt(path)
-    assert data.shape == (100, 2)
-    assert math.isclose(float(data[:, 0].mean()), report.empirical.mean_n1, rel_tol=1e-12)
-    assert math.isclose(float(data[:, 1].mean()), report.empirical.mean_n2, rel_tol=1e-12)
-
-
 def test_degenerate_moments_report_zero_z(solid_params):
     # at phi = 0 the linearized dark port is identically zero: difference and
     # standard error both vanish, which must come out as z = 0, not nan
@@ -117,6 +108,16 @@ def test_degenerate_moments_report_zero_z(solid_params):
     assert report.z_scores["mean_n1"] == 0.0
     assert report.z_scores["var_n1"] == 0.0
     assert math.isfinite(report.max_abs_z())
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowing_moments_report_nan_z():
+    # G^4 N overflows at r2 = 200: the variances and the batch standard errors
+    # of the means are inf there, and a finite difference over an inf standard
+    # error must not read as z = 0
+    params = InterferometerParams(r1=1.0, r2=200.0, mu=0.9, eta=0.9, n_photons=1e6)
+    report = run(params, 1.5, OracleConfig(n_samples=2000, linearized_mode=True))
+    assert all(math.isnan(z) for z in report.z_scores.values()), report.z_scores
 
 
 @pytest.mark.parametrize("position", ["first", "last"])

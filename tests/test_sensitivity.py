@@ -2,13 +2,15 @@
 strategy ordering, widths, and the design helpers."""
 
 import math
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import R1_10DB, interferometer_params, midpoint_grid, phases
-from sqzmzi import photostats, sensitivity
+from sqzmzi import oracle, photostats, quadratures, sensitivity
 from sqzmzi.model import InterferometerParams, ParameterError, Strategy
 from sqzmzi.photostats import ConsistencyError
 from sqzmzi.sensitivity import (
@@ -126,13 +128,31 @@ def test_suboptimal_removable_singularity(solid_params):
 
 
 def test_phase_must_be_finite(solid_params):
+    per_phase = (
+        photostats.photon_means,
+        photostats.photon_mean_slopes,
+        photostats.photon_second_moments,
+        photostats.sumdiff_stats,
+        photostats.sumdiff_mean_slopes,
+        photostats.photon_stats,
+        quadratures.core_output_means,
+        quadratures.detector_field_stats,
+        quadratures.core_noise_covariance,
+    )
+    entry_points = (
+        partial(phase_uncertainty, Strategy.single(), solid_params),
+        partial(phase_uncertainty_grid, Strategy.single(), solid_params),
+        optimal_weight,
+        *(partial(fn, solid_params) for fn in per_phase),
+        lambda phi: photostats.weighted_variance(solid_params, phi, 0.5),
+        lambda phi: photostats.weighted_variance(solid_params, 0.5, phi),
+        lambda phi: oracle.run(solid_params, phi, oracle.OracleConfig(n_samples=4)),
+    )
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ParameterError):
-            phase_uncertainty(Strategy.single(), solid_params, bad)
-        with pytest.raises(ParameterError):
-            optimal_weight(bad)
-        with pytest.raises(ParameterError, match="finite"):
-            phase_uncertainty_grid(Strategy.single(), solid_params, [0.5, bad, 1.0])
+        for phi in (bad, [0.5, bad, 1.0], np.array([0.5, bad, 1.0])):
+            for entry in entry_points:
+                with pytest.raises(ParameterError, match="finite"):
+                    entry(phi)
     with pytest.raises(ParameterError, match="1-D"):
         phase_uncertainty_grid(Strategy.single(), solid_params, [[0.5, 1.0]])
 
