@@ -1,13 +1,15 @@
 """Monte-Carlo oracle: reproducibility, agreement with the closed forms, and
 the diagnostics around the linearized photocounting model."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import R1_10DB, midpoint_grid
-from sqzmzi.model import InterferometerParams, ParameterError
+from sqzmzi.model import InterferometerParams, ParameterError, db_to_squeeze_factor
 from sqzmzi.oracle import (
     OracleConfig,
     _sample_detector_quadratures,
@@ -16,6 +18,12 @@ from sqzmzi.oracle import (
     run,
 )
 from sqzmzi.quadratures import InputNoiseSpec, detector_field_stats
+
+# repr of linearization_error output per case, keyed "<mode>-seed<seed>-phi<phi>",
+# on the lossy, amplified parameter set of validate-digests.json
+LINEARIZATION_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "linearization-error.json").read_text()
+)
 
 
 def test_config_validation():
@@ -189,3 +197,20 @@ def test_sampled_quadratures_match_closed_form_state(dashed_params):
         for j in range(4):
             se = math.sqrt((cov[i, i] * cov[j, j] + cov[i, j] ** 2) / n)
             assert abs(cov[i, j] - stats.cov[i, j]) <= 5.0 * se + 1e-12
+
+
+def _linearization_repr(case: str) -> str:
+    mode, seed, phi = case.split("-")
+    params = InterferometerParams.with_technical_noise(
+        4.0, r1=db_to_squeeze_factor(8.0), r2=0.8, mu=0.93, eta=0.7, n_photons=3e6
+    )
+    config = OracleConfig(
+        n_samples=2000, seed=int(seed[len("seed"):]), linearized_mode=mode == "linearized"
+    )
+    points = linearization_error(params, float(phi[len("phi"):]), config, (1e2, 1e4, 1e6))
+    return repr(points)
+
+
+@pytest.mark.parametrize("case", sorted(LINEARIZATION_GOLDEN))
+def test_linearization_error_matches_golden(case):
+    assert _linearization_repr(case) == LINEARIZATION_GOLDEN[case]
