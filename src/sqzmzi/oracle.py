@@ -16,7 +16,12 @@ sampling error at any brightness.
 Reproducibility contract: one PCG64 stream per input channel, spawned from
 SeedSequence(seed) in the fixed CHANNELS order, samples drawn in batch order.
 Results for a given (params, phi, config) are bit-identical across runs and
-machines, independent of batching.
+machines, independent of batching and of the runs made before.  The draws do
+not depend on phi, so runs of n <= _CHUNK samples with the same seed, sample
+count and input noise (InputNoiseSpec) share one read-only draw set: a phase
+grid, or a brightness grid that keeps the input noise bit for bit, draws once.
+The last set, at most 12 x 2^18 doubles (24 MiB), stays alive until a run with
+another key replaces it.  Larger runs draw chunk by chunk at every call.
 """
 
 from __future__ import annotations
@@ -165,6 +170,14 @@ def _propagate(params: InterferometerParams, phi: float, fields: dict[str, objec
     return g1c, g1s, g2c, g2s
 
 
+def _scaled_draws(
+    noise: InputNoiseSpec, m: int, streams: dict[str, np.random.Generator]
+) -> dict[str, np.ndarray]:
+    """The next m samples of every input channel, scaled to its variance."""
+    variances = _channel_variances(noise)
+    return {ch: streams[ch].standard_normal(m) * math.sqrt(variances[ch]) for ch in CHANNELS}
+
+
 def _sample_detector_quadratures(
     params: InterferometerParams,
     phi: float,
@@ -173,15 +186,32 @@ def _sample_detector_quadratures(
     streams: dict[str, np.random.Generator],
 ):
     """Draw n chain outputs; yields (g1c, g1s, g2c, g2s) chunks."""
-    variances = _channel_variances(noise)
     done = 0
     while done < n:
         m = min(_CHUNK, n - done)
-        fields = {
-            ch: streams[ch].standard_normal(m) * math.sqrt(variances[ch]) for ch in CHANNELS
-        }
-        yield _propagate(params, phi, fields)
+        yield _propagate(params, phi, _scaled_draws(noise, m, streams))
         done += m
+
+
+# (seed, n, noise) of the last run of at most one chunk, with its read-only draws
+_kept_draws: tuple[tuple[int, int, InputNoiseSpec], dict[str, np.ndarray]] | None = None
+
+
+def _one_chunk_draws(seed: int, n: int, noise: InputNoiseSpec) -> dict[str, np.ndarray]:
+    """The scaled draws of a run of n <= _CHUNK samples, reused from the last
+    run when its key matches, else drawn and kept in its place."""
+    global _kept_draws
+    key = (seed, n, noise)
+    kept = _kept_draws
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    # drop the old set before drawing, so only one set is ever alive
+    _kept_draws = kept = None
+    fields = _scaled_draws(noise, n, _spawn_streams(seed))
+    for values in fields.values():
+        values.flags.writeable = False
+    _kept_draws = (key, fields)
+    return fields
 
 
 def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict[str, float]:
@@ -219,7 +249,10 @@ def run(params: InterferometerParams, phi: float, config: OracleConfig) -> Momen
     phase = Phase(phi)
     noise = InputNoiseSpec.from_params(params)
     n = config.n_samples
-    streams = _spawn_streams(config.seed)
+    if n <= _CHUNK:
+        chunks = [_propagate(params, phi, _one_chunk_draws(config.seed, n, noise))]
+    else:
+        chunks = _sample_detector_quadratures(params, phi, noise, n, _spawn_streams(config.seed))
 
     if config.linearized_mode:
         zeros = {ch: 0.0 for ch in CHANNELS}
@@ -229,7 +262,7 @@ def run(params: InterferometerParams, phi: float, config: OracleConfig) -> Momen
     n1 = np.empty(n)
     n2 = np.empty(n)
     done = 0
-    for g1c, g1s, g2c, g2s in _sample_detector_quadratures(params, phi, noise, n, streams):
+    for g1c, g1s, g2c, g2s in chunks:
         m = g1s.size
         if config.linearized_mode:
             n1[done : done + m] = mg1s * g1s - 0.5 * mg1s * mg1s

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .model import InterferometerParams, Phase, inefficiency, technical_noise_factor
-from .quadratures import InputNoiseSpec, core_output_means, detector_field_stats
+from .quadratures import detector_field_stats
 
 CONSISTENCY_RTOL = 1e-12
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from scipy.optimize import brentq, minimize_scalar
 
 from conftest import R1_10DB, interferometer_params, midpoint_grid, phases
-from sqzmzi.model import InterferometerParams, Strategy, technical_noise_factor
+from sqzmzi.model import InterferometerParams, Strategy
 from sqzmzi.oracle import OracleConfig, linearization_error, run
 from sqzmzi.photostats import (
     photon_mean_slopes,

@@ -10,7 +10,10 @@ import pytest
 
 from conftest import R1_10DB, midpoint_grid
 from sqzmzi.model import InterferometerParams, ParameterError, db_to_squeeze_factor
+from sqzmzi import oracle
+from sqzmzi.cli import validate_against_oracle
 from sqzmzi.oracle import (
+    _CHUNK,
     OracleConfig,
     _sample_detector_quadratures,
     _spawn_streams,
@@ -197,6 +200,83 @@ def test_sampled_quadratures_match_closed_form_state(dashed_params):
         for j in range(4):
             se = math.sqrt((cov[i, i] * cov[j, j] + cov[i, j] ** 2) / n)
             assert abs(cov[i, j] - stats.cov[i, j]) <= 5.0 * se + 1e-12
+
+
+@pytest.fixture
+def spawn_calls(monkeypatch) -> list[int]:
+    """Seeds of the _spawn_streams calls made after the kept draw set is cleared."""
+    monkeypatch.setattr(oracle, "_kept_draws", None)
+    seeds = []
+
+    def counting(seed):
+        seeds.append(seed)
+        return _spawn_streams(seed)
+
+    monkeypatch.setattr(oracle, "_spawn_streams", counting)
+    return seeds
+
+
+def test_phase_grid_draws_once(solid_params, spawn_calls):
+    config = OracleConfig(n_samples=2000, seed=21, linearized_mode=True)
+    rows, _ = validate_against_oracle(solid_params, midpoint_grid(12), config)
+    assert len(rows) == 12
+    assert spawn_calls == [21]
+
+
+def test_brightness_grid_draws_once(solid_params, spawn_calls):
+    # A and r1 stay fixed across the grid, so the input noise does too
+    config = OracleConfig(n_samples=2000, seed=22)
+    linearization_error(solid_params, 1.3, config, (1e2, 1e4, 1e6))
+    assert spawn_calls == [22]
+
+
+def test_runs_beyond_one_chunk_draw_per_phase(solid_params, spawn_calls):
+    config = OracleConfig(n_samples=_CHUNK + 1, seed=23, linearized_mode=True)
+    for phi in (0.7, 2.1):
+        run(solid_params, phi, config)
+    assert spawn_calls == [23, 23]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"seed": 25},
+        {"n_samples": 3001},
+        {"r1": 0.5},
+        {"A": 3.0},
+    ],
+)
+def test_kept_draws_never_leak_between_keys(monkeypatch, change):
+    # a run right after one with another key reports exactly what it reports
+    # after the kept set is cleared
+    def params(r1=R1_10DB, A=1.0, **_):
+        return InterferometerParams.with_technical_noise(A, r1=r1, eta=0.8, n_photons=1e6)
+
+    def config(seed=24, n_samples=3000, **_):
+        return OracleConfig(n_samples=n_samples, seed=seed, linearized_mode=True)
+
+    def report(**kw):
+        r = run(params(**kw), 1.1, config(**kw))
+        return repr((r.empirical, r.standard_errors, r.z_scores))
+
+    monkeypatch.setattr(oracle, "_kept_draws", None)
+    fresh = report(**change)
+    report()
+    assert report(**change) == fresh
+    monkeypatch.setattr(oracle, "_kept_draws", None)
+    unchanged = report()
+    report(**change)
+    assert report() == unchanged != fresh
+
+
+def test_kept_draws_are_read_only(solid_params, monkeypatch):
+    monkeypatch.setattr(oracle, "_kept_draws", None)
+    run(solid_params, 1.0, OracleConfig(n_samples=1000, seed=26))
+    _, fields = oracle._kept_draws
+    assert set(fields) == set(oracle.CHANNELS)
+    for values in fields.values():
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
 
 
 def _linearization_repr(case: str) -> str:
