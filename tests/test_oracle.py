@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import R1_10DB, midpoint_grid
-from sqzmzi.model import InterferometerParams, ParameterError, db_to_squeeze_factor
 from sqzmzi import oracle
 from sqzmzi.cli import validate_against_oracle
+from sqzmzi.model import InterferometerParams, ParameterError, db_to_squeeze_factor
 from sqzmzi.oracle import (
     _CHUNK,
     OracleConfig,
@@ -239,12 +239,8 @@ def test_runs_beyond_one_chunk_draw_per_phase(solid_params, spawn_calls):
 
 @pytest.mark.parametrize(
     "change",
-    [
-        {"seed": 25},
-        {"n_samples": 3001},
-        {"r1": 0.5},
-        {"A": 3.0},
-    ],
+    [{"seed": 25}, {"n_samples": 3001}, {"r1": 0.5}, {"A": 3.0}],
+    ids=["seed", "n_samples", "r1", "A"],
 )
 def test_kept_draws_never_leak_between_keys(monkeypatch, change):
     # a run right after one with another key reports exactly what it reports
@@ -259,14 +255,14 @@ def test_kept_draws_never_leak_between_keys(monkeypatch, change):
         r = run(params(**kw), 1.1, config(**kw))
         return repr((r.empirical, r.standard_errors, r.z_scores))
 
-    monkeypatch.setattr(oracle, "_kept_draws", None)
-    fresh = report(**change)
-    report()
-    assert report(**change) == fresh
-    monkeypatch.setattr(oracle, "_kept_draws", None)
-    unchanged = report()
-    report(**change)
-    assert report() == unchanged != fresh
+    def after_clearing(run_first, **kw):
+        monkeypatch.setattr(oracle, "_kept_draws", None)
+        if run_first is not None:
+            report(**run_first)
+        return report(**kw)
+
+    assert after_clearing({}, **change) == after_clearing(None, **change)
+    assert after_clearing(change) == after_clearing(None) != after_clearing(None, **change)
 
 
 def test_kept_draws_are_read_only(solid_params, monkeypatch):
