@@ -28,6 +28,28 @@ LINEARIZATION_GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "linearization-error.json").read_text()
 )
 
+# repr of (empirical, standard_errors, z_scores, max_abs_z()) per case, keyed
+# "<set>-<mode>-n<n>-phi<phi>", at sample counts around and across several
+# propagation blocks and draw chunks
+BLOCKS_GOLDEN = json.loads((Path(__file__).parent / "golden" / "oracle-blocks.json").read_text())
+BLOCKS_SETS = {
+    # the fig2-dashed preset
+    "dashed": InterferometerParams.with_technical_noise(
+        1.0, r1=R1_10DB, eta=1.0 / 1.04, n_photons=1e6
+    ),
+    "lossy": InterferometerParams.with_technical_noise(
+        4.0, r1=db_to_squeeze_factor(8.0), r2=0.8, mu=0.93, eta=0.7, n_photons=3e6
+    ),
+}
+BLOCKS_PHASES = {"0": 0.0, "1.3": 1.3, "pi": math.pi}
+BLOCKS_CASES = [
+    f"{name}-{mode}-n{n}-phi{phi}"
+    for name in BLOCKS_SETS
+    for mode in ("exact", "linearized")
+    for n in (8191, 8193, 3 * 8192 + 5, 50_000, 2**18 + 1)
+    for phi in BLOCKS_PHASES
+]
+
 
 def test_config_validation():
     with pytest.raises(ParameterError):
@@ -290,3 +312,15 @@ def _linearization_repr(case: str) -> str:
 @pytest.mark.parametrize("case", sorted(LINEARIZATION_GOLDEN))
 def test_linearization_error_matches_golden(case):
     assert _linearization_repr(case) == LINEARIZATION_GOLDEN[case]
+
+
+def _blocks_repr(case: str) -> str:
+    name, mode, n, phi = case.split("-")
+    config = OracleConfig(n_samples=int(n[1:]), seed=31, linearized_mode=mode == "linearized")
+    report = run(BLOCKS_SETS[name], BLOCKS_PHASES[phi[len("phi"):]], config)
+    return repr((report.empirical, report.standard_errors, report.z_scores, report.max_abs_z()))
+
+
+@pytest.mark.parametrize("case", BLOCKS_CASES)
+def test_multi_block_runs_match_golden(case):
+    assert _blocks_repr(case) == BLOCKS_GOLDEN[case]
