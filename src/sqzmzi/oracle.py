@@ -21,7 +21,10 @@ not depend on phi, so runs of n <= _CHUNK samples with the same seed, sample
 count and input noise (InputNoiseSpec) share one read-only draw set: a phase
 grid, or a brightness grid that keeps the input noise bit for bit, draws once.
 The last set, at most 12 x 2^18 doubles (24 MiB), stays alive until a run with
-another key replaces it.  Larger runs draw chunk by chunk at every call.
+another key replaces it.  Larger runs draw _CHUNK samples at a time at every
+call.  Either way the draws go through the chain in blocks of _BLOCK samples,
+so its temporaries are 64 kB each, under the allocator's threshold for fresh
+page mappings; the steps are elementwise, so blocking changes no output bit.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ CHANNELS = (
 
 N_BATCHES = 32
 _CHUNK = 1 << 18
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -178,21 +182,6 @@ def _scaled_draws(
     return {ch: streams[ch].standard_normal(m) * math.sqrt(variances[ch]) for ch in CHANNELS}
 
 
-def _sample_detector_quadratures(
-    params: InterferometerParams,
-    phi: float,
-    noise: InputNoiseSpec,
-    n: int,
-    streams: dict[str, np.random.Generator],
-):
-    """Draw n chain outputs; yields (g1c, g1s, g2c, g2s) chunks."""
-    done = 0
-    while done < n:
-        m = min(_CHUNK, n - done)
-        yield _propagate(params, phi, _scaled_draws(noise, m, streams))
-        done += m
-
-
 # (seed, n, noise) of the last run of at most one chunk, with its read-only draws
 _kept_draws: tuple[tuple[int, int, InputNoiseSpec], dict[str, np.ndarray]] | None = None
 
@@ -250,9 +239,10 @@ def run(params: InterferometerParams, phi: float, config: OracleConfig) -> Momen
     noise = InputNoiseSpec.from_params(params)
     n = config.n_samples
     if n <= _CHUNK:
-        chunks = [_propagate(params, phi, _one_chunk_draws(config.seed, n, noise))]
+        chunks = [_one_chunk_draws(config.seed, n, noise)]
     else:
-        chunks = _sample_detector_quadratures(params, phi, noise, n, _spawn_streams(config.seed))
+        streams = _spawn_streams(config.seed)
+        chunks = (_scaled_draws(noise, min(_CHUNK, n - a), streams) for a in range(0, n, _CHUNK))
 
     if config.linearized_mode:
         zeros = {ch: 0.0 for ch in CHANNELS}
@@ -262,15 +252,18 @@ def run(params: InterferometerParams, phi: float, config: OracleConfig) -> Momen
     n1 = np.empty(n)
     n2 = np.empty(n)
     done = 0
-    for g1c, g1s, g2c, g2s in chunks:
-        m = g1s.size
-        if config.linearized_mode:
-            n1[done : done + m] = mg1s * g1s - 0.5 * mg1s * mg1s
-            n2[done : done + m] = mg2c * g2c - 0.5 * mg2c * mg2c
-        else:
-            n1[done : done + m] = 0.5 * (g1c * g1c + g1s * g1s - offset)
-            n2[done : done + m] = 0.5 * (g2c * g2c + g2s * g2s - offset)
-        done += m
+    for fields in chunks:
+        for a in range(0, fields["a1c"].size, _BLOCK):
+            block = {ch: values[a : a + _BLOCK] for ch, values in fields.items()}
+            g1c, g1s, g2c, g2s = _propagate(params, phi, block)
+            m = g1s.size
+            if config.linearized_mode:
+                n1[done : done + m] = mg1s * g1s - 0.5 * mg1s * mg1s
+                n2[done : done + m] = mg2c * g2c - 0.5 * mg2c * mg2c
+            else:
+                n1[done : done + m] = 0.5 * (g1c * g1c + g1s * g1s - offset)
+                n2[done : done + m] = 0.5 * (g2c * g2c + g2s * g2s - offset)
+            done += m
 
     moments = _moments_of(n1, n2)
 

@@ -30,6 +30,7 @@ from sqzmzi.sensitivity import (
     dphi_min,
     fwhm,
     phase_uncertainty,
+    phase_uncertainty_grid,
     small_deviation_dphi_squared,
 )
 
@@ -56,15 +57,22 @@ def test_criterion_1_reference_curves():
         (_preset_dotted(), 0.316228),
     ]
     grid = [i * 2.0 * math.pi / 720 for i in range(721)]
+    strategies = (Strategy.single(), Strategy.differential(), Strategy.optimal())
+    # timed through the grid route, the one `sqzmzi sweep` runs
     start = time.perf_counter()
-    curves = {}
-    for params, _ in cases:
-        for strategy in (Strategy.single(), Strategy.differential(), Strategy.optimal()):
-            curves[(id(params), strategy.kind)] = [
-                phase_uncertainty(strategy, params, phi).normalized for phi in grid
-            ]
+    curves = {
+        (id(params), strategy.kind): phase_uncertainty_grid(strategy, params, grid).normalized
+        for params, _ in cases
+        for strategy in strategies
+    }
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"sweeps took {elapsed:.3f} s"
+
+    # the scalar route gives the same curves bit for bit
+    for params, _ in cases:
+        for strategy in strategies:
+            scalar = [phase_uncertainty(strategy, params, phi).normalized for phi in grid]
+            assert np.array(scalar).tobytes() == curves[(id(params), strategy.kind)].tobytes()
 
     for params, level in cases:
         single = curves[(id(params), Strategy.single().kind)]

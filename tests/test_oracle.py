@@ -3,6 +3,7 @@ the diagnostics around the linearized photocounting model."""
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ from sqzmzi.model import InterferometerParams, ParameterError, db_to_squeeze_fac
 from sqzmzi.oracle import (
     _CHUNK,
     OracleConfig,
-    _sample_detector_quadratures,
+    _propagate,
+    _scaled_draws,
     _spawn_streams,
     linearization_error,
     run,
@@ -37,6 +39,7 @@ BLOCKS_SETS = {
     "dashed": InterferometerParams.with_technical_noise(
         1.0, r1=R1_10DB, eta=1.0 / 1.04, n_photons=1e6
     ),
+    # the set of validate-digests.json and linearization-error.json
     "lossy": InterferometerParams.with_technical_noise(
         4.0, r1=db_to_squeeze_factor(8.0), r2=0.8, mu=0.93, eta=0.7, n_photons=3e6
     ),
@@ -205,12 +208,7 @@ def test_sampled_quadratures_match_closed_form_state(dashed_params):
     n = 100_000
     phi = 1.9
     noise = InputNoiseSpec.from_params(dashed_params)
-    streams = _spawn_streams(17)
-    blocks = [
-        np.stack(chunk)
-        for chunk in _sample_detector_quadratures(dashed_params, phi, noise, n, streams)
-    ]
-    samples = np.concatenate(blocks, axis=1)
+    samples = np.stack(_propagate(dashed_params, phi, _scaled_draws(noise, n, _spawn_streams(17))))
     stats = detector_field_stats(dashed_params, phi, extended=True)
 
     mean = samples.mean(axis=1)
@@ -287,6 +285,22 @@ def test_kept_draws_never_leak_between_keys(monkeypatch, change):
     assert after_clearing(change) == after_clearing(None) != after_clearing(None, **change)
 
 
+@pytest.mark.parametrize("linearized", [False, True], ids=["exact", "linearized"])
+def test_run_allocates_blocks_not_whole_sample_temporaries(solid_params, monkeypatch, linearized):
+    # with the draws kept, a run holds n1, n2, their deviations and one block's
+    # chain temporaries; chain temporaries over the whole sample take ~10 MiB
+    monkeypatch.setattr(oracle, "_kept_draws", None)
+    config = OracleConfig(n_samples=50_000, seed=27, linearized_mode=linearized)
+    run(solid_params, 0.4, config)
+    tracemalloc.start()
+    try:
+        run(solid_params, 1.7, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_kept_draws_are_read_only(solid_params, monkeypatch):
     monkeypatch.setattr(oracle, "_kept_draws", None)
     run(solid_params, 1.0, OracleConfig(n_samples=1000, seed=26))
@@ -299,9 +313,7 @@ def test_kept_draws_are_read_only(solid_params, monkeypatch):
 
 def _linearization_repr(case: str) -> str:
     mode, seed, phi = case.split("-")
-    params = InterferometerParams.with_technical_noise(
-        4.0, r1=db_to_squeeze_factor(8.0), r2=0.8, mu=0.93, eta=0.7, n_photons=3e6
-    )
+    params = BLOCKS_SETS["lossy"]
     config = OracleConfig(
         n_samples=2000, seed=int(seed[len("seed"):]), linearized_mode=mode == "linearized"
     )
