@@ -22,9 +22,17 @@ count and input noise (InputNoiseSpec) share one read-only draw set: a phase
 grid, or a brightness grid that keeps the input noise bit for bit, draws once.
 The last set, at most 12 x 2^18 doubles (24 MiB), stays alive until a run with
 another key replaces it.  Larger runs draw _CHUNK samples at a time at every
-call.  Either way the draws go through the chain in blocks of _BLOCK samples,
-so its temporaries are 64 kB each, under the allocator's threshold for fresh
-page mappings; the steps are elementwise, so blocking changes no output bit.
+call.  Either way the draws go through the chain in blocks of _BLOCK samples:
+each step writes into one of _CHAIN_ROWS block-sized buffers, and each block's
+photon numbers go straight into the sample arrays n1 and n2.  The steps are
+elementwise, so neither the blocks nor the in-place writes change an output bit.
+
+A run of n <= _CHUNK samples also keeps n1, n2 and the block buffers for the
+next run of the same n, in one slot: at most 2 x 2^18 + 6 x 2^13 doubles
+(about 4.4 MiB).  A run takes them out of the slot and puts them back when it
+ends, so it holds them exclusively; a run that overlaps it (another thread, or
+a re-entrant call) allocates its own.  Larger runs allocate theirs per call and
+keep nothing sample-sized.
 """
 
 from __future__ import annotations
@@ -57,6 +65,8 @@ CHANNELS = (
 N_BATCHES = 32
 _CHUNK = 1 << 18
 _BLOCK = 1 << 13
+# block-sized scratch arrays _propagate works in
+_CHAIN_ROWS = 6
 
 
 @dataclass(frozen=True)
@@ -119,58 +129,74 @@ def _spawn_streams(seed: int) -> dict[str, np.random.Generator]:
     return {ch: np.random.default_rng(child) for ch, child in zip(CHANNELS, children)}
 
 
-def _propagate(params: InterferometerParams, phi: float, fields: dict[str, object]):
+def _mix(x, a: float, y, b: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = x*a + y*b, elementwise; out may be x (not y), tmp may be y (not out)."""
+    np.multiply(x, a, out=out)
+    np.multiply(y, b, out=tmp)
+    return np.add(out, tmp, out=out)
+
+
+def _beamsplit(x, y, plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x + y)/sqrt2 into plus and (x - y)/sqrt2 into minus, each a sum (or
+    difference) followed by a product; minus may be x or y, plus neither."""
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    np.multiply(np.add(x, y, out=plus), inv_sqrt2, out=plus)
+    np.multiply(np.subtract(x, y, out=minus), inv_sqrt2, out=minus)
+    return plus, minus
+
+
+def _propagate(params: InterferometerParams, phi: float, fields: dict[str, np.ndarray], buf):
     """Push the input quadratures through the chain; returns (g1c, g1s, g2c, g2s).
 
-    ``fields`` maps channel name to array (or scalar, for the mean path).  The
-    chain here is deliberately stepwise and elementary; it shares no algebra
-    with the closed-form modules it is meant to check.
+    ``fields`` maps channel name to a sample array, and ``buf`` is a sequence of
+    _CHAIN_ROWS scratch arrays of the same length: every step writes into them,
+    and the four quadratures returned are among them.  The chain here is
+    deliberately stepwise and elementary; it shares no algebra with the
+    closed-form modules it is meant to check.
     """
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     alpha = params.alpha
+    p, q, r, u, v, tmp = buf
 
     a1c, a1s = fields["a1c"], fields["a1s"]
-    a2c = math.sqrt(2.0) * alpha + fields["z2c"]
+    a2c = np.add(fields["z2c"], math.sqrt(2.0) * alpha, out=p)
     a2s = fields["z2s"]
 
     # symmetric input beamsplitter
-    b1c = (a1c + a2c) * inv_sqrt2
-    b1s = (a1s + a2s) * inv_sqrt2
-    b2c = (a1c - a2c) * inv_sqrt2
-    b2s = (a1s - a2s) * inv_sqrt2
+    b1c, b2c = _beamsplit(a1c, a2c, q, a2c)
+    b1s, b2s = _beamsplit(a1s, a2s, r, u)
 
-    # opposite arm phases rotate each (c, s) pair by +/- phi/2
+    # opposite arm phases rotate each (c, s) pair by +/- phi/2; the second
+    # rotation of a pair writes over its inputs, which frees r for c2c and u
+    # for e1c
     ch, sh = math.cos(0.5 * phi), math.sin(0.5 * phi)
-    c1c = b1c * ch - b1s * sh
-    c1s = b1c * sh + b1s * ch
-    c2c = b2c * ch + b2s * sh
-    c2s = -b2c * sh + b2s * ch
+    c1c = _mix(b1c, ch, b1s, -sh, v, tmp)
+    c1s = _mix(b1c, sh, b1s, ch, b1c, b1s)
+    c2c = _mix(b2c, ch, b2s, sh, r, tmp)
+    c2s = _mix(b2c, -sh, b2s, ch, b2c, b2s)
 
     # internal loss admixes one vacuum per arm
     t, leak = math.sqrt(params.mu), math.sqrt(1.0 - params.mu)
-    d1c = t * c1c + leak * fields["m1c"]
-    d1s = t * c1s + leak * fields["m1s"]
-    d2c = t * c2c + leak * fields["m2c"]
-    d2s = t * c2s + leak * fields["m2s"]
+    d1c = _mix(c1c, t, fields["m1c"], leak, c1c, tmp)
+    d1s = _mix(c1s, t, fields["m1s"], leak, c1s, tmp)
+    d2c = _mix(c2c, t, fields["m2c"], leak, c2c, tmp)
+    d2s = _mix(c2s, t, fields["m2s"], leak, c2s, tmp)
 
-    # symmetric recombining beamsplitter
-    e1c = (d1c + d2c) * inv_sqrt2
-    e1s = (d1s + d2s) * inv_sqrt2
-    e2c = (d1c - d2c) * inv_sqrt2
-    e2s = (d1s - d2s) * inv_sqrt2
+    # symmetric recombining beamsplitter; the sums go to u and d1c's buffer
+    e1c, e2c = _beamsplit(d1c, d2c, u, d2c)
+    e1s, e2s = _beamsplit(d1s, d2s, d1c, d2s)
 
     # phase-sensitive amplifiers stretch the measured quadrature of each port
     # (s on port 1, c on port 2) and squeeze the orthogonal one
     g = math.exp(params.r2)
-    f1c, f1s = e1c / g, e1s * g
-    f2c, f2s = e2c * g, e2s / g
+    f1c, f1s = np.divide(e1c, g, out=e1c), np.multiply(e1s, g, out=e1s)
+    f2c, f2s = np.multiply(e2c, g, out=e2c), np.divide(e2s, g, out=e2s)
 
     # external loss admixes one vacuum per detector
     te, le = math.sqrt(params.eta), math.sqrt(1.0 - params.eta)
-    g1c = te * f1c + le * fields["n1c"]
-    g1s = te * f1s + le * fields["n1s"]
-    g2c = te * f2c + le * fields["n2c"]
-    g2s = te * f2s + le * fields["n2s"]
+    g1c = _mix(f1c, te, fields["n1c"], le, f1c, tmp)
+    g1s = _mix(f1s, te, fields["n1s"], le, f1s, tmp)
+    g2c = _mix(f2c, te, fields["n2c"], le, f2c, tmp)
+    g2s = _mix(f2s, te, fields["n2s"], le, f2s, tmp)
     return g1c, g1s, g2c, g2s
 
 
@@ -179,11 +205,19 @@ def _scaled_draws(
 ) -> dict[str, np.ndarray]:
     """The next m samples of every input channel, scaled to its variance."""
     variances = _channel_variances(noise)
-    return {ch: streams[ch].standard_normal(m) * math.sqrt(variances[ch]) for ch in CHANNELS}
+    fields = {}
+    for ch in CHANNELS:
+        x = fields[ch] = streams[ch].standard_normal(m)
+        x *= math.sqrt(variances[ch])
+    return fields
 
 
 # (seed, n, noise) of the last run of at most one chunk, with its read-only draws
 _kept_draws: tuple[tuple[int, int, InputNoiseSpec], dict[str, np.ndarray]] | None = None
+
+# at most one (n, (n1, n2, chain buffers)) of the last run of at most one chunk;
+# a run pops it and puts it back when done, so overlapping runs never share it
+_kept_scratch: list[tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
 
 
 def _one_chunk_draws(seed: int, n: int, noise: InputNoiseSpec) -> dict[str, np.ndarray]:
@@ -203,16 +237,32 @@ def _one_chunk_draws(seed: int, n: int, noise: InputNoiseSpec) -> dict[str, np.n
     return fields
 
 
+def _take_scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n1, n2 and the chain buffers of a run of n samples: the kept ones when a
+    run of n <= _CHUNK samples finds them free and of its n, else new ones."""
+    kept = None
+    if n <= _CHUNK:
+        try:
+            kept = _kept_scratch.pop()
+        except IndexError:
+            pass
+    if kept is not None and kept[0] == n:
+        return kept[1]
+    kept = None  # free the old buffers before allocating
+    return np.empty(n), np.empty(n), np.empty((_CHAIN_ROWS, min(n, _BLOCK)))
+
+
 def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict[str, float]:
-    """The ten photocounting moments of a sample block (ddof = 1)."""
+    """The ten photocounting moments of a sample block (ddof = 1); centres n1
+    and n2 in place."""
     mean1 = float(n1.mean())
     mean2 = float(n2.mean())
-    d1 = n1 - mean1
-    d2 = n2 - mean2
+    n1 -= mean1
+    n2 -= mean2
     denom = n1.size - 1
-    var1 = float(d1 @ d1) / denom
-    var2 = float(d2 @ d2) / denom
-    cov12 = float(d1 @ d2) / denom
+    var1 = float(n1 @ n1) / denom
+    var2 = float(n2 @ n2) / denom
+    cov12 = float(n1 @ n2) / denom
     return {
         "mean_n1": mean1,
         "mean_n2": mean2,
@@ -245,35 +295,48 @@ def run(params: InterferometerParams, phi: float, config: OracleConfig) -> Momen
         chunks = (_scaled_draws(noise, min(_CHUNK, n - a), streams) for a in range(0, n, _CHUNK))
 
     if config.linearized_mode:
-        zeros = {ch: 0.0 for ch in CHANNELS}
-        _, mg1s, mg2c, _ = _propagate(params, phi, zeros)
+        # the mean path: the same chain on one-element zero inputs
+        zeros = dict.fromkeys(CHANNELS, np.zeros(1))
+        _, mg1s, mg2c, _ = _propagate(params, phi, zeros, np.empty((_CHAIN_ROWS, 1)))
+        mg1s, mg2c = float(mg1s[0]), float(mg2c[0])
+        half1, half2 = 0.5 * mg1s * mg1s, 0.5 * mg2c * mg2c
     offset = 1.0 if config.include_vacuum_offset else 0.0
 
-    n1 = np.empty(n)
-    n2 = np.empty(n)
+    scratch = _take_scratch(n)
+    n1, n2, buf = scratch
     done = 0
     for fields in chunks:
         for a in range(0, fields["a1c"].size, _BLOCK):
             block = {ch: values[a : a + _BLOCK] for ch, values in fields.items()}
-            g1c, g1s, g2c, g2s = _propagate(params, phi, block)
-            m = g1s.size
+            m = block["a1c"].size
+            g1c, g1s, g2c, g2s = _propagate(params, phi, block, buf[:, :m])
+            out1, out2 = n1[done : done + m], n2[done : done + m]
             if config.linearized_mode:
-                n1[done : done + m] = mg1s * g1s - 0.5 * mg1s * mg1s
-                n2[done : done + m] = mg2c * g2c - 0.5 * mg2c * mg2c
+                np.subtract(np.multiply(g1s, mg1s, out=out1), half1, out=out1)
+                np.subtract(np.multiply(g2c, mg2c, out=out2), half2, out=out2)
             else:
-                n1[done : done + m] = 0.5 * (g1c * g1c + g1s * g1s - offset)
-                n2[done : done + m] = 0.5 * (g2c * g2c + g2s * g2s - offset)
+                for gc, gs, out in ((g1c, g1s, out1), (g2c, g2s, out2)):
+                    gc *= gc
+                    gs *= gs
+                    gc += gs
+                    gc -= offset
+                    np.multiply(gc, 0.5, out=out)
             done += m
 
-    moments = _moments_of(n1, n2)
-
+    # _moments_of centres its arguments in place: batches get copies, and the
+    # full sample goes last
     n_batches = min(N_BATCHES, n // 2)
     edges = np.linspace(0, n, n_batches + 1).astype(int)
-    blocks = [_moments_of(n1[a:b], n2[a:b]) for a, b in zip(edges[:-1], edges[1:])]
-    ses = {
-        name: float(np.std([block[name] for block in blocks], ddof=1)) / math.sqrt(n_batches)
-        for name in photostats.MOMENT_FIELDS
-    }
+    blocks = [
+        _moments_of(n1[a:b].copy(), n2[a:b].copy()) for a, b in zip(edges[:-1], edges[1:])
+    ]
+    moments = _moments_of(n1, n2)
+    if n <= _CHUNK:
+        _kept_scratch[:] = [(n, scratch)]
+
+    table = np.array([[block[name] for block in blocks] for name in photostats.MOMENT_FIELDS])
+    stds = np.std(table, axis=1, ddof=1).tolist()
+    ses = {name: std / math.sqrt(n_batches) for name, std in zip(photostats.MOMENT_FIELDS, stds)}
 
     closed = photostats.photon_stats(params, phase)
     closed_dict = closed.as_dict()

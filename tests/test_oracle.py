@@ -3,6 +3,8 @@ the diagnostics around the linearized photocounting model."""
 
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from sqzmzi import oracle
 from sqzmzi.cli import validate_against_oracle
 from sqzmzi.model import InterferometerParams, ParameterError, db_to_squeeze_factor
 from sqzmzi.oracle import (
+    _CHAIN_ROWS,
     _CHUNK,
     OracleConfig,
     _propagate,
@@ -208,7 +211,8 @@ def test_sampled_quadratures_match_closed_form_state(dashed_params):
     n = 100_000
     phi = 1.9
     noise = InputNoiseSpec.from_params(dashed_params)
-    samples = np.stack(_propagate(dashed_params, phi, _scaled_draws(noise, n, _spawn_streams(17))))
+    fields = _scaled_draws(noise, n, _spawn_streams(17))
+    samples = np.stack(_propagate(dashed_params, phi, fields, np.empty((_CHAIN_ROWS, n))))
     stats = detector_field_stats(dashed_params, phi, extended=True)
 
     mean = samples.mean(axis=1)
@@ -257,26 +261,42 @@ def test_runs_beyond_one_chunk_draw_per_phase(solid_params, spawn_calls):
     assert spawn_calls == [23, 23]
 
 
+def _report_repr(report) -> str:
+    return repr((report.empirical, report.standard_errors, report.z_scores))
+
+
 @pytest.mark.parametrize(
     "change",
-    [{"seed": 25}, {"n_samples": 3001}, {"r1": 0.5}, {"A": 3.0}],
-    ids=["seed", "n_samples", "r1", "A"],
+    [
+        {"seed": 25},
+        {"n_samples": 3001},
+        {"r1": 0.5},
+        {"A": 3.0},
+        {"linearized_mode": True},
+        {"include_vacuum_offset": False},
+    ],
+    ids=["seed", "n_samples", "r1", "A", "mode", "offset"],
 )
 def test_kept_draws_never_leak_between_keys(monkeypatch, change):
-    # a run right after one with another key reports exactly what it reports
-    # after the kept set is cleared
+    # a run right after one with another key or mode reports exactly what it
+    # reports after the kept draws and scratch are cleared
     def params(r1=R1_10DB, A=1.0, **_):
         return InterferometerParams.with_technical_noise(A, r1=r1, eta=0.8, n_photons=1e6)
 
-    def config(seed=24, n_samples=3000, **_):
-        return OracleConfig(n_samples=n_samples, seed=seed, linearized_mode=True)
+    def config(seed=24, n_samples=3000, linearized_mode=False, include_vacuum_offset=True, **_):
+        return OracleConfig(
+            n_samples=n_samples,
+            seed=seed,
+            linearized_mode=linearized_mode,
+            include_vacuum_offset=include_vacuum_offset,
+        )
 
     def report(**kw):
-        r = run(params(**kw), 1.1, config(**kw))
-        return repr((r.empirical, r.standard_errors, r.z_scores))
+        return _report_repr(run(params(**kw), 1.1, config(**kw)))
 
     def after_clearing(run_first, **kw):
         monkeypatch.setattr(oracle, "_kept_draws", None)
+        monkeypatch.setattr(oracle, "_kept_scratch", [])
         if run_first is not None:
             report(**run_first)
         return report(**kw)
@@ -285,11 +305,47 @@ def test_kept_draws_never_leak_between_keys(monkeypatch, change):
     assert after_clearing(change) == after_clearing(None) != after_clearing(None, **change)
 
 
+def test_concurrent_runs_match_serial_runs(solid_params):
+    # four threads, more than the cores, run at once; each must work in its own
+    # n1, n2 and chain buffers, or they would mix each other's samples
+    configs = [
+        OracleConfig(n_samples=20_000, seed=seed, linearized_mode=linearized)
+        for seed in (28, 29)
+        for linearized in (False, True)
+    ]
+
+    def reports(config):
+        return [_report_repr(run(solid_params, phi, config)) for phi in (0.3, 1.1, 2.6)]
+
+    serial = [reports(config) for config in configs]
+    results = [None] * len(configs)
+    barrier = threading.Barrier(len(configs))
+
+    def work(i):
+        barrier.wait(timeout=60)
+        results[i] = reports(configs[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(configs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == serial
+
+
 @pytest.mark.parametrize("linearized", [False, True], ids=["exact", "linearized"])
 def test_run_allocates_blocks_not_whole_sample_temporaries(solid_params, monkeypatch, linearized):
-    # with the draws kept, a run holds n1, n2, their deviations and one block's
-    # chain temporaries; chain temporaries over the whole sample take ~10 MiB
+    # with the draws and the scratch (n1, n2 and the chain buffers) kept, a
+    # repeat run allocates only its batch copies and small objects; n1 and n2
+    # alone take 0.8 MiB, and one block's chain temporaries 0.4 MiB
     monkeypatch.setattr(oracle, "_kept_draws", None)
+    monkeypatch.setattr(oracle, "_kept_scratch", [])
     config = OracleConfig(n_samples=50_000, seed=27, linearized_mode=linearized)
     run(solid_params, 0.4, config)
     tracemalloc.start()
@@ -298,7 +354,7 @@ def test_run_allocates_blocks_not_whole_sample_temporaries(solid_params, monkeyp
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < 0.25 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_kept_draws_are_read_only(solid_params, monkeypatch):
