@@ -146,15 +146,14 @@ def render_json(grids: list[SensitivityGrid]) -> str:
 def validate_against_oracle(
     params: InterferometerParams, phis: list[float], config: OracleConfig
 ) -> tuple[list[dict], dict[str, float]]:
-    """Run the Monte-Carlo oracle at every phase of ``phis``.
+    """Run the Monte-Carlo oracle over the phase grid ``phis``.
 
     Returns (per-point rows, per-moment max |z| over the grid); a nan |z|
     counts as the largest.
     """
     rows = []
     worst: dict[str, float] = {}
-    for phi in phis:
-        report = oracle_mod.run(params, phi, config)
+    for phi, report in zip(phis, oracle_mod.run(params, phis, config)):
         point_worst = 0.0
         point_moment = ""
         for name, z in report.z_scores.items():

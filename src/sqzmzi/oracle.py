@@ -16,23 +16,20 @@ sampling error at any brightness.
 Reproducibility contract: one PCG64 stream per input channel, spawned from
 SeedSequence(seed) in the fixed CHANNELS order, samples drawn in batch order.
 Results for a given (params, phi, config) are bit-identical across runs and
-machines, independent of batching and of the runs made before.  The draws do
-not depend on phi, so runs of n <= _CHUNK samples with the same seed, sample
-count and input noise (InputNoiseSpec) share one read-only draw set: a phase
-grid, or a brightness grid that keeps the input noise bit for bit, draws once.
-The last set, at most 12 x 2^18 doubles (24 MiB), stays alive until a run with
-another key replaces it.  Larger runs draw _CHUNK samples at a time at every
-call.  Either way the draws go through the chain in blocks of _BLOCK samples:
-each step writes into one of _CHAIN_ROWS block-sized buffers, and each block's
-photon numbers go straight into the sample arrays n1 and n2.  The steps are
-elementwise, so neither the blocks nor the in-place writes change an output bit.
+machines, independent of batching, of the other phases of a grid and of the
+calls made before.
 
-A run of n <= _CHUNK samples also keeps n1, n2 and the block buffers for the
-next run of the same n, in one slot: at most 2 x 2^18 + 6 x 2^13 doubles
-(about 4.4 MiB).  A run takes them out of the slot and puts them back when it
-ends, so it holds them exclusively; a run that overlaps it (another thread, or
-a re-entrant call) allocates its own.  Larger runs allocate theirs per call and
-keep nothing sample-sized.
+A call of :func:`run` over a phase grid (or of :func:`linearization_error`
+over a brightness grid) owns its draws and buffers.  The draws do not depend
+on phi, so when n <= _CHUNK the call draws one read-only set and its points
+share it, drawing again only where a point's input noise (InputNoiseSpec)
+differs from the previous one's; larger runs draw _CHUNK samples at a time at
+every point.  The draws go through the chain in blocks of _BLOCK samples: each
+step writes into one of _CHAIN_ROWS block-sized buffers, and each block's
+photon numbers go straight into the sample arrays n1 and n2, allocated once per
+call.  The steps are elementwise, so neither the blocks nor the in-place writes
+change an output bit.  Nothing is kept after a call returns and nothing is
+shared between calls, so calls from several threads at once are independent.
 """
 
 from __future__ import annotations
@@ -212,46 +209,6 @@ def _scaled_draws(
     return fields
 
 
-# (seed, n, noise) of the last run of at most one chunk, with its read-only draws
-_kept_draws: tuple[tuple[int, int, InputNoiseSpec], dict[str, np.ndarray]] | None = None
-
-# at most one (n, (n1, n2, chain buffers)) of the last run of at most one chunk;
-# a run pops it and puts it back when done, so overlapping runs never share it
-_kept_scratch: list[tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
-
-
-def _one_chunk_draws(seed: int, n: int, noise: InputNoiseSpec) -> dict[str, np.ndarray]:
-    """The scaled draws of a run of n <= _CHUNK samples, reused from the last
-    run when its key matches, else drawn and kept in its place."""
-    global _kept_draws
-    key = (seed, n, noise)
-    kept = _kept_draws
-    if kept is not None and kept[0] == key:
-        return kept[1]
-    # drop the old set before drawing, so only one set is ever alive
-    _kept_draws = kept = None
-    fields = _scaled_draws(noise, n, _spawn_streams(seed))
-    for values in fields.values():
-        values.flags.writeable = False
-    _kept_draws = (key, fields)
-    return fields
-
-
-def _take_scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n1, n2 and the chain buffers of a run of n samples: the kept ones when a
-    run of n <= _CHUNK samples finds them free and of its n, else new ones."""
-    kept = None
-    if n <= _CHUNK:
-        try:
-            kept = _kept_scratch.pop()
-        except IndexError:
-            pass
-    if kept is not None and kept[0] == n:
-        return kept[1]
-    kept = None  # free the old buffers before allocating
-    return np.empty(n), np.empty(n), np.empty((_CHAIN_ROWS, min(n, _BLOCK)))
-
-
 def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict[str, float]:
     """The ten photocounting moments of a sample block (ddof = 1); centres n1
     and n2 in place."""
@@ -278,22 +235,56 @@ def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict[str, float]:
     }
 
 
-def run(params: InterferometerParams, phi: float, config: OracleConfig) -> MomentReport:
+def run(
+    params: InterferometerParams, phi, config: OracleConfig
+) -> MomentReport | list[MomentReport]:
     """Sample the chain and compare empirical photocounting moments with the
     closed forms.
 
-    Standard errors come from 32-batch batch means (n // 2 batches below 64
-    samples).  A non-finite phi raises :class:`ParameterError` before any draw.
+    ``phi`` is a phase, which gives one :class:`MomentReport`, or a 1-D grid of
+    them, which gives a list of reports in grid order, each the report of a
+    run at that phase alone.  Standard errors come from 32-batch batch means
+    (n // 2 batches below 64 samples).  A non-finite phase or a grid that is
+    not 1-D raises :class:`ParameterError` before any draw.
     """
     phase = Phase(phi)
-    noise = InputNoiseSpec.from_params(params)
-    n = config.n_samples
-    if n <= _CHUNK:
-        chunks = [_one_chunk_draws(config.seed, n, noise)]
-    else:
-        streams = _spawn_streams(config.seed)
-        chunks = (_scaled_draws(noise, min(_CHUNK, n - a), streams) for a in range(0, n, _CHUNK))
+    if isinstance(phase.phi, float):
+        return _reports([(params, phase.phi)], config)[0]
+    return _reports([(params, p) for p in phase.phi.tolist()], config)
 
+
+def _reports(points, config: OracleConfig) -> list[MomentReport]:
+    """The reports of (params, phi) pairs sampled with one config, in order:
+    n1, n2 and the chain buffers are allocated once, and a draw set of
+    n <= _CHUNK samples is shared by consecutive points of equal input noise."""
+    n = config.n_samples
+    scratch = np.empty(n), np.empty(n), np.empty((_CHAIN_ROWS, min(n, _BLOCK)))
+    reports = []
+    drawn = draws = None
+    for params, phi in points:
+        noise = InputNoiseSpec.from_params(params)
+        if n > _CHUNK:
+            streams = _spawn_streams(config.seed)
+            sizes = (min(_CHUNK, n - a) for a in range(0, n, _CHUNK))
+            chunks = (_scaled_draws(noise, m, streams) for m in sizes)
+        else:
+            if noise != drawn:
+                chunks = draws = None  # drop the old set before drawing
+                draws = _scaled_draws(noise, n, _spawn_streams(config.seed))
+                for values in draws.values():
+                    values.flags.writeable = False
+                drawn = noise
+            chunks = (draws,)
+        reports.append(_report(params, phi, config, chunks, scratch))
+    return reports
+
+
+def _report(
+    params: InterferometerParams, phi: float, config: OracleConfig, chunks, scratch
+) -> MomentReport:
+    """The report of one phase: ``chunks`` yields its scaled draws, and
+    ``scratch`` holds n1, n2 and the chain buffers it works in."""
+    n = config.n_samples
     if config.linearized_mode:
         # the mean path: the same chain on one-element zero inputs
         zeros = dict.fromkeys(CHANNELS, np.zeros(1))
@@ -302,7 +293,6 @@ def run(params: InterferometerParams, phi: float, config: OracleConfig) -> Momen
         half1, half2 = 0.5 * mg1s * mg1s, 0.5 * mg2c * mg2c
     offset = 1.0 if config.include_vacuum_offset else 0.0
 
-    scratch = _take_scratch(n)
     n1, n2, buf = scratch
     done = 0
     for fields in chunks:
@@ -331,14 +321,12 @@ def run(params: InterferometerParams, phi: float, config: OracleConfig) -> Momen
         _moments_of(n1[a:b].copy(), n2[a:b].copy()) for a, b in zip(edges[:-1], edges[1:])
     ]
     moments = _moments_of(n1, n2)
-    if n <= _CHUNK:
-        _kept_scratch[:] = [(n, scratch)]
 
     table = np.array([[block[name] for block in blocks] for name in photostats.MOMENT_FIELDS])
     stds = np.std(table, axis=1, ddof=1).tolist()
     ses = {name: std / math.sqrt(n_batches) for name, std in zip(photostats.MOMENT_FIELDS, stds)}
 
-    closed = photostats.photon_stats(params, phase)
+    closed = photostats.photon_stats(params, phi)
     closed_dict = closed.as_dict()
     z = {}
     for name in photostats.MOMENT_FIELDS:
@@ -393,11 +381,14 @@ def linearization_error(
         raise ParameterError(f"alpha_grid entries must be > 0, got {alpha_grid!r}")
     if list(alpha_grid) != sorted(alpha_grid):
         raise ParameterError("alpha_grid must be ascending")
+    phi = Phase(phi).phi  # a non-finite phi raises before any draw
     excess = technical_noise_factor(params)
+    points = [
+        (replace(params, n_photons=alpha_sq, g2=1.0 + (excess - 1.0) / alpha_sq), phi)
+        for alpha_sq in alpha_grid
+    ]
     out = []
-    for alpha_sq in alpha_grid:
-        scaled = replace(params, n_photons=alpha_sq, g2=1.0 + (excess - 1.0) / alpha_sq)
-        report = run(scaled, phi, config)
+    for alpha_sq, report in zip(alpha_grid, _reports(points, config)):
         closed = report.closed_form.as_dict()
         emp = report.empirical.as_dict()
         dev = {}

@@ -347,9 +347,10 @@ def test_validate_fails_on_nan_z(runner, monkeypatch):
     real_run = oracle.run
 
     def run_with_nan(params, phi, config):
-        report = real_run(params, phi, config)
-        report.z_scores["cov_n1n2"] = math.nan
-        return report
+        reports = real_run(params, phi, config)
+        for report in reports:
+            report.z_scores["cov_n1n2"] = math.nan
+        return reports
 
     monkeypatch.setattr(oracle, "run", run_with_nan)
     result = runner.invoke(

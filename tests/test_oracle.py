@@ -228,8 +228,7 @@ def test_sampled_quadratures_match_closed_form_state(dashed_params):
 
 @pytest.fixture
 def spawn_calls(monkeypatch) -> list[int]:
-    """Seeds of the _spawn_streams calls made after the kept draw set is cleared."""
-    monkeypatch.setattr(oracle, "_kept_draws", None)
+    """Seeds of the _spawn_streams calls made during the test."""
     seeds = []
 
     def counting(seed):
@@ -254,10 +253,24 @@ def test_brightness_grid_draws_once(solid_params, spawn_calls):
     assert spawn_calls == [22]
 
 
+def test_brightness_grid_draws_where_the_input_noise_changes(spawn_calls):
+    # with A = 3.7, N = 300 and N = 3000 do not give back A bit for bit through
+    # g2 = 1 + (A - 1)/N, so each point's input noise differs from its
+    # neighbours' and each point draws; each must report what it reports alone
+    params = InterferometerParams.with_technical_noise(3.7, r1=1.0, eta=0.8, n_photons=1e6)
+    grid = (1e2, 3e2, 1e3, 3e3)
+    for linearized in (False, True):
+        config = OracleConfig(n_samples=3000, seed=32, linearized_mode=linearized)
+        spawn_calls.clear()
+        points = linearization_error(params, 1.3, config, grid)
+        assert spawn_calls == [32] * len(grid)
+        alone = [linearization_error(params, 1.3, config, (a,))[0] for a in grid]
+        assert repr(points) == repr(alone)
+
+
 def test_runs_beyond_one_chunk_draw_per_phase(solid_params, spawn_calls):
     config = OracleConfig(n_samples=_CHUNK + 1, seed=23, linearized_mode=True)
-    for phi in (0.7, 2.1):
-        run(solid_params, phi, config)
+    run(solid_params, [0.7, 2.1], config)
     assert spawn_calls == [23, 23]
 
 
@@ -265,44 +278,16 @@ def _report_repr(report) -> str:
     return repr((report.empirical, report.standard_errors, report.z_scores))
 
 
-@pytest.mark.parametrize(
-    "change",
-    [
-        {"seed": 25},
-        {"n_samples": 3001},
-        {"r1": 0.5},
-        {"A": 3.0},
-        {"linearized_mode": True},
-        {"include_vacuum_offset": False},
-    ],
-    ids=["seed", "n_samples", "r1", "A", "mode", "offset"],
-)
-def test_kept_draws_never_leak_between_keys(monkeypatch, change):
-    # a run right after one with another key or mode reports exactly what it
-    # reports after the kept draws and scratch are cleared
-    def params(r1=R1_10DB, A=1.0, **_):
-        return InterferometerParams.with_technical_noise(A, r1=r1, eta=0.8, n_photons=1e6)
-
-    def config(seed=24, n_samples=3000, linearized_mode=False, include_vacuum_offset=True, **_):
-        return OracleConfig(
-            n_samples=n_samples,
-            seed=seed,
-            linearized_mode=linearized_mode,
-            include_vacuum_offset=include_vacuum_offset,
-        )
-
-    def report(**kw):
-        return _report_repr(run(params(**kw), 1.1, config(**kw)))
-
-    def after_clearing(run_first, **kw):
-        monkeypatch.setattr(oracle, "_kept_draws", None)
-        monkeypatch.setattr(oracle, "_kept_scratch", [])
-        if run_first is not None:
-            report(**run_first)
-        return report(**kw)
-
-    assert after_clearing({}, **change) == after_clearing(None, **change)
-    assert after_clearing(change) == after_clearing(None) != after_clearing(None, **change)
+@pytest.mark.parametrize("n", [5, 8193, 50_000, _CHUNK + 1])
+@pytest.mark.parametrize("linearized", [False, True], ids=["exact", "linearized"])
+def test_grid_run_matches_runs_at_each_phase(dashed_params, linearized, n):
+    config = OracleConfig(n_samples=n, seed=33, linearized_mode=linearized)
+    grid = [0.0, 0.9, 2.2, math.pi]
+    reports = run(dashed_params, np.array(grid), config)
+    assert [report.phi for report in reports] == grid
+    assert list(map(_report_repr, reports)) == [
+        _report_repr(run(dashed_params, phi, config)) for phi in grid
+    ]
 
 
 def test_concurrent_runs_match_serial_runs(solid_params):
@@ -339,32 +324,58 @@ def test_concurrent_runs_match_serial_runs(solid_params):
     assert results == serial
 
 
-@pytest.mark.parametrize("linearized", [False, True], ids=["exact", "linearized"])
-def test_run_allocates_blocks_not_whole_sample_temporaries(solid_params, monkeypatch, linearized):
-    # with the draws and the scratch (n1, n2 and the chain buffers) kept, a
-    # repeat run allocates only its batch copies and small objects; n1 and n2
-    # alone take 0.8 MiB, and one block's chain temporaries 0.4 MiB
-    monkeypatch.setattr(oracle, "_kept_draws", None)
-    monkeypatch.setattr(oracle, "_kept_scratch", [])
-    config = OracleConfig(n_samples=50_000, seed=27, linearized_mode=linearized)
-    run(solid_params, 0.4, config)
+def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
-        run(solid_params, 1.7, config)
-        _, peak = tracemalloc.get_traced_memory()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.25 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("linearized", [False, True], ids=["exact", "linearized"])
+def test_run_allocates_blocks_not_whole_sample_temporaries(solid_params, linearized):
+    # a grid call draws once and allocates n1, n2 and the chain buffers once,
+    # so its phases after the first add only their batch copies and small
+    # objects; n1 and n2 alone take 0.8 MiB, and one block's chain
+    # temporaries 0.4 MiB
+    config = OracleConfig(n_samples=50_000, seed=27, linearized_mode=linearized)
+    one = _traced_peak(lambda: run(solid_params, 0.4, config))
+    three = _traced_peak(lambda: run(solid_params, [0.4, 1.7, 2.9], config))
+    assert three - one < 0.25 * 2**20, f"extra peak {(three - one) / 2**20:.2f} MiB"
+
+
+def test_validate_keeps_nothing_allocated(solid_params):
+    # the draws (24 MiB at 2^18 samples), n1, n2 and the chain buffers belong to
+    # the call and are freed when it returns
+    config = OracleConfig(n_samples=_CHUNK, seed=34, linearized_mode=True)
+    tracemalloc.start()
+    try:
+        rows, _ = validate_against_oracle(solid_params, [0.4, 1.7, 2.9], config)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 3
+    assert current < 2**20, f"{current / 2**20:.2f} MiB still allocated"
 
 
 def test_kept_draws_are_read_only(solid_params, monkeypatch):
-    monkeypatch.setattr(oracle, "_kept_draws", None)
-    run(solid_params, 1.0, OracleConfig(n_samples=1000, seed=26))
-    _, fields = oracle._kept_draws
-    assert set(fields) == set(oracle.CHANNELS)
-    for values in fields.values():
-        with pytest.raises(ValueError, match="read-only"):
-            values[0] = 1.0
+    # the phases of a grid share one draw set, so no phase may write to it
+    received = []
+
+    def recording(params, phi, fields, buf):
+        received.append(fields)
+        return _propagate(params, phi, fields, buf)
+
+    monkeypatch.setattr(oracle, "_propagate", recording)
+    run(solid_params, [0.3, 1.0], OracleConfig(n_samples=1000, seed=26))
+    # one block per phase; exact mode has no mean path
+    assert len(received) == 2
+    for fields in received:
+        assert set(fields) == set(oracle.CHANNELS)
+        for values in fields.values():
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
 
 
 def _linearization_repr(case: str) -> str:

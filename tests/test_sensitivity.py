@@ -127,7 +127,10 @@ def test_suboptimal_removable_singularity(solid_params):
     assert res.diagnostic is not None
 
 
-def test_phase_must_be_finite(solid_params):
+def test_phase_must_be_finite(solid_params, monkeypatch):
+    # the oracle must reject a phase before it draws anything
+    spawned = []
+    monkeypatch.setattr(oracle, "_spawn_streams", spawned.append)
     per_phase = (
         photostats.photon_means,
         photostats.photon_mean_slopes,
@@ -155,6 +158,9 @@ def test_phase_must_be_finite(solid_params):
                     entry(phi)
     with pytest.raises(ParameterError, match="1-D"):
         phase_uncertainty_grid(Strategy.single(), solid_params, [[0.5, 1.0]])
+    with pytest.raises(ParameterError, match="1-D"):
+        oracle.run(solid_params, [[0.5, 1.0]], oracle.OracleConfig(n_samples=4))
+    assert spawned == []
 
 
 def test_output_gain_cancels_without_loss():
