@@ -41,7 +41,7 @@ import numpy as np
 
 from . import photostats
 from .model import InterferometerParams, ParameterError, Phase, technical_noise_factor
-from .quadratures import InputNoiseSpec
+from .quadratures import VACUUM, InputNoiseSpec
 
 # the 12 independent Gaussian inputs; order fixes the RNG stream assignment
 CHANNELS = (
@@ -113,11 +113,10 @@ def rank_abs_z(abs_z: float) -> tuple[bool, float]:
 
 
 def _channel_variances(noise: InputNoiseSpec) -> dict[str, float]:
-    out = {ch: noise.vacuum for ch in CHANNELS}
+    out = dict.fromkeys(CHANNELS, VACUUM)
     out["a1c"] = noise.var_a1c
     out["a1s"] = noise.var_a1s
     out["z2c"] = noise.var_z2c
-    out["z2s"] = noise.var_z2s
     return out
 
 
@@ -373,7 +372,9 @@ def linearization_error(
     number.  The same seed is reused at every grid point: identical noise
     draws make the deviations directly comparable across brightness.  In exact
     mode the relative deviations shrink as 1/alpha^2; in linearized mode they
-    are pure sampling noise at any brightness.
+    are pure sampling noise at any brightness.  ``phi`` is one phase: a
+    non-finite phase or a phase grid raises :class:`ParameterError` before
+    any draw.
     """
     if len(alpha_grid) == 0:
         raise ParameterError("alpha_grid must not be empty")
@@ -381,7 +382,9 @@ def linearization_error(
         raise ParameterError(f"alpha_grid entries must be > 0, got {alpha_grid!r}")
     if list(alpha_grid) != sorted(alpha_grid):
         raise ParameterError("alpha_grid must be ascending")
-    phi = Phase(phi).phi  # a non-finite phi raises before any draw
+    phi = Phase(phi).phi
+    if not isinstance(phi, float):
+        raise ParameterError(f"phi must be one phase, got a grid of {phi.size}")
     excess = technical_noise_factor(params)
     points = [
         (replace(params, n_photons=alpha_sq, g2=1.0 + (excess - 1.0) / alpha_sq), phi)

@@ -191,6 +191,12 @@ def sumdiff_stats(params: InterferometerParams, phi) -> tuple:
     <N+> = G^2 N is phase-independent, <N-> = -G^2 N cos(phi) carries the fringe.
     """
     phase = Phase(phi)
+    return _sumdiff_from(params, phase, *photon_second_moments(params, phase))
+
+
+def _sumdiff_from(params: InterferometerParams, phase: Phase, v1, v2, c12) -> tuple:
+    """The sumdiff_stats moments in closed form, checked against the
+    per-detector second moments (v1, v2, c12) as an independent route."""
     g2, excess, squeezed, eps2 = _moment_ingredients(params)
     n = params.n_photons
     cs = phase.cos
@@ -201,8 +207,6 @@ def sumdiff_stats(params: InterferometerParams, phi) -> tuple:
     var_minus = scale * (squeezed * phase.sin ** 2 + excess * cs * cs + eps2)
     cov_pm = -scale * (excess + eps2) * cs
 
-    # independent route through the per-detector moments
-    v1, v2, c12 = photon_second_moments(params, phase)
     floor = scale * (excess + squeezed + eps2 + 1.0)
     _require_close("var_nplus", var_plus, v1 + v2 + 2.0 * c12, floor)
     _require_close("var_nminus", var_minus, v1 + v2 - 2.0 * c12, floor)
@@ -249,7 +253,9 @@ def photon_stats(params: InterferometerParams, phi) -> PhotonStats:
     phase = Phase(phi)
     mean_n1, mean_n2 = photon_means(params, phase)
     var_n1, var_n2, cov_n1n2 = photon_second_moments(params, phase)
-    mean_plus, mean_minus, var_plus, var_minus, cov_pm = sumdiff_stats(params, phase)
+    mean_plus, mean_minus, var_plus, var_minus, cov_pm = _sumdiff_from(
+        params, phase, var_n1, var_n2, cov_n1n2
+    )
     return PhotonStats(
         mean_n1=mean_n1,
         mean_n2=mean_n2,

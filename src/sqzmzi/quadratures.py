@@ -23,6 +23,10 @@ from .model import InterferometerParams, ParameterError, Phase, technical_noise_
 
 PSD_TOL = 1e-10
 
+# quadrature variance of vacuum: the bright input's phase quadrature z2s (it
+# never enters the measured linearized observables) and every loss port
+VACUUM = 0.5
+
 # noise sources feeding the interferometer core, in the column order used by
 # the coefficient matrix of core_noise_covariance
 CORE_SOURCES = ("a1c", "a1s", "z2c", "z2s", "m_plus_c", "m_plus_s", "m_minus_c", "m_minus_s")
@@ -98,24 +102,22 @@ def _stack(entries: list, shape: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InputNoiseSpec:
-    """Variances of the independent input noise quadratures.
+    """Variances of the parameter-dependent input noise quadratures.
 
     var_a1s   squeezed quadrature of the squeezer output, e^{-2 r1}/2
     var_a1c   anti-squeezed quadrature, e^{+2 r1}/2 for a minimum-uncertainty state
     var_z2c   amplitude (excess) noise of the bright input, A/2
-    var_z2s   phase noise of the bright input; vacuum-level 1/2 by default (it
-              never enters the measured linearized observables)
-    vacuum    variance of every loss port, 1/2
+
+    Every other input, the phase quadrature z2s of the bright input and every
+    loss port, is at the VACUUM level.
     """
 
     var_a1s: float
     var_a1c: float
     var_z2c: float
-    var_z2s: float = 0.5
-    vacuum: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("var_a1s", "var_a1c", "var_z2c", "var_z2s", "vacuum"):
+        for name in ("var_a1s", "var_a1c", "var_z2c"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0):
                 raise ParameterError(f"{name} must be a finite variance >= 0, got {v!r}")
@@ -127,17 +129,12 @@ class InputNoiseSpec:
             )
 
     @classmethod
-    def from_params(cls, params: InterferometerParams, var_z2s: float = 0.5) -> "InputNoiseSpec":
+    def from_params(cls, params: InterferometerParams) -> "InputNoiseSpec":
         return cls(
             var_a1s=0.5 * math.exp(-2.0 * params.r1),
             var_a1c=0.5 * math.exp(2.0 * params.r1),
             var_z2c=0.5 * technical_noise_factor(params),
-            var_z2s=var_z2s,
         )
-
-
-def _noise_or_default(params: InterferometerParams, noise: InputNoiseSpec | None) -> InputNoiseSpec:
-    return InputNoiseSpec.from_params(params) if noise is None else noise
 
 
 def core_output_means(params: InterferometerParams, phi):
@@ -175,31 +172,17 @@ def _core_coefficients(mu: float, phase: Phase) -> np.ndarray:
 
 
 def _core_source_variances(noise: InputNoiseSpec) -> np.ndarray:
-    return np.array(
-        [
-            noise.var_a1c,
-            noise.var_a1s,
-            noise.var_z2c,
-            noise.var_z2s,
-            noise.vacuum,
-            noise.vacuum,
-            noise.vacuum,
-            noise.vacuum,
-        ]
-    )
+    return np.array([noise.var_a1c, noise.var_a1s, noise.var_z2c] + [VACUUM] * 5)
 
 
-def core_noise_covariance(
-    params: InterferometerParams, phi: float, noise: InputNoiseSpec | None = None
-) -> QuadratureStats:
+def core_noise_covariance(params: InterferometerParams, phi: float) -> QuadratureStats:
     """Covariance of the four fluctuation quadratures (e1c, e1s, e2c, e2s).
 
     Built as B diag(v) B^T from the source coefficient matrix, so positive
     semidefiniteness is structural.  Means are zero by construction (the
     fluctuations are defined about the signal)."""
-    noise = _noise_or_default(params, noise)
     b = _core_coefficients(params.mu, Phase(phi))
-    v = _core_source_variances(noise)
+    v = _core_source_variances(InputNoiseSpec.from_params(params))
     cov = (b * v) @ b.T
     return QuadratureStats(labels=CORE_LABELS, mean=np.zeros(4), cov=cov)
 
@@ -212,23 +195,18 @@ def _core_variances(params: InterferometerParams, phase: Phase, noise: InputNois
     s2 = s**2
     sc = s * c
     mu = params.mu
-    leak = (1.0 - mu) * noise.vacuum
+    leak = (1.0 - mu) * VACUUM
     return {
-        "var_e1c": mu * (noise.var_a1c * c2 + noise.var_z2s * s2) + leak,
+        "var_e1c": mu * (noise.var_a1c * c2 + VACUUM * s2) + leak,
         "var_e1s": mu * (noise.var_a1s * c2 + noise.var_z2c * s2) + leak,
         "var_e2c": mu * (noise.var_a1s * s2 + noise.var_z2c * c2) + leak,
-        "var_e2s": mu * (noise.var_a1c * s2 + noise.var_z2s * c2) + leak,
+        "var_e2s": mu * (noise.var_a1c * s2 + VACUUM * c2) + leak,
         "cov_e1s_e2c": mu * sc * (noise.var_z2c - noise.var_a1s),
-        "cov_e1c_e2s": mu * sc * (noise.var_a1c - noise.var_z2s),
+        "cov_e1c_e2s": mu * sc * (noise.var_a1c - VACUUM),
     }
 
 
-def detector_field_stats(
-    params: InterferometerParams,
-    phi,
-    noise: InputNoiseSpec | None = None,
-    extended: bool = False,
-) -> QuadratureStats:
+def detector_field_stats(params: InterferometerParams, phi, extended: bool = False) -> QuadratureStats:
     """Moments of the quadratures reaching the detectors, at one phase or over
     a 1-D array of phases.
 
@@ -238,13 +216,12 @@ def detector_field_stats(
     of the detected modes.
     """
     phase = Phase(phi)
-    noise = _noise_or_default(params, noise)
-    core = _core_variances(params, phase, noise)
+    core = _core_variances(params, phase, InputNoiseSpec.from_params(params))
     m1s, m2c = core_output_means(params, phase)
     eta = params.eta
     amp2 = eta * math.exp(2.0 * params.r2)
     deamp2 = eta * math.exp(-2.0 * params.r2)
-    leak = (1.0 - eta) * noise.vacuum
+    leak = (1.0 - eta) * VACUUM
     gain = math.sqrt(eta) * math.exp(params.r2)
 
     var_g1s = amp2 * core["var_e1s"] + leak

@@ -25,7 +25,7 @@ from sqzmzi.photostats import (
     transfer_gain,
     weighted_variance,
 )
-from sqzmzi.quadratures import InputNoiseSpec, core_noise_covariance, detector_field_stats
+from sqzmzi.quadratures import core_noise_covariance, detector_field_stats
 from sqzmzi.sensitivity import (
     dphi_min,
     fwhm,
@@ -230,8 +230,7 @@ def test_criterion_8_algebraic_identities(params, phi):
     assert stats.cov_n1n2**2 <= stats.var_n1 * stats.var_n2 * (1.0 + 1e-10) + 1e-300
     assert stats.cov_npm**2 <= stats.var_nplus * stats.var_nminus * (1.0 + 1e-10) + 1e-300
 
-    noise = InputNoiseSpec.from_params(params)
-    core = core_noise_covariance(params, phi, noise)
+    core = core_noise_covariance(params, phi)
     eig_core = np.linalg.eigvalsh(core.cov)
     assert eig_core.min() >= -1e-10 * max(eig_core.max(), 1.0)
     detected = detector_field_stats(params, phi, extended=True)

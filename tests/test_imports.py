@@ -1,8 +1,9 @@
-"""Every name a package module imports is read somewhere in that module.
+"""Every name a package module, test module or script imports is read
+somewhere in that file.
 
-A stdlib stand-in for a linter's unused-import rule.  ``__init__.py`` is left
-out because its imports are the package's re-exports; ``from __future__``
-imports are directives, not names.
+A stdlib stand-in for a linter's unused-import rule.  The package's
+``__init__.py`` is left out because its imports are the package's re-exports;
+``from __future__`` imports are directives, not names.
 """
 
 import ast
@@ -10,8 +11,14 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sqzmzi"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sqzmzi"
+# package modules by file name, test modules and scripts by their path from the
+# repository root
+SOURCES = {p.name: p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+SOURCES.update(
+    (str(p.relative_to(ROOT)), p) for d in ("tests", "scripts") for p in sorted((ROOT / d).glob("*.py"))
+)
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -33,9 +40,9 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in _imported(tree).items() if name not in read]
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_every_import_is_read(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+@pytest.mark.parametrize("source", SOURCES)
+def test_every_import_is_read(source):
+    assert unused_imports(SOURCES[source].read_text()) == []
 
 
 def test_scan_flags_an_unused_import():

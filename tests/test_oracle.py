@@ -195,7 +195,7 @@ def test_linearization_error_linearized_mode_is_flat(solid_params):
                 assert abs(dev) <= 5.0 * point.relative_se[name], (point.alpha_sq, name)
 
 
-def test_linearization_error_validates_grid(solid_params):
+def test_linearization_error_validates_grid(solid_params, spawn_calls):
     config = OracleConfig(n_samples=10)
     with pytest.raises(ParameterError):
         linearization_error(solid_params, 1.0, config, ())
@@ -203,6 +203,11 @@ def test_linearization_error_validates_grid(solid_params):
         linearization_error(solid_params, 1.0, config, (1e4, 1e2))
     with pytest.raises(ParameterError):
         linearization_error(solid_params, 1.0, config, (0.0, 1e2))
+    # the brightness grid is the only grid: a phase grid is refused too
+    for phi in ([0.5, 1.0], np.array([0.5, 1.0])):
+        with pytest.raises(ParameterError, match="phi must be one phase"):
+            linearization_error(solid_params, phi, config, (1e2, 1e4))
+    assert spawn_calls == []
 
 
 def test_sampled_quadratures_match_closed_form_state(dashed_params):

@@ -19,6 +19,7 @@ from sqzmzi import (
     transfer_gain,
     weighted_variance,
 )
+from sqzmzi import photostats
 from sqzmzi.photostats import (
     photon_mean_slopes,
     sumdiff_mean_slopes,
@@ -185,3 +186,19 @@ def test_photon_stats_as_dict_field_order(solid_params):
         "mean_n1", "mean_n2", "var_n1", "var_n2", "cov_n1n2",
         "mean_nplus", "mean_nminus", "var_nplus", "var_nminus", "cov_npm",
     ]
+
+
+@pytest.mark.parametrize("phi", [1.1, midpoint_grid(9)])
+def test_photon_stats_propagates_the_detector_state_once(solid_params, monkeypatch, phi):
+    # the sum/difference cross-check reuses the per-detector second moments
+    # instead of computing them, and their detector state, a second time
+    calls = []
+    original = photostats.detector_field_stats
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(photostats, "detector_field_stats", counting)
+    photon_stats(solid_params, phi)
+    assert len(calls) == 1
