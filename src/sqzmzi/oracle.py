@@ -11,7 +11,8 @@ N = (g_c^2 + g_s^2 - 1)/2 per detector (the -1/2 subtracts the vacuum and
 makes <N> the true photon number; switchable off).  Linearized mode keeps only
 the term linear in the fluctuation, N = <g>^2/2 + <g> dg, which is the regime
 the closed forms describe; in it the empirical moments must match them within
-sampling error at any brightness.
+sampling error at any brightness, and the chain builds only the measured pair
+(g1s, g2c) those photon numbers read.
 
 Reproducibility contract: one PCG64 stream per input channel, spawned from
 SeedSequence(seed) in the fixed CHANNELS order, samples drawn in batch order.
@@ -20,15 +21,17 @@ machines, independent of batching, of the other phases of a grid and of the
 calls made before.
 
 A call of :func:`run` over a phase grid (or of :func:`linearization_error`
-over a brightness grid) owns its draws and buffers.  The draws do not depend
-on phi, so when n <= _CHUNK the call draws one read-only set and its points
-share it, drawing again only where a point's input noise (InputNoiseSpec)
-differs from the previous one's; larger runs draw _CHUNK samples at a time at
-every point.  The draws go through the chain in blocks of _BLOCK samples: each
-step writes into one of _CHAIN_ROWS block-sized buffers, and each block's
-photon numbers go straight into the sample arrays n1 and n2, allocated once per
-call.  The steps are elementwise, so neither the blocks nor the in-place writes
-change an output bit.  Nothing is kept after a call returns and nothing is
+over a brightness grid) owns its draws and buffers.  The loss vacuums are
+scaled by their loss amplitudes sqrt(1 - mu) and sqrt(1 - eta) when drawn, so
+the draws depend on (InputNoiseSpec, mu, eta) but not on phi: when n <= _CHUNK
+the call draws one read-only set and its points share it, drawing again only
+where a point's (noise, mu, eta) differs from the previous one's; larger runs
+draw _CHUNK samples at a time at every point.  The draws go through the chain
+in blocks of _BLOCK samples: each step writes into one of _CHAIN_ROWS
+block-sized buffers, and each block's photon numbers go straight into the
+sample arrays n1 and n2, allocated once per call.  The steps are elementwise,
+so neither the blocks, nor the in-place writes, nor scaling the vacuums at draw
+time change an output bit.  Nothing is kept after a call returns and nothing is
 shared between calls, so calls from several threads at once are independent.
 """
 
@@ -141,14 +144,23 @@ def _beamsplit(x, y, plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, n
     return plus, minus
 
 
-def _propagate(params: InterferometerParams, phi: float, fields: dict[str, np.ndarray], buf):
+def _propagate(
+    params: InterferometerParams,
+    phi: float,
+    fields: dict[str, np.ndarray],
+    buf,
+    measured_only: bool = False,
+):
     """Push the input quadratures through the chain; returns (g1c, g1s, g2c, g2s).
 
-    ``fields`` maps channel name to a sample array, and ``buf`` is a sequence of
-    _CHAIN_ROWS scratch arrays of the same length: every step writes into them,
-    and the four quadratures returned are among them.  The chain here is
-    deliberately stepwise and elementary; it shares no algebra with the
-    closed-form modules it is meant to check.
+    ``fields`` maps channel name to a sample array, its loss vacuums (m*, n*)
+    already scaled by their loss amplitudes (see :func:`_scaled_draws`), and
+    ``buf`` is a sequence of _CHAIN_ROWS scratch arrays of the same length:
+    every step writes into them, and the quadratures returned are among them.
+    With ``measured_only`` only the measured pair (g1s, g2c) is built, which
+    is all linearized photon numbers read, and g1c and g2s are None.  The
+    chain here is deliberately stepwise and elementary; it shares no algebra
+    with the closed-form modules it is meant to check.
     """
     alpha = params.alpha
     p, q, r, u, v, tmp = buf
@@ -163,56 +175,74 @@ def _propagate(params: InterferometerParams, phi: float, fields: dict[str, np.nd
 
     # opposite arm phases rotate each (c, s) pair by +/- phi/2; the second
     # rotation of a pair writes over its inputs, which frees r for c2c and u
-    # for e1c
+    # and tmp for the measured pair
     ch, sh = math.cos(0.5 * phi), math.sin(0.5 * phi)
     c1c = _mix(b1c, ch, b1s, -sh, v, tmp)
     c1s = _mix(b1c, sh, b1s, ch, b1c, b1s)
     c2c = _mix(b2c, ch, b2s, sh, r, tmp)
     c2s = _mix(b2c, -sh, b2s, ch, b2c, b2s)
 
-    # internal loss admixes one vacuum per arm
-    t, leak = math.sqrt(params.mu), math.sqrt(1.0 - params.mu)
-    d1c = _mix(c1c, t, fields["m1c"], leak, c1c, tmp)
-    d1s = _mix(c1s, t, fields["m1s"], leak, c1s, tmp)
-    d2c = _mix(c2c, t, fields["m2c"], leak, c2c, tmp)
-    d2s = _mix(c2s, t, fields["m2s"], leak, c2s, tmp)
+    # internal loss admixes one (pre-scaled) vacuum per arm
+    t = math.sqrt(params.mu)
+    d1c, d1s, d2c, d2s = c1c, c1s, c2c, c2s
+    for d, vacuum in ((d1c, "m1c"), (d1s, "m1s"), (d2c, "m2c"), (d2s, "m2s")):
+        d *= t
+        d += fields[vacuum]
 
-    # symmetric recombining beamsplitter; the sums go to u and d1c's buffer
-    e1c, e2c = _beamsplit(d1c, d2c, u, d2c)
-    e1s, e2s = _beamsplit(d1s, d2s, d1c, d2s)
-
-    # phase-sensitive amplifiers stretch the measured quadrature of each port
-    # (s on port 1, c on port 2) and squeeze the orthogonal one
-    g = math.exp(params.r2)
-    f1c, f1s = np.divide(e1c, g, out=e1c), np.multiply(e1s, g, out=e1s)
-    f2c, f2s = np.multiply(e2c, g, out=e2c), np.divide(e2s, g, out=e2s)
-
-    # external loss admixes one vacuum per detector
-    te, le = math.sqrt(params.eta), math.sqrt(1.0 - params.eta)
-    g1c = _mix(f1c, te, fields["n1c"], le, f1c, tmp)
-    g1s = _mix(f1s, te, fields["n1s"], le, f1s, tmp)
-    g2c = _mix(f2c, te, fields["n2c"], le, f2c, tmp)
-    g2s = _mix(f2s, te, fields["n2s"], le, f2s, tmp)
-    return g1c, g1s, g2c, g2s
+    # each detected quadrature: one output of the symmetric recombining
+    # beamsplitter, stretched (the measured s on port 1 and c on port 2) or
+    # squeezed (the other two) by its phase-sensitive amplifier, then one
+    # (pre-scaled) external-loss vacuum per detector.  The measured pair goes
+    # to u and tmp, leaving d1c..d2s intact for the other pair, whose sums
+    # (differences) write over d2c (d2s)
+    g, te = math.exp(params.r2), math.sqrt(params.eta)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    ports = [
+        (np.add, d1s, d2s, np.multiply, "n1s", u),
+        (np.subtract, d1c, d2c, np.multiply, "n2c", tmp),
+    ]
+    if not measured_only:
+        ports += [
+            (np.add, d1c, d2c, np.divide, "n1c", d2c),
+            (np.subtract, d1s, d2s, np.divide, "n2s", d2s),
+        ]
+    for combine, x, y, amplify, vacuum, out in ports:
+        np.multiply(combine(x, y, out=out), inv_sqrt2, out=out)
+        amplify(out, g, out=out)
+        out *= te
+        out += fields[vacuum]
+    if measured_only:
+        return None, u, tmp, None
+    return d2c, u, tmp, d2s
 
 
 def _scaled_draws(
-    noise: InputNoiseSpec, m: int, streams: dict[str, np.random.Generator]
+    noise: InputNoiseSpec, mu: float, eta: float, m: int, streams: dict[str, np.random.Generator]
 ) -> dict[str, np.ndarray]:
-    """The next m samples of every input channel, scaled to its variance."""
+    """The next m samples of every input channel, scaled to its variance and
+    then, for the loss vacuums, by the amplitude sqrt(1 - mu) (internal, m*)
+    or sqrt(1 - eta) (external, n*) with which they enter the chain.  Neither
+    depends on phi, so a draw set serves every phase of the same (noise, mu,
+    eta); the two products round as admixing the vacuum in the chain did, and
+    a zero amplitude leaves signed zeros."""
     variances = _channel_variances(noise)
+    amplitudes = {"m": math.sqrt(1.0 - mu), "n": math.sqrt(1.0 - eta)}
     fields = {}
     for ch in CHANNELS:
         x = fields[ch] = streams[ch].standard_normal(m)
         x *= math.sqrt(variances[ch])
+        if ch[0] in amplitudes:
+            x *= amplitudes[ch[0]]
     return fields
 
 
 def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict[str, float]:
     """The ten photocounting moments of a sample block (ddof = 1); centres n1
     and n2 in place."""
-    mean1 = float(n1.mean())
-    mean2 = float(n2.mean())
+    # ndarray.mean is this pairwise sum divided by the count, without its
+    # Python-level wrapper
+    mean1 = float(np.add.reduce(n1)) / n1.size
+    mean2 = float(np.add.reduce(n2)) / n2.size
     n1 -= mean1
     n2 -= mean2
     denom = n1.size - 1
@@ -255,24 +285,25 @@ def run(
 def _reports(points, config: OracleConfig) -> list[MomentReport]:
     """The reports of (params, phi) pairs sampled with one config, in order:
     n1, n2 and the chain buffers are allocated once, and a draw set of
-    n <= _CHUNK samples is shared by consecutive points of equal input noise."""
+    n <= _CHUNK samples is shared by consecutive points of equal input noise
+    and loss (InputNoiseSpec, mu, eta): the draws carry both loss amplitudes."""
     n = config.n_samples
     scratch = np.empty(n), np.empty(n), np.empty((_CHAIN_ROWS, min(n, _BLOCK)))
     reports = []
     drawn = draws = None
     for params, phi in points:
-        noise = InputNoiseSpec.from_params(params)
+        key = (InputNoiseSpec.from_params(params), params.mu, params.eta)
         if n > _CHUNK:
             streams = _spawn_streams(config.seed)
             sizes = (min(_CHUNK, n - a) for a in range(0, n, _CHUNK))
-            chunks = (_scaled_draws(noise, m, streams) for m in sizes)
+            chunks = (_scaled_draws(*key, m, streams) for m in sizes)
         else:
-            if noise != drawn:
+            if key != drawn:
                 chunks = draws = None  # drop the old set before drawing
-                draws = _scaled_draws(noise, n, _spawn_streams(config.seed))
+                draws = _scaled_draws(*key, n, _spawn_streams(config.seed))
                 for values in draws.values():
                     values.flags.writeable = False
-                drawn = noise
+                drawn = key
             chunks = (draws,)
         reports.append(_report(params, phi, config, chunks, scratch))
     return reports
@@ -286,8 +317,12 @@ def _report(
     n = config.n_samples
     if config.linearized_mode:
         # the mean path: the same chain on one-element zero inputs
-        zeros = dict.fromkeys(CHANNELS, np.zeros(1))
-        _, mg1s, mg2c, _ = _propagate(params, phi, zeros, np.empty((_CHAIN_ROWS, 1)))
+        zero = np.zeros(1)
+        zero.flags.writeable = False
+        zeros = dict.fromkeys(CHANNELS, zero)
+        _, mg1s, mg2c, _ = _propagate(
+            params, phi, zeros, np.empty((_CHAIN_ROWS, 1)), measured_only=True
+        )
         mg1s, mg2c = float(mg1s[0]), float(mg2c[0])
         half1, half2 = 0.5 * mg1s * mg1s, 0.5 * mg2c * mg2c
     offset = 1.0 if config.include_vacuum_offset else 0.0
@@ -298,7 +333,9 @@ def _report(
         for a in range(0, fields["a1c"].size, _BLOCK):
             block = {ch: values[a : a + _BLOCK] for ch, values in fields.items()}
             m = block["a1c"].size
-            g1c, g1s, g2c, g2s = _propagate(params, phi, block, buf[:, :m])
+            g1c, g1s, g2c, g2s = _propagate(
+                params, phi, block, buf[:, :m], measured_only=config.linearized_mode
+            )
             out1, out2 = n1[done : done + m], n2[done : done + m]
             if config.linearized_mode:
                 np.subtract(np.multiply(g1s, mg1s, out=out1), half1, out=out1)

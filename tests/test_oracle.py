@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from sqzmzi.oracle import (
     _CHAIN_ROWS,
     _CHUNK,
     OracleConfig,
+    _moments_of,
     _propagate,
     _scaled_draws,
     _spawn_streams,
@@ -216,7 +218,7 @@ def test_sampled_quadratures_match_closed_form_state(dashed_params):
     n = 100_000
     phi = 1.9
     noise = InputNoiseSpec.from_params(dashed_params)
-    fields = _scaled_draws(noise, n, _spawn_streams(17))
+    fields = _scaled_draws(noise, dashed_params.mu, dashed_params.eta, n, _spawn_streams(17))
     samples = np.stack(_propagate(dashed_params, phi, fields, np.empty((_CHAIN_ROWS, n))))
     stats = detector_field_stats(dashed_params, phi, extended=True)
 
@@ -229,6 +231,83 @@ def test_sampled_quadratures_match_closed_form_state(dashed_params):
         for j in range(4):
             se = math.sqrt((cov[i, i] * cov[j, j] + cov[i, j] ** 2) / n)
             assert abs(cov[i, j] - stats.cov[i, j]) <= 5.0 * se + 1e-12
+
+
+LOSSES = (1.0, 0.9, 1e-3)
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.3, math.pi], ids=["0", "1.3", "pi"])
+@pytest.mark.parametrize("eta", LOSSES)
+@pytest.mark.parametrize("mu", LOSSES)
+def test_measured_pair_alone_is_bit_identical(mu, eta, phi):
+    # linearized mode builds only (g1s, g2c); they must carry the full chain's
+    # bits, on the sample path and on the one-element zero-input mean path
+    params = InterferometerParams.with_technical_noise(
+        2.0, r1=1.0, r2=0.6, mu=mu, eta=eta, n_photons=1e6
+    )
+    n = 1000
+    fields = _scaled_draws(InputNoiseSpec.from_params(params), mu, eta, n, _spawn_streams(35))
+    zero = np.zeros(1)
+    zero.flags.writeable = False
+    for inputs, m in ((fields, n), (dict.fromkeys(oracle.CHANNELS, zero), 1)):
+        full = _propagate(params, phi, inputs, np.empty((_CHAIN_ROWS, m)))
+        g1c, g1s, g2c, g2s = _propagate(
+            params, phi, inputs, np.empty((_CHAIN_ROWS, m)), measured_only=True
+        )
+        assert g1c is None and g2s is None
+        assert g1s.tobytes() == full[1].tobytes()
+        assert g2c.tobytes() == full[2].tobytes()
+
+
+@pytest.mark.parametrize("mu, eta", [(1.0, 0.8), (0.8, 1.0)])
+def test_lossless_vacuums_keep_their_signed_zeros(mu, eta):
+    # a zero loss amplitude still multiplies the draws, as the chain's
+    # admixing step did, so a negative draw leaves -0.0 rather than +0.0
+    params = InterferometerParams.with_technical_noise(1.0, r1=1.0, mu=mu, eta=eta, n_photons=1e6)
+    noise = InputNoiseSpec.from_params(params)
+    fields = _scaled_draws(noise, mu, eta, 1000, _spawn_streams(36))
+    normals = _spawn_streams(36)
+    for ch in oracle.CHANNELS:
+        normal = normals[ch].standard_normal(1000)
+        if (ch[0] == "m" and mu == 1.0) or (ch[0] == "n" and eta == 1.0):
+            assert not fields[ch].any()
+            assert np.array_equal(np.signbit(fields[ch]), np.signbit(normal))
+        else:
+            assert fields[ch].all()
+
+
+@pytest.mark.parametrize("knob, other", [("eta", 0.6), ("mu", 0.6)])
+def test_points_of_equal_input_noise_but_other_loss_draw_again(
+    solid_params, spawn_calls, knob, other
+):
+    # the draws carry the loss amplitudes, so equal input noise alone must
+    # not share them
+    params = [solid_params, replace(solid_params, **{knob: other})]
+    assert InputNoiseSpec.from_params(params[0]) == InputNoiseSpec.from_params(params[1])
+    for linearized in (False, True):
+        config = OracleConfig(n_samples=3000, seed=37, linearized_mode=linearized)
+        spawn_calls.clear()
+        reports = oracle._reports([(p, 1.3) for p in params], config)
+        assert spawn_calls == [37, 37]
+        assert list(map(repr, reports)) == [repr(run(p, 1.3, config)) for p in params]
+
+
+@pytest.mark.parametrize("size", [2, 4, 5, 7, 1562, 1563, 8193, 50_000, 2**18 + 1])
+def test_moments_of_means_are_ndarray_means(size):
+    rng = np.random.default_rng(size)
+    offset = 1e9 + rng.standard_normal(size)
+    signed_zeros = rng.standard_normal(size)
+    signed_zeros[::3] = 0.0
+    signed_zeros[1::3] = -0.0
+    negative_zeros = np.full(size, -0.0)
+    for n1, n2 in ((offset, signed_zeros), (signed_zeros, offset), (negative_zeros, offset)):
+        mean1, mean2 = float(n1.mean()), float(n2.mean())
+        c1, c2 = n1 - mean1, n2 - mean2
+        moments = _moments_of(n1.copy(), n2.copy())
+        assert moments["mean_n1"].hex() == mean1.hex()
+        assert moments["mean_n2"].hex() == mean2.hex()
+        assert moments["var_n1"] == float(c1 @ c1) / (size - 1)
+        assert moments["cov_n1n2"] == float(c1 @ c2) / (size - 1)
 
 
 @pytest.fixture
@@ -365,22 +444,26 @@ def test_validate_keeps_nothing_allocated(solid_params):
 
 
 def test_kept_draws_are_read_only(solid_params, monkeypatch):
-    # the phases of a grid share one draw set, so no phase may write to it
+    # the phases of a grid share one draw set, and the mean path's channels
+    # share one zero input, so no phase may write to either
     received = []
 
-    def recording(params, phi, fields, buf):
+    def recording(params, phi, fields, buf, measured_only=False):
         received.append(fields)
-        return _propagate(params, phi, fields, buf)
+        return _propagate(params, phi, fields, buf, measured_only=measured_only)
 
     monkeypatch.setattr(oracle, "_propagate", recording)
-    run(solid_params, [0.3, 1.0], OracleConfig(n_samples=1000, seed=26))
-    # one block per phase; exact mode has no mean path
-    assert len(received) == 2
-    for fields in received:
-        assert set(fields) == set(oracle.CHANNELS)
-        for values in fields.values():
-            with pytest.raises(ValueError, match="read-only"):
-                values[0] = 1.0
+    for linearized in (False, True):
+        received.clear()
+        config = OracleConfig(n_samples=1000, seed=26, linearized_mode=linearized)
+        run(solid_params, [0.3, 1.0], config)
+        # one block per phase, plus the mean path in linearized mode
+        assert len(received) == (4 if linearized else 2)
+        for fields in received:
+            assert set(fields) == set(oracle.CHANNELS)
+            for values in fields.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    values[0] = 1.0
 
 
 def _linearization_repr(case: str) -> str:
