@@ -5,8 +5,14 @@ then explicit command-line flags (later sources win key by key).  The preset and
 the config file become click's ``default_map``, so the option that declares a
 key converts and checks its value whichever layer gives it.  Squeezing can be
 given in dB (variance convention, 10 log10 e^{2r}) or as a raw factor r, but
-not both.  All machine-readable output uses 12 significant digits and the
-literal ``inf`` for divergent uncertainties.
+not both.
+
+The two sweep formats write numbers by different rules.  CSV writes 12
+significant digits (``%.12g``), ``inf`` for an infinity of either sign and
+``nan`` for nan.  JSON writes what ``json.dumps`` writes for a finite float,
+its shortest round-trip ``repr``, and the string ``"inf"`` for every
+non-finite value.  Either renderer formats each distinct bit pattern of a
+column once.  ``report --format json`` is plain ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -15,10 +21,10 @@ import json
 import math
 import os
 from dataclasses import fields
-from itertools import repeat
 from pathlib import Path
 
 import click
+import numpy as np
 from click.core import ParameterSource
 
 from . import __version__
@@ -73,12 +79,6 @@ _SIBLING = {a: b for a, b in _SIBLINGS} | {b: a for a, b in _SIBLINGS}
 _NOT_IN_CONFIG = {"preset", "config", "output", "implied_gain_db"}
 
 
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return f"{x:.12g}"
-
-
 def _grid(phi_start: float, phi_end: float, points: int) -> list[float]:
     """``points`` evenly spaced phases from ``phi_start`` to ``phi_end``."""
     if not (math.isfinite(phi_start) and math.isfinite(phi_end)):
@@ -99,34 +99,53 @@ def sweep(
     return [phase_uncertainty_grid(strategy, params, phase) for strategy in strategies]
 
 
-def _rows(grids: list[SensitivityGrid], fmt, row: str, missing: str) -> list[str]:
+def _texts(columns: list[np.ndarray | None], n: int, number, nonfinite, missing: str) -> list[str]:
+    """One field of a sweep's ``n`` phases in row order: phase-major, then one
+    entry per strategy column (``missing`` where a column is None).  ``number``
+    maps the field's distinct bit patterns in C, so each is formatted once and
+    0.0 and -0.0 stay apart; ``nonfinite`` then gives each inf or nan its text."""
+    present = [j for j, column in enumerate(columns) if column is not None]
+    index = np.zeros((n, len(columns)), dtype=np.intp)
+    texts = [missing]
+    if present:
+        values = np.column_stack([columns[j] for j in present])
+        distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        floats = distinct.view(np.float64)
+        texts += map(number, floats.tolist())
+        for i in np.flatnonzero(~np.isfinite(floats)).tolist():
+            texts[i + 1] = nonfinite(floats[i])
+        index[:, present] = inverse.reshape(values.shape) + 1
+    return np.array(texts, dtype=object)[index].ravel().tolist()
+
+
+def _rows(grids: list[SensitivityGrid], number, nonfinite, missing: str):
     """The rows of a sweep in grid order, each phase followed by every
-    strategy: ``row`` formatted with the phase, the strategy name and, in
-    ``fmt``, dphi, dphi_normalized and k_opt (``missing`` where a strategy
-    applies no weight)."""
-    columns = [
-        list(
-            zip(
-                repeat(grid.strategy.kind.value),
-                map(fmt, grid.dphi.tolist()),
-                map(fmt, grid.normalized.tolist()),
-                repeat(missing) if grid.k_opt is None else map(fmt, grid.k_opt.tolist()),
+    strategy: tuples of the texts of the phase, the strategy name, dphi,
+    dphi_normalized and k_opt (``missing`` where a strategy applies no
+    weight), each number through :func:`_texts`."""
+    if not grids:
+        raise ParameterError("a sweep to render needs at least one strategy grid")
+    phi = grids[0].phi.view(np.int64)
+    for grid in grids[1:]:
+        if not np.array_equal(grid.phi.view(np.int64), phi):
+            raise ParameterError(
+                f"every grid of a sweep must share one phase grid; the "
+                f"{grid.strategy.kind.value} grid's phases differ from the first grid's"
             )
-        )
-        for grid in grids
-    ]
-    phis = map(fmt, grids[0].phi.tolist())
-    return [row % (phi, *column[i]) for i, phi in enumerate(phis) for column in columns]
+    n = len(phi)
+    return zip(
+        _texts([grid.phi for grid in grids], n, number, nonfinite, missing),
+        [grid.strategy.kind.value for grid in grids] * n,
+        _texts([grid.dphi for grid in grids], n, number, nonfinite, missing),
+        _texts([grid.normalized for grid in grids], n, number, nonfinite, missing),
+        _texts([grid.k_opt for grid in grids], n, number, nonfinite, missing),
+    )
 
 
 def render_csv(grids: list[SensitivityGrid]) -> str:
-    return "\n".join([CSV_HEADER, *_rows(grids, _fmt, "%s,%s,%s,%s,%s", "")]) + "\n"
-
-
-def _json_number(x: float) -> str:
-    # what json.dumps writes for a float, with the literal "inf" for the
-    # divergent points
-    return repr(x) if math.isfinite(x) else '"inf"'
+    # inf for either sign; nan stays nan
+    rows = _rows(grids, "%.12g".__mod__, lambda x: "inf" if math.isinf(x) else "nan", "")
+    return "\n".join([CSV_HEADER, *map(",".join, rows)]) + "\n"
 
 
 # one row of json.dumps(rows, indent=2)
@@ -140,7 +159,10 @@ _JSON_ROW = """  {
 
 
 def render_json(grids: list[SensitivityGrid]) -> str:
-    return "[\n" + ",\n".join(_rows(grids, _json_number, _JSON_ROW, "null")) + "\n]\n"
+    # what json.dumps writes for a float, with the string "inf" for every
+    # non-finite value
+    rows = _rows(grids, repr, lambda x: '"inf"', "null")
+    return "[\n" + ",\n".join(map(_JSON_ROW.__mod__, rows)) + "\n]\n"
 
 
 def validate_against_oracle(
