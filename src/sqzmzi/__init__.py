@@ -30,7 +30,6 @@ from .photostats import (
     weighted_variance,
 )
 from .quadratures import (
-    InputNoiseSpec,
     QuadratureStats,
     core_noise_covariance,
     core_output_means,
@@ -65,7 +64,6 @@ __all__ = [
     "technical_noise_factor",
     "inefficiency",
     "validate",
-    "InputNoiseSpec",
     "QuadratureStats",
     "core_noise_covariance",
     "core_output_means",

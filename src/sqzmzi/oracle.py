@@ -23,15 +23,15 @@ calls made before.
 A call of :func:`run` over a phase grid (or of :func:`linearization_error`
 over a brightness grid) owns its draws and buffers.  The loss vacuums are
 scaled by their loss amplitudes sqrt(1 - mu) and sqrt(1 - eta) when drawn, so
-the draws depend on (InputNoiseSpec, mu, eta) but not on phi: when n <= _CHUNK
+the draws depend on (input variances, mu, eta) but not on phi: when n <= _CHUNK
 the call draws one read-only set and its points share it, drawing again only
-where a point's (noise, mu, eta) differs from the previous one's; larger runs
-draw _CHUNK samples at a time at every point.  The draws go through the chain
-in blocks of _BLOCK samples: each step writes into one of _CHAIN_ROWS
-block-sized buffers, and each block's photon numbers go straight into the
-sample arrays n1 and n2, allocated once per call.  The steps are elementwise,
-so neither the blocks, nor the in-place writes, nor scaling the vacuums at draw
-time change an output bit.  Nothing is kept after a call returns and nothing is
+where a point's (input variances, mu, eta) differs from the previous one's;
+larger runs draw _CHUNK samples at a time at every point.  The draws go
+through the chain in blocks of _BLOCK samples: each step writes into one of
+_CHAIN_ROWS block-sized buffers, and each block's photon numbers go straight
+into the sample arrays n1 and n2, allocated once per call.  The steps are
+elementwise, so neither the blocks, nor the in-place writes, nor scaling the
+vacuums at draw time change an output bit.  Nothing is kept after a call returns and nothing is
 shared between calls, so calls from several threads at once are independent.
 """
 
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import photostats
 from .model import InterferometerParams, ParameterError, Phase, technical_noise_factor
-from .quadratures import VACUUM, InputNoiseSpec
+from .quadratures import VACUUM, _input_variances
 
 # the 12 independent Gaussian inputs; order fixes the RNG stream assignment
 CHANNELS = (
@@ -113,14 +113,6 @@ def rank_abs_z(abs_z: float) -> tuple[bool, float]:
     """Sort key for |z| that ranks nan above every number, inf included, so a
     z-score that could not be computed is never passed over as small."""
     return (math.isnan(abs_z), abs_z)
-
-
-def _channel_variances(noise: InputNoiseSpec) -> dict[str, float]:
-    out = dict.fromkeys(CHANNELS, VACUUM)
-    out["a1c"] = noise.var_a1c
-    out["a1s"] = noise.var_a1s
-    out["z2c"] = noise.var_z2c
-    return out
 
 
 def _spawn_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -217,20 +209,21 @@ def _propagate(
 
 
 def _scaled_draws(
-    noise: InputNoiseSpec, mu: float, eta: float, m: int, streams: dict[str, np.random.Generator]
+    inputs: tuple, mu: float, eta: float, m: int, streams: dict[str, np.random.Generator]
 ) -> dict[str, np.ndarray]:
-    """The next m samples of every input channel, scaled to its variance and
-    then, for the loss vacuums, by the amplitude sqrt(1 - mu) (internal, m*)
+    """The next m samples of every input channel, scaled to its variance (the
+    ``inputs`` of _input_variances for a1c, a1s and z2c, VACUUM for the rest)
+    and then, for the loss vacuums, by the amplitude sqrt(1 - mu) (internal, m*)
     or sqrt(1 - eta) (external, n*) with which they enter the chain.  Neither
-    depends on phi, so a draw set serves every phase of the same (noise, mu,
+    depends on phi, so a draw set serves every phase of the same (inputs, mu,
     eta); the two products round as admixing the vacuum in the chain did, and
     a zero amplitude leaves signed zeros."""
-    variances = _channel_variances(noise)
+    variances = inputs + (VACUUM,) * (len(CHANNELS) - len(inputs))
     amplitudes = {"m": math.sqrt(1.0 - mu), "n": math.sqrt(1.0 - eta)}
     fields = {}
-    for ch in CHANNELS:
+    for ch, variance in zip(CHANNELS, variances):
         x = fields[ch] = streams[ch].standard_normal(m)
-        x *= math.sqrt(variances[ch])
+        x *= math.sqrt(variance)
         if ch[0] in amplitudes:
             x *= amplitudes[ch[0]]
     return fields
@@ -285,14 +278,14 @@ def run(
 def _reports(points, config: OracleConfig) -> list[MomentReport]:
     """The reports of (params, phi) pairs sampled with one config, in order:
     n1, n2 and the chain buffers are allocated once, and a draw set of
-    n <= _CHUNK samples is shared by consecutive points of equal input noise
-    and loss (InputNoiseSpec, mu, eta): the draws carry both loss amplitudes."""
+    n <= _CHUNK samples is shared by consecutive points of equal draw key
+    (input variances, mu, eta): the draws carry both loss amplitudes."""
     n = config.n_samples
     scratch = np.empty(n), np.empty(n), np.empty((_CHAIN_ROWS, min(n, _BLOCK)))
     reports = []
     drawn = draws = None
     for params, phi in points:
-        key = (InputNoiseSpec.from_params(params), params.mu, params.eta)
+        key = (_input_variances(params), params.mu, params.eta)
         if n > _CHUNK:
             streams = _spawn_streams(config.seed)
             sizes = (min(_CHUNK, n - a) for a in range(0, n, _CHUNK))

@@ -167,12 +167,14 @@ def photon_second_moments(params: InterferometerParams, phi) -> tuple:
     phase = Phase(phi)
     g2, excess, squeezed, eps2 = _moment_ingredients(params)
     n = params.n_photons
-    s2 = phase.sin_half ** 2
-    c2 = phase.cos_half ** 2
+    # every square is a product, which rounds alike on a float and a grid
+    # (a float's ** 2 is C pow(), a grid's is x * x)
+    s2 = phase.sin_half * phase.sin_half
+    c2 = phase.cos_half * phase.cos_half
     scale = g2 * g2 * n
     var1 = scale * s2 * (squeezed * c2 + excess * s2 + eps2)
     var2 = scale * c2 * (squeezed * s2 + excess * c2 + eps2)
-    cov = scale * 0.25 * (excess - squeezed) * phase.sin ** 2
+    cov = scale * 0.25 * (excess - squeezed) * (phase.sin * phase.sin)
 
     # independent route: <N> = <g>^2/2, Var N = <g>^2 Var(dg), Cov likewise
     det = detector_field_stats(params, phase)
@@ -204,7 +206,7 @@ def _sumdiff_from(params: InterferometerParams, phase: Phase, v1, v2, c12) -> tu
     mean_plus = g2 * n
     mean_minus = -g2 * n * cs
     var_plus = scale * (excess + eps2)
-    var_minus = scale * (squeezed * phase.sin ** 2 + excess * cs * cs + eps2)
+    var_minus = scale * (squeezed * (phase.sin * phase.sin) + excess * cs * cs + eps2)
     cov_pm = -scale * (excess + eps2) * cs
 
     floor = scale * (excess + squeezed + eps2 + 1.0)
@@ -239,7 +241,9 @@ def weighted_variance(params: InterferometerParams, phi, phi_apr):
     g2, excess, squeezed, eps2 = _moment_ingredients(params)
     scale = g2 * g2 * params.n_photons
     dcos = phase.cos - apr.cos
-    compact = scale * ((squeezed + eps2) * phase.sin ** 2 + (excess + eps2) * dcos * dcos)
+    compact = scale * (
+        (squeezed + eps2) * (phase.sin * phase.sin) + (excess + eps2) * dcos * dcos
+    )
     decomposition = sum(weighted_variance_terms(params, phase, apr))
     _require_close(
         "weighted_variance", compact, decomposition, scale * (excess + eps2 + 1.0)

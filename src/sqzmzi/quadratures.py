@@ -100,41 +100,23 @@ def _stack(entries: list, shape: tuple[int, ...]) -> np.ndarray:
     return flat.T.reshape(flat.shape[1:] + shape)
 
 
-@dataclass(frozen=True)
-class InputNoiseSpec:
-    """Variances of the parameter-dependent input noise quadratures.
-
-    var_a1s   squeezed quadrature of the squeezer output, e^{-2 r1}/2
-    var_a1c   anti-squeezed quadrature, e^{+2 r1}/2 for a minimum-uncertainty state
-    var_z2c   amplitude (excess) noise of the bright input, A/2
-
-    Every other input, the phase quadrature z2s of the bright input and every
-    loss port, is at the VACUUM level.
-    """
-
-    var_a1s: float
-    var_a1c: float
-    var_z2c: float
-
-    def __post_init__(self) -> None:
-        for name in ("var_a1s", "var_a1c", "var_z2c"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0):
-                raise ParameterError(f"{name} must be a finite variance >= 0, got {v!r}")
-        # Heisenberg: the squeezer output must satisfy the uncertainty relation
-        if self.var_a1s * self.var_a1c < 0.25 * (1.0 - 1e-12):
-            raise ParameterError(
-                "var_a1s * var_a1c must be >= 1/4 (uncertainty relation), got "
-                f"{self.var_a1s * self.var_a1c}"
-            )
-
-    @classmethod
-    def from_params(cls, params: InterferometerParams) -> "InputNoiseSpec":
-        return cls(
-            var_a1s=0.5 * math.exp(-2.0 * params.r1),
-            var_a1c=0.5 * math.exp(2.0 * params.r1),
-            var_z2c=0.5 * technical_noise_factor(params),
-        )
+def _input_variances(params: InterferometerParams) -> tuple[float, float, float]:
+    """Variances (var_a1c, var_a1s, var_z2c) of the parameter-dependent input
+    noise quadratures: the anti-squeezed e^{+2 r1}/2 and squeezed e^{-2 r1}/2
+    quadratures of the squeezer output, and the amplitude (excess) noise A/2
+    of the bright input.  Every other input, the phase quadrature z2s of the
+    bright input and every loss port, is at the VACUUM level."""
+    try:
+        var_a1c = 0.5 * math.exp(2.0 * params.r1)
+    except OverflowError:
+        raise ParameterError(
+            f"squeeze factor r1 = {params.r1!r} is too large: the anti-squeezed "
+            "variance e^(2 r1)/2 overflows"
+        ) from None
+    var_z2c = 0.5 * technical_noise_factor(params)
+    if not math.isfinite(var_z2c):
+        raise ParameterError(f"var_z2c must be a finite variance >= 0, got {var_z2c!r}")
+    return var_a1c, 0.5 * math.exp(-2.0 * params.r1), var_z2c
 
 
 def core_output_means(params: InterferometerParams, phi):
@@ -171,10 +153,6 @@ def _core_coefficients(mu: float, phase: Phase) -> np.ndarray:
     )
 
 
-def _core_source_variances(noise: InputNoiseSpec) -> np.ndarray:
-    return np.array([noise.var_a1c, noise.var_a1s, noise.var_z2c] + [VACUUM] * 5)
-
-
 def core_noise_covariance(params: InterferometerParams, phi: float) -> QuadratureStats:
     """Covariance of the four fluctuation quadratures (e1c, e1s, e2c, e2s).
 
@@ -182,27 +160,29 @@ def core_noise_covariance(params: InterferometerParams, phi: float) -> Quadratur
     semidefiniteness is structural.  Means are zero by construction (the
     fluctuations are defined about the signal)."""
     b = _core_coefficients(params.mu, Phase(phi))
-    v = _core_source_variances(InputNoiseSpec.from_params(params))
+    v = np.array(_input_variances(params) + (VACUUM,) * 5)
     cov = (b * v) @ b.T
     return QuadratureStats(labels=CORE_LABELS, mean=np.zeros(4), cov=cov)
 
 
-def _core_variances(params: InterferometerParams, phase: Phase, noise: InputNoiseSpec) -> dict:
+def _core_variances(params: InterferometerParams, phase: Phase) -> dict:
     """Closed forms, entry by entry, for the core second moments (independent
     of the matrix route above; the two are compared in tests)."""
+    var_a1c, var_a1s, var_z2c = _input_variances(params)
     c, s = phase.cos_half, phase.sin_half
-    c2 = c**2
-    s2 = s**2
+    # squared by multiplication, which rounds alike on a float and a grid
+    c2 = c * c
+    s2 = s * s
     sc = s * c
     mu = params.mu
     leak = (1.0 - mu) * VACUUM
     return {
-        "var_e1c": mu * (noise.var_a1c * c2 + VACUUM * s2) + leak,
-        "var_e1s": mu * (noise.var_a1s * c2 + noise.var_z2c * s2) + leak,
-        "var_e2c": mu * (noise.var_a1s * s2 + noise.var_z2c * c2) + leak,
-        "var_e2s": mu * (noise.var_a1c * s2 + VACUUM * c2) + leak,
-        "cov_e1s_e2c": mu * sc * (noise.var_z2c - noise.var_a1s),
-        "cov_e1c_e2s": mu * sc * (noise.var_a1c - VACUUM),
+        "var_e1c": mu * (var_a1c * c2 + VACUUM * s2) + leak,
+        "var_e1s": mu * (var_a1s * c2 + var_z2c * s2) + leak,
+        "var_e2c": mu * (var_a1s * s2 + var_z2c * c2) + leak,
+        "var_e2s": mu * (var_a1c * s2 + VACUUM * c2) + leak,
+        "cov_e1s_e2c": mu * sc * (var_z2c - var_a1s),
+        "cov_e1c_e2s": mu * sc * (var_a1c - VACUUM),
     }
 
 
@@ -216,7 +196,7 @@ def detector_field_stats(params: InterferometerParams, phi, extended: bool = Fal
     of the detected modes.
     """
     phase = Phase(phi)
-    core = _core_variances(params, phase, InputNoiseSpec.from_params(params))
+    core = _core_variances(params, phase)
     m1s, m2c = core_output_means(params, phase)
     eta = params.eta
     amp2 = eta * math.exp(2.0 * params.r2)

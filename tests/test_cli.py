@@ -172,6 +172,10 @@ def test_sweep_suboptimal_strategy(runner):
         assert math.isclose(float(row[4]), math.cos(1.2), rel_tol=1e-9)
 
 
+# the message of a usage error that no other test reads
+USAGE_MESSAGES = {("sweep", "--phi-start", "nan"): "must be finite"}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -186,11 +190,13 @@ def test_sweep_suboptimal_strategy(runner):
         ["validate", "--oracle-samples", "3"],
         ["validate", "--z-threshold", "0", "--points", "2", "--oracle-samples", "10"],
         ["report", "--r1-db", "7.2", "--implied-gain-db", "20"],
+        ["sweep", "--phi-start", "nan"],
     ],
 )
 def test_usage_errors_exit_2(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
+    assert USAGE_MESSAGES.get(tuple(args), "") in result.output
 
 
 def test_config_file_layering(runner, tmp_path):
@@ -233,10 +239,12 @@ def test_flag_replaces_preset_sibling(runner):
         ("report", "mode = bogus\n", "Invalid value for '--mode'"),
         ("sweep", "seed = x\n", "Invalid value for '--seed'"),
         ("validate", "format = bogus\n", "Invalid value for '--format'"),
+        ("sweep", "r1 0.5\n", "expected 'key = value'"),
+        ("sweep", "strategy =\n", "at least one strategy is required"),
     ],
     ids=["unknown-key", "mode", "format", "points", "strategy",
          "other-command-points", "other-command-mode", "other-command-seed",
-         "other-command-format"],
+         "other-command-format", "no-equals", "empty-strategy"],
 )
 def test_config_rejects_bad_entry(runner, tmp_path, command, content, message):
     # config values pass the same checks as the flags of the same name
@@ -315,6 +323,9 @@ def test_report_implied_inefficiency(runner):
     assert result.exit_code == 0
     quantities = json.loads(result.output)
     assert math.isclose(quantities["implied_eps2"], 0.2880840205263135, rel_tol=1e-10)
+    result = runner.invoke(main, ["report", "--r1-db", "7.2", "--implied-gain-db", "3.2"])
+    assert result.exit_code == 0
+    assert "implied eps^2             0.288084  (from a measured gain of 3.2 dB)" in result.output
 
 
 def test_validate_passes_in_linearized_mode(runner):

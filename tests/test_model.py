@@ -78,6 +78,8 @@ def test_with_technical_noise_round_trips(a, exponent):
 def test_with_technical_noise_rejects_sub_coherent():
     with pytest.raises(ParameterError):
         InterferometerParams.with_technical_noise(0.5)
+    with pytest.raises(ParameterError, match="n_photons must be > 0"):
+        InterferometerParams.with_technical_noise(2.0, n_photons=0.0)
 
 
 def test_validation_messages_name_the_violation():

@@ -27,7 +27,7 @@ from sqzmzi.oracle import (
     linearization_error,
     run,
 )
-from sqzmzi.quadratures import InputNoiseSpec, detector_field_stats
+from sqzmzi.quadratures import _input_variances, detector_field_stats
 
 # repr of linearization_error output per case, keyed "<mode>-seed<seed>-phi<phi>",
 # on the lossy, amplified parameter set of validate-digests.json
@@ -217,8 +217,8 @@ def test_sampled_quadratures_match_closed_form_state(dashed_params):
     # closed-form Gaussian state of the detected modes
     n = 100_000
     phi = 1.9
-    noise = InputNoiseSpec.from_params(dashed_params)
-    fields = _scaled_draws(noise, dashed_params.mu, dashed_params.eta, n, _spawn_streams(17))
+    inputs = _input_variances(dashed_params)
+    fields = _scaled_draws(inputs, dashed_params.mu, dashed_params.eta, n, _spawn_streams(17))
     samples = np.stack(_propagate(dashed_params, phi, fields, np.empty((_CHAIN_ROWS, n))))
     stats = detector_field_stats(dashed_params, phi, extended=True)
 
@@ -246,7 +246,7 @@ def test_measured_pair_alone_is_bit_identical(mu, eta, phi):
         2.0, r1=1.0, r2=0.6, mu=mu, eta=eta, n_photons=1e6
     )
     n = 1000
-    fields = _scaled_draws(InputNoiseSpec.from_params(params), mu, eta, n, _spawn_streams(35))
+    fields = _scaled_draws(_input_variances(params), mu, eta, n, _spawn_streams(35))
     zero = np.zeros(1)
     zero.flags.writeable = False
     for inputs, m in ((fields, n), (dict.fromkeys(oracle.CHANNELS, zero), 1)):
@@ -264,8 +264,7 @@ def test_lossless_vacuums_keep_their_signed_zeros(mu, eta):
     # a zero loss amplitude still multiplies the draws, as the chain's
     # admixing step did, so a negative draw leaves -0.0 rather than +0.0
     params = InterferometerParams.with_technical_noise(1.0, r1=1.0, mu=mu, eta=eta, n_photons=1e6)
-    noise = InputNoiseSpec.from_params(params)
-    fields = _scaled_draws(noise, mu, eta, 1000, _spawn_streams(36))
+    fields = _scaled_draws(_input_variances(params), mu, eta, 1000, _spawn_streams(36))
     normals = _spawn_streams(36)
     for ch in oracle.CHANNELS:
         normal = normals[ch].standard_normal(1000)
@@ -283,7 +282,7 @@ def test_points_of_equal_input_noise_but_other_loss_draw_again(
     # the draws carry the loss amplitudes, so equal input noise alone must
     # not share them
     params = [solid_params, replace(solid_params, **{knob: other})]
-    assert InputNoiseSpec.from_params(params[0]) == InputNoiseSpec.from_params(params[1])
+    assert _input_variances(params[0]) == _input_variances(params[1])
     for linearized in (False, True):
         config = OracleConfig(n_samples=3000, seed=37, linearized_mode=linearized)
         spawn_calls.clear()

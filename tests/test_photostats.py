@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import interferometer_params, midpoint_grid, phases
 from sqzmzi import (
     InterferometerParams,
     PhotonStats,
     db_to_squeeze_factor,
+    detector_field_stats,
     photon_means,
     photon_second_moments,
     photon_stats,
@@ -178,6 +180,36 @@ def test_photon_stats_rejects_inconsistent_moments(solid_params):
     broken = dict(good, mean_nplus=good["mean_nplus"] * 2.0)
     with pytest.raises(ValueError, match="mean_nplus"):
         PhotonStats(**broken)
+    broken = dict(good, var_n1=-good["var_n1"])
+    with pytest.raises(ValueError, match="nonnegative"):
+        PhotonStats(**broken)
+    broken = dict(good, mean_nminus=good["mean_nminus"] + good["mean_nplus"])
+    with pytest.raises(ValueError, match="mean_nminus"):
+        PhotonStats(**broken)
+    broken = dict(good, cov_npm=good["cov_npm"] + good["var_n1"])
+    with pytest.raises(ValueError, match="cov_npm"):
+        PhotonStats(**broken)
+
+
+@settings(max_examples=200)
+@given(interferometer_params(), phases)
+@example(
+    InterferometerParams.with_technical_noise(2.0, r1=1.15, mu=0.9, eta=0.8, r2=0.7, n_photons=1e6),
+    1.258,
+)
+def test_phase_and_grid_give_the_same_bits(params, phi):
+    # a moment at one phase must carry the bits of the same phase inside a
+    # grid; repr tells every float apart, -0.0 from 0.0 included
+    grid = [0.3, phi, 2.0]
+    alone = photon_stats(params, phi).as_dict()
+    within = photon_stats(params, grid).as_dict()
+    for name, value in alone.items():
+        point = within[name][1] if isinstance(within[name], np.ndarray) else within[name]
+        assert repr(float(point)) == repr(value), name
+    alone = detector_field_stats(params, phi, extended=True)
+    within = detector_field_stats(params, grid, extended=True)
+    assert within.mean[1].tobytes() == alone.mean.tobytes()
+    assert within.cov[1].tobytes() == alone.cov.tobytes()
 
 
 def test_photon_stats_as_dict_field_order(solid_params):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 
 from conftest import interferometer_params, midpoint_grid, phases
 from sqzmzi import (
-    InputNoiseSpec,
     InterferometerParams,
     ParameterError,
     QuadratureStats,
@@ -20,26 +19,28 @@ from sqzmzi import (
     detector_field_stats,
 )
 from sqzmzi.model import Phase
-from sqzmzi.quadratures import CORE_LABELS, CORE_SOURCES, VACUUM, _core_coefficients
+from sqzmzi.quadratures import (
+    CORE_LABELS,
+    CORE_SOURCES,
+    VACUUM,
+    _core_coefficients,
+    _input_variances,
+)
 
 R1_10DB = db_to_squeeze_factor(10.0)
 
 
 def test_input_noise_from_params():
     params = InterferometerParams.with_technical_noise(2.0, r1=R1_10DB, n_photons=1e6)
-    noise = InputNoiseSpec.from_params(params)
-    assert math.isclose(noise.var_a1s, 0.05, rel_tol=1e-12)
-    assert math.isclose(noise.var_a1c, 5.0, rel_tol=1e-12)
-    assert math.isclose(noise.var_z2c, 1.0, rel_tol=1e-9)
+    var_a1c, var_a1s, var_z2c = _input_variances(params)
+    assert math.isclose(var_a1s, 0.05, rel_tol=1e-12)
+    assert math.isclose(var_a1c, 5.0, rel_tol=1e-12)
+    assert math.isclose(var_z2c, 1.0, rel_tol=1e-9)
     # minimum-uncertainty input saturates the bound
-    assert math.isclose(noise.var_a1s * noise.var_a1c, 0.25, rel_tol=1e-12)
-
-
-def test_input_noise_enforces_uncertainty_relation():
-    with pytest.raises(ParameterError, match="uncertainty"):
-        InputNoiseSpec(var_a1s=0.1, var_a1c=0.1, var_z2c=0.5)
-    with pytest.raises(ParameterError):
-        InputNoiseSpec(var_a1s=-0.1, var_a1c=5.0, var_z2c=0.5)
+    assert math.isclose(var_a1s * var_a1c, 0.25, rel_tol=1e-12)
+    # A = N(g2 - 1) + 1 overflows for a finite N and g2
+    with pytest.raises(ParameterError, match="var_z2c must be a finite variance"):
+        _input_variances(InterferometerParams(n_photons=1e300, g2=1e300))
 
 
 def test_core_output_means_reference_points():
@@ -71,12 +72,12 @@ def test_vacuum_inputs_give_vacuum_core_noise():
 
 def test_core_noise_at_zero_phase_decouples_ports():
     params = InterferometerParams.with_technical_noise(3.0, r1=1.0, mu=0.8, n_photons=1e4)
-    noise = InputNoiseSpec.from_params(params)
+    var_a1c, var_a1s, var_z2c = _input_variances(params)
     stats = core_noise_covariance(params, 0.0)
     mu = params.mu
-    assert math.isclose(stats.variance("e1s"), mu * noise.var_a1s + (1 - mu) * 0.5, rel_tol=1e-12)
-    assert math.isclose(stats.variance("e1c"), mu * noise.var_a1c + (1 - mu) * 0.5, rel_tol=1e-12)
-    assert math.isclose(stats.variance("e2c"), mu * noise.var_z2c + (1 - mu) * 0.5, rel_tol=1e-12)
+    assert math.isclose(stats.variance("e1s"), mu * var_a1s + (1 - mu) * 0.5, rel_tol=1e-12)
+    assert math.isclose(stats.variance("e1c"), mu * var_a1c + (1 - mu) * 0.5, rel_tol=1e-12)
+    assert math.isclose(stats.variance("e2c"), mu * var_z2c + (1 - mu) * 0.5, rel_tol=1e-12)
     assert stats.covariance("e1s", "e2c") == 0.0
 
 
@@ -92,14 +93,14 @@ def test_core_noise_cross_covariance_at_quadrature_point(solid_params):
 def test_core_noise_covariance_against_direct_sampling(solid_params):
     """Brute-force Monte Carlo of the fluctuation formulas themselves."""
     phi = math.pi / 2.0
-    noise = InputNoiseSpec.from_params(solid_params)
+    var_a1c, var_a1s, var_z2c = _input_variances(solid_params)
     mu = solid_params.mu
     c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
     rng = np.random.default_rng(20260819)
     n = 400_000
-    a1c = rng.standard_normal(n) * math.sqrt(noise.var_a1c)
-    a1s = rng.standard_normal(n) * math.sqrt(noise.var_a1s)
-    z2c = rng.standard_normal(n) * math.sqrt(noise.var_z2c)
+    a1c = rng.standard_normal(n) * math.sqrt(var_a1c)
+    a1s = rng.standard_normal(n) * math.sqrt(var_a1s)
+    z2c = rng.standard_normal(n) * math.sqrt(var_z2c)
     z2s = rng.standard_normal(n) * math.sqrt(VACUUM)
     mp_c, mp_s, mm_c, mm_s = (rng.standard_normal(n) * math.sqrt(0.5) for _ in range(4))
     root_mu, leak = math.sqrt(mu), math.sqrt(1.0 - mu)

@@ -158,8 +158,27 @@ def test_phase_must_be_finite(solid_params, monkeypatch):
                     entry(phi)
     with pytest.raises(ParameterError, match="1-D"):
         phase_uncertainty_grid(Strategy.single(), solid_params, [[0.5, 1.0]])
+    with pytest.raises(ParameterError, match="1-D grid"):
+        phase_uncertainty_grid(Strategy.single(), solid_params, 1.0)
     with pytest.raises(ParameterError, match="1-D"):
         oracle.run(solid_params, [[0.5, 1.0]], oracle.OracleConfig(n_samples=4))
+    assert spawned == []
+
+
+def test_overflowing_squeeze_factor_names_r1(monkeypatch):
+    # e^(2 r1) overflows a float from r1 ~ 355 on; the oracle must refuse
+    # before it draws anything
+    spawned = []
+    monkeypatch.setattr(oracle, "_spawn_streams", spawned.append)
+    params = InterferometerParams(r1=360.0)
+    entry_points = (
+        partial(phase_uncertainty, Strategy.single(), params),
+        partial(quadratures.detector_field_stats, params),
+        lambda phi: oracle.run(params, phi, oracle.OracleConfig(n_samples=4)),
+    )
+    for entry in entry_points:
+        with pytest.raises(ParameterError, match="r1 = 360.0 is too large"):
+            entry(1.0)
     assert spawned == []
 
 
@@ -308,6 +327,8 @@ def test_implied_inefficiency_reference():
         implied_inefficiency(0.0, 1.0)
     with pytest.raises(ParameterError):
         implied_inefficiency(-0.5, 1.0)
+    with pytest.raises(ParameterError, match="gain_db must be finite"):
+        implied_inefficiency(1.0, math.nan)
 
 
 @settings(max_examples=150)
