@@ -22,10 +22,8 @@ from .model import (
 from .oracle import LinearizationPoint, MomentReport, OracleConfig, linearization_error
 from .photostats import (
     PhotonStats,
-    photon_means,
     photon_second_moments,
     photon_stats,
-    sumdiff_stats,
     transfer_gain,
     weighted_variance,
 )
@@ -50,6 +48,7 @@ from .sensitivity import (
     required_r2,
     small_deviation_dphi_squared,
     snl,
+    sweep,
 )
 
 __version__ = "0.1.0"
@@ -69,10 +68,8 @@ __all__ = [
     "core_output_means",
     "detector_field_stats",
     "PhotonStats",
-    "photon_means",
     "photon_second_moments",
     "photon_stats",
-    "sumdiff_stats",
     "transfer_gain",
     "weighted_variance",
     "SensitivityResult",
@@ -83,6 +80,7 @@ __all__ = [
     "optimal_weight",
     "phase_uncertainty",
     "phase_uncertainty_grid",
+    "sweep",
     "fwhm",
     "fwhm_approx",
     "apriori_tolerance",

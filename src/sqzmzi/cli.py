@@ -32,7 +32,6 @@ from . import oracle as oracle_mod
 from .model import (
     InterferometerParams,
     ParameterError,
-    Phase,
     Strategy,
     StrategyKind,
     db_to_squeeze_factor,
@@ -49,8 +48,8 @@ from .sensitivity import (
     fwhm_approx,
     implied_inefficiency,
     k_factor,
-    phase_uncertainty_grid,
     snl,
+    sweep,
 )
 
 OUTPUT_DIR_ENV = "SQZMZI_OUTPUT_DIR"
@@ -89,14 +88,6 @@ def _grid(phi_start: float, phi_end: float, points: int) -> list[float]:
         raise ParameterError(f"a sweep needs at least 2 grid points, got {points}")
     step = (phi_end - phi_start) / (points - 1)
     return [phi_start + i * step for i in range(points)]
-
-
-def sweep(
-    params: InterferometerParams, phis: list[float], strategies: tuple[Strategy, ...]
-) -> list[SensitivityGrid]:
-    """One grid evaluation per strategy over ``phis``, all on one :class:`Phase`."""
-    phase = Phase(phis)
-    return [phase_uncertainty_grid(strategy, params, phase) for strategy in strategies]
 
 
 def _texts(columns: list[np.ndarray | None], n: int, number, nonfinite, missing: str) -> list[str]:
@@ -457,13 +448,11 @@ def report_cmd(ctx, implied_gain_db, format, output, **values):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--mode", type=click.Choice(["linearized", "exact"]), default="linearized",
               show_default=True, help="Detection model used by the oracle.")
-@click.option("--no-vacuum-offset", is_flag=True, default=False,
-              help="Exact mode: drop the -1/2 vacuum subtraction per detector.")
 @click.option("--z-threshold", type=float, default=5.0, show_default=True,
               help="Maximum tolerated |z| per moment.")
 @click.pass_context
 def validate_cmd(ctx, phi_start, phi_end, points, oracle_samples, seed, mode,
-                 no_vacuum_offset, z_threshold, **values):
+                 z_threshold, **values):
     """Check the closed-form moments against the Monte-Carlo oracle."""
     params = _params_from(ctx, values)
     try:
@@ -471,7 +460,6 @@ def validate_cmd(ctx, phi_start, phi_end, points, oracle_samples, seed, mode,
         config = OracleConfig(
             n_samples=oracle_samples,
             seed=seed,
-            include_vacuum_offset=not no_vacuum_offset,
             linearized_mode=(mode == "linearized"),
         )
         if not (math.isfinite(z_threshold) and z_threshold > 0.0):

@@ -8,7 +8,7 @@ their moments estimated empirically.
 
 Two detection models are available.  Exact mode uses the full quadratic form
 N = (g_c^2 + g_s^2 - 1)/2 per detector (the -1/2 subtracts the vacuum and
-makes <N> the true photon number; switchable off).  Linearized mode keeps only
+makes <N> the true photon number).  Linearized mode keeps only
 the term linear in the fluctuation, N = <g>^2/2 + <g> dg, which is the regime
 the closed forms describe; in it the empirical moments must match them within
 sampling error at any brightness, and the chain builds only the measured pair
@@ -75,7 +75,6 @@ class OracleConfig:
 
     n_samples: int
     seed: int = 0
-    include_vacuum_offset: bool = True
     linearized_mode: bool = False
 
     def __post_init__(self) -> None:
@@ -318,7 +317,6 @@ def _report(
         )
         mg1s, mg2c = float(mg1s[0]), float(mg2c[0])
         half1, half2 = 0.5 * mg1s * mg1s, 0.5 * mg2c * mg2c
-    offset = 1.0 if config.include_vacuum_offset else 0.0
 
     n1, n2, buf = scratch
     done = 0
@@ -338,7 +336,7 @@ def _report(
                     gc *= gc
                     gs *= gs
                     gc += gs
-                    gc -= offset
+                    gc -= 1.0
                     np.multiply(gc, 0.5, out=out)
             done += m
 

@@ -4,15 +4,18 @@ For a bright interferometer the photon number of each detected mode splits as
 N = <N> + <g> dg, with <N> = <g>^2/2 set by the mean field and the fluctuation
 carried entirely by the measured quadrature.  All first and second moments of
 N1, N2 and of the sum/difference combinations then follow from the quadrature
-moments; this module provides them in closed form.  Every moment function
-takes its phase, a finite float or 1-D grid (else ``ParameterError``), through
+moments; :func:`photon_stats` evaluates them all in closed form, at once, and
+every read-out of the package reads its observable from the
+:class:`PhotonStats` it returns.  Every moment function takes its phase, a
+finite float or 1-D grid (else ``ParameterError``), through
 :class:`~sqzmzi.model.Phase` and answers in kind, elementwise over the grid (a
 phase-independent moment stays a float).
 
 Every second moment is computed twice: from the compact closed form and by
-propagating the detector quadrature statistics.  The two routes must agree to
-near machine precision; a disagreement raises, since it can only mean an
-internal coding error.  Over a grid each check runs once, on all its points.
+propagating the detector quadrature statistics, or from the per-detector
+moments.  The two routes must agree to near machine precision; a
+disagreement raises, since it can only mean an internal coding error.  Over a
+grid each check runs once, on all its points.
 """
 
 from __future__ import annotations
@@ -27,19 +30,6 @@ from .model import InterferometerParams, Phase, inefficiency, technical_noise_fa
 from .quadratures import detector_field_stats
 
 CONSISTENCY_RTOL = 1e-12
-
-MOMENT_FIELDS = (
-    "mean_n1",
-    "mean_n2",
-    "var_n1",
-    "var_n2",
-    "cov_n1n2",
-    "mean_nplus",
-    "mean_nminus",
-    "var_nplus",
-    "var_nminus",
-    "cov_npm",
-)
 
 # tolerance for the structural identities enforced on construction; sample
 # estimates satisfy them to roundoff when computed consistently
@@ -110,7 +100,9 @@ class PhotonStats:
             self.var_n2 < -IDENTITY_RTOL * scale
         ):
             raise ValueError("variances must be nonnegative")
-        if _anywhere(self.cov_n1n2**2 > self.var_n1 * self.var_n2 + IDENTITY_RTOL * scale**2):
+        # in units of scale, so no square overflows where the moments do not
+        cov, var1, var2 = self.cov_n1n2 / scale, self.var_n1 / scale, self.var_n2 / scale
+        if _anywhere(cov * cov > var1 * var2 + IDENTITY_RTOL):
             raise ValueError("cov_n1n2 violates the Cauchy-Schwarz bound")
         mean_scale = _largest(abs(self.mean_n1), abs(self.mean_n2), 1.0)
         if _anywhere(abs(self.mean_nplus - (self.mean_n1 + self.mean_n2)) > IDENTITY_RTOL * mean_scale):
@@ -126,7 +118,10 @@ class PhotonStats:
             raise ValueError("cov_npm must equal var_n1 - var_n2")
 
     def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in MOMENT_FIELDS}
+
+
+MOMENT_FIELDS = tuple(f.name for f in fields(PhotonStats))
 
 
 def transfer_gain(params: InterferometerParams) -> float:
@@ -140,15 +135,6 @@ def _moment_ingredients(params: InterferometerParams) -> tuple[float, float, flo
     squeezed = math.exp(-2.0 * params.r1)
     eps2 = inefficiency(params)
     return g2, excess, squeezed, eps2
-
-
-def photon_means(params: InterferometerParams, phi) -> tuple:
-    """Mean photocounts (<N1>, <N2>) = G^2 N (sin^2(phi/2), cos^2(phi/2))."""
-    phase = Phase(phi)
-    g2 = transfer_gain(params) ** 2
-    n = params.n_photons
-    s, c = phase.sin_half, phase.cos_half
-    return g2 * n * s * s, g2 * n * c * c
 
 
 def photon_mean_slopes(params: InterferometerParams, phi) -> tuple:
@@ -186,25 +172,22 @@ def photon_second_moments(params: InterferometerParams, phi) -> tuple:
     return var1, var2, cov
 
 
-def sumdiff_stats(params: InterferometerParams, phi) -> tuple:
-    """Moments of N+ = N1 + N2 and N- = N1 - N2.
+def photon_stats(params: InterferometerParams, phi) -> PhotonStats:
+    """All closed-form photocounting moments at one working point, or over a
+    1-D array of them.
 
-    Returns (mean_nplus, mean_nminus, var_nplus, var_nminus, cov_npm).
-    <N+> = G^2 N is phase-independent, <N-> = -G^2 N cos(phi) carries the fringe.
+    <N1>, <N2> = G^2 N (sin^2(phi/2), cos^2(phi/2)); <N+> = G^2 N is
+    phase-independent and <N-> = -G^2 N cos(phi) carries the fringe.  The
+    sum/difference second moments are checked against the per-detector ones
+    of :func:`photon_second_moments`, which propagates the detector state
+    once for all of them.
     """
     phase = Phase(phi)
-    return _sumdiff_from(params, phase, *photon_second_moments(params, phase))
-
-
-def _sumdiff_from(params: InterferometerParams, phase: Phase, v1, v2, c12) -> tuple:
-    """The sumdiff_stats moments in closed form, checked against the
-    per-detector second moments (v1, v2, c12) as an independent route."""
     g2, excess, squeezed, eps2 = _moment_ingredients(params)
     n = params.n_photons
-    cs = phase.cos
+    s, c, cs = phase.sin_half, phase.cos_half, phase.cos
+    v1, v2, c12 = photon_second_moments(params, phase)
     scale = g2 * g2 * n
-    mean_plus = g2 * n
-    mean_minus = -g2 * n * cs
     var_plus = scale * (excess + eps2)
     var_minus = scale * (squeezed * (phase.sin * phase.sin) + excess * cs * cs + eps2)
     cov_pm = -scale * (excess + eps2) * cs
@@ -213,21 +196,18 @@ def _sumdiff_from(params: InterferometerParams, phase: Phase, v1, v2, c12) -> tu
     _require_close("var_nplus", var_plus, v1 + v2 + 2.0 * c12, floor)
     _require_close("var_nminus", var_minus, v1 + v2 - 2.0 * c12, floor)
     _require_close("cov_npm", cov_pm, v1 - v2, floor)
-    return mean_plus, mean_minus, var_plus, var_minus, cov_pm
-
-
-def sumdiff_mean_slopes(params: InterferometerParams, phi) -> tuple:
-    """Analytic derivatives (d<N+>/dphi, d<N->/dphi) = (0, G^2 N sin(phi))."""
-    return 0.0, transfer_gain(params) ** 2 * params.n_photons * Phase(phi).sin
-
-
-def weighted_variance_terms(params: InterferometerParams, phi, phi_apr) -> tuple:
-    """Addends of Var(N- + cos(phi_apr) N+): (Var N-, 2 cos(phi_apr) Cov(N+,N-),
-    cos^2(phi_apr) Var N+).  ``phi_apr`` is a float or, like ``phi``, an array
-    over the grid."""
-    _, _, var_plus, var_minus, cov_pm = sumdiff_stats(params, phi)
-    k = Phase(phi_apr).cos
-    return var_minus, 2.0 * k * cov_pm, k * k * var_plus
+    return PhotonStats(
+        mean_n1=g2 * n * s * s,
+        mean_n2=g2 * n * c * c,
+        var_n1=v1,
+        var_n2=v2,
+        cov_n1n2=c12,
+        mean_nplus=g2 * n,
+        mean_nminus=-g2 * n * cs,
+        var_nplus=var_plus,
+        var_nminus=var_minus,
+        cov_npm=cov_pm,
+    )
 
 
 def weighted_variance(params: InterferometerParams, phi, phi_apr):
@@ -236,39 +216,25 @@ def weighted_variance(params: InterferometerParams, phi, phi_apr):
     Compact form G^4 N [(e^{-2 r1} + eps^2) sin^2(phi) + (A + eps^2)(cos(phi) -
     cos(phi_apr))^2]; the quadratic in (cos phi - cos phi_apr) is why freezing k
     at an a-priori phase costs only second order in the phase error.
+    ``phi_apr`` is a float or, like ``phi``, an array over the grid.
     """
-    phase, apr = Phase(phi), Phase(phi_apr)
+    phase = Phase(phi)
+    return _weighted_variance(params, phase, Phase(phi_apr), photon_stats(params, phase))
+
+
+def _weighted_variance(params: InterferometerParams, phase: Phase, apr: Phase, stats: PhotonStats):
+    """:func:`weighted_variance` at ``phase`` from the moments ``stats`` held
+    there, checked against its decomposition
+    Var N- + 2k Cov(N+, N-) + k^2 Var N+."""
     g2, excess, squeezed, eps2 = _moment_ingredients(params)
     scale = g2 * g2 * params.n_photons
     dcos = phase.cos - apr.cos
     compact = scale * (
         (squeezed + eps2) * (phase.sin * phase.sin) + (excess + eps2) * dcos * dcos
     )
-    decomposition = sum(weighted_variance_terms(params, phase, apr))
+    k = apr.cos
+    decomposition = stats.var_nminus + 2.0 * k * stats.cov_npm + k * k * stats.var_nplus
     _require_close(
         "weighted_variance", compact, decomposition, scale * (excess + eps2 + 1.0)
     )
     return compact
-
-
-def photon_stats(params: InterferometerParams, phi) -> PhotonStats:
-    """All closed-form photocounting moments at one working point, or over a
-    1-D array of them."""
-    phase = Phase(phi)
-    mean_n1, mean_n2 = photon_means(params, phase)
-    var_n1, var_n2, cov_n1n2 = photon_second_moments(params, phase)
-    mean_plus, mean_minus, var_plus, var_minus, cov_pm = _sumdiff_from(
-        params, phase, var_n1, var_n2, cov_n1n2
-    )
-    return PhotonStats(
-        mean_n1=mean_n1,
-        mean_n2=mean_n2,
-        var_n1=var_n1,
-        var_n2=var_n2,
-        cov_n1n2=cov_n1n2,
-        mean_nplus=mean_plus,
-        mean_nminus=mean_minus,
-        var_nplus=var_plus,
-        var_nminus=var_minus,
-        cov_npm=cov_pm,
-    )

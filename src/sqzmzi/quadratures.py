@@ -115,7 +115,10 @@ def _input_variances(params: InterferometerParams) -> tuple[float, float, float]
         ) from None
     var_z2c = 0.5 * technical_noise_factor(params)
     if not math.isfinite(var_z2c):
-        raise ParameterError(f"var_z2c must be a finite variance >= 0, got {var_z2c!r}")
+        raise ParameterError(
+            f"n_photons = {params.n_photons!r} and g2 = {params.g2!r} are too large: "
+            "the excess-noise factor A = N(g2 - 1) + 1 overflows"
+        )
     return var_a1c, 0.5 * math.exp(-2.0 * params.r1), var_z2c
 
 

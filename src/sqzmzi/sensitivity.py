@@ -12,7 +12,10 @@ working-point penalty:
 with dphi_min^2 = (e^{-2 r1} + eps^2)/N and K = (A + eps^2)/N.  Every penalty
 is elementwise in phi, so a whole grid of working points is evaluated in one
 pass, and the closed forms are cross-checked against the error-propagation
-route through the photocounting moments once per grid, at every point.
+route through the photocounting moments once per grid, at every point.  Every
+observable O is a linear combination of the two photocounts, so one
+:class:`~sqzmzi.photostats.PhotonStats` gives every strategy's Var O: a
+:func:`sweep` evaluates the moments once and all its strategies read them.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "optimal_weight",
     "phase_uncertainty",
     "phase_uncertainty_grid",
+    "sweep",
     "fwhm",
     "fwhm_approx",
     "apriori_tolerance",
@@ -182,16 +186,30 @@ def _squared(x: float) -> float:
     return float(x) ** 2
 
 
+def sweep(
+    params: InterferometerParams, phis, strategies: tuple[Strategy, ...]
+) -> list[SensitivityGrid]:
+    """Phase uncertainty of each of ``strategies`` at every working point of
+    ``phis``, a 1-D sequence of phases or a :class:`Phase` over one: one
+    :class:`Phase` and one :func:`~sqzmzi.photostats.photon_stats` over the
+    grid, which every strategy's evaluation reads (see :func:`_evaluate`)."""
+    phase = Phase(phis)
+    if not isinstance(phase.phi, np.ndarray):
+        raise ParameterError(f"phases must form a 1-D grid, got shape {np.shape(phis)}")
+    stats = photostats.photon_stats(params, phase)
+    return [
+        SensitivityGrid(strategy=strategy, phi=phase.phi, **_evaluate(strategy, params, phase, stats))
+        for strategy in strategies
+    ]
+
+
 def phase_uncertainty_grid(
     strategy: Strategy, params: InterferometerParams, phis
 ) -> SensitivityGrid:
     """Phase uncertainty of ``strategy`` at every working point of ``phis``, a
     1-D sequence of phases or a :class:`Phase` over one, in one pass over the
-    grid (see :func:`_evaluate`)."""
-    phase = Phase(phis)
-    if not isinstance(phase.phi, np.ndarray):
-        raise ParameterError(f"phases must form a 1-D grid, got shape {np.shape(phis)}")
-    return SensitivityGrid(strategy=strategy, phi=phase.phi, **_evaluate(strategy, params, phase))
+    grid: a one-strategy :func:`sweep`."""
+    return sweep(params, phis, (strategy,))[0]
 
 
 def phase_uncertainty(
@@ -201,18 +219,25 @@ def phase_uncertainty(
     of :func:`phase_uncertainty_grid` at this one phase, computed by the same
     code in Python-float arithmetic, which is faster for one point."""
     phase = Phase(phi)
-    return _result(strategy, phase.phi, **_evaluate(strategy, params, phase))
+    stats = photostats.photon_stats(params, phase)
+    return _result(strategy, phase.phi, **_evaluate(strategy, params, phase, stats))
 
 
-def _evaluate(strategy: Strategy, params: InterferometerParams, phase: Phase) -> dict:
+def _evaluate(
+    strategy: Strategy, params: InterferometerParams, phase: Phase, stats: photostats.PhotonStats
+) -> dict:
     """The fields of a :class:`SensitivityGrid` but its strategy and phases,
-    at ``phase``, one phase or a 1-D grid of them.
+    at ``phase``, one phase or a 1-D grid of them, where ``stats`` holds the
+    photocount moments.
 
     The closed form is cross-checked against error propagation,
     sqrt(Var O)/|d<O>/dphi| of the strategy's photocount observable O, at every
     point where both are defined: not at the singular phases, and not where
     the slope vanishes (the ratio is 0/0 there while the closed form stays
-    finite).  The photocount moments check themselves at the same phases.
+    finite).  Var O is read from ``stats``: Var N1 (single), Var N-
+    (differential) or Var(N- + k N+) (optimal and suboptimal, checked against
+    its compact form); the moments in ``stats`` were checked when
+    :func:`~sqzmzi.photostats.photon_stats` built them.
     """
     floor = dphi_min(params)
     floor2 = floor * floor
@@ -232,10 +257,11 @@ def _evaluate(strategy: Strategy, params: InterferometerParams, phase: Phase) ->
         diagnostic = "single-detector read-out diverges at phi = pi (mod 2 pi): the fringe slope vanishes"
         width = fwhm(strategy, params)
         lobes = 1
-        var_o = photostats.photon_second_moments(params, phase)[0]
+        var_o = stats.var_n1
         slope = photostats.photon_mean_slopes(params, phase)[0]
     else:
-        slope = photostats.sumdiff_mean_slopes(params, phase)[1]
+        slope1, slope2 = photostats.photon_mean_slopes(params, phase)
+        slope = slope1 - slope2
         if kind is StrategyKind.DIFFERENTIAL:
             s = phase.sin
             divergent = abs(s) <= SINGULARITY_TOL
@@ -244,12 +270,12 @@ def _evaluate(strategy: Strategy, params: InterferometerParams, phase: Phase) ->
             diagnostic = "differential read-out diverges at phi = 0 and pi (mod pi): the fringe slope vanishes"
             width = fwhm(strategy, params)
             lobes = 2
-            var_o = photostats.sumdiff_stats(params, phase)[3]
+            var_o = stats.var_nminus
         elif kind is StrategyKind.OPTIMAL:
             divergent = _constant(phase.phi, False)
             dphi = _constant(phase.phi, floor)
             k_opt = phase.cos
-            var_o = photostats.weighted_variance(params, phase, phase)
+            var_o = photostats._weighted_variance(params, phase, phase, stats)
         elif kind is StrategyKind.SUBOPTIMAL:
             apr = Phase(strategy.phi_apr)
             s = phase.sin
@@ -266,7 +292,7 @@ def _evaluate(strategy: Strategy, params: InterferometerParams, phase: Phase) ->
                 "suboptimal read-out diverges where sin(phi) = 0 unless "
                 "cos(phi_apr) = cos(phi)"
             )
-            var_o = photostats.weighted_variance(params, phase, apr)
+            var_o = photostats._weighted_variance(params, phase, apr, stats)
         else:  # pragma: no cover - exhaustive over StrategyKind
             raise ParameterError(f"unknown strategy kind {kind!r}")
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sqzmzi import cli, oracle
+from sqzmzi import cli, oracle, photostats
 from sqzmzi.cli import CSV_HEADER, _config_keys, main
 from sqzmzi.model import InterferometerParams, Strategy, db_to_squeeze_factor
 from sqzmzi.sensitivity import phase_uncertainty
@@ -141,6 +141,23 @@ def test_sweep_takes_each_phase_function_once(monkeypatch):
                   Strategy.suboptimal(0.7))
     cli.sweep(InterferometerParams(r1=1.0), cli._grid(0.0, 2.0 * math.pi, 721), strategies)
     assert 0 < sum(grid_calls) <= 6
+
+
+def test_sweep_propagates_the_detector_state_once(monkeypatch):
+    # every strategy reads its observable from one photocount evaluation, so
+    # the detector state behind its checks is built once per sweep
+    calls = []
+    original = photostats.detector_field_stats
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(photostats, "detector_field_stats", counting)
+    strategies = (Strategy.single(), Strategy.differential(), Strategy.optimal(),
+                  Strategy.suboptimal(0.7))
+    cli.sweep(InterferometerParams(r1=1.0), cli._grid(0.0, 2.0 * math.pi, 721), strategies)
+    assert len(calls) == 1
 
 
 def test_sweep_json_format(runner):

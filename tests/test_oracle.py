@@ -123,14 +123,10 @@ def test_exact_mode_energy_bookkeeping():
 
 def test_vacuum_offset_toggle():
     # with a dark input the quadrature variance alone carries half a photon per
-    # mode; the offset subtracts it
+    # mode; exact mode subtracts it
     params = InterferometerParams(n_photons=1e-12)
     with_offset = run(params, 1.0, OracleConfig(n_samples=50_000, seed=5))
-    without = run(
-        params, 1.0, OracleConfig(n_samples=50_000, seed=5, include_vacuum_offset=False)
-    )
     assert abs(with_offset.empirical.mean_n1) < 0.02
-    assert abs(without.empirical.mean_n1 - 0.5) < 0.02
 
 
 def test_standard_errors_shrink_with_sample_size(solid_params):

@@ -14,19 +14,13 @@ from sqzmzi import (
     PhotonStats,
     db_to_squeeze_factor,
     detector_field_stats,
-    photon_means,
     photon_second_moments,
     photon_stats,
-    sumdiff_stats,
     transfer_gain,
     weighted_variance,
 )
 from sqzmzi import photostats
-from sqzmzi.photostats import (
-    photon_mean_slopes,
-    sumdiff_mean_slopes,
-    weighted_variance_terms,
-)
+from sqzmzi.photostats import photon_mean_slopes
 
 R1_10DB = db_to_squeeze_factor(10.0)
 
@@ -38,21 +32,31 @@ def test_transfer_gain_reference_points():
     assert math.isclose(transfer_gain(params), 2.8142494558940583, rel_tol=1e-12)
 
 
-def test_photon_means_track_the_fringe():
+def _means(params, phi):
+    stats = photon_stats(params, phi)
+    return stats.mean_n1, stats.mean_n2
+
+
+def _sumdiff(params, phi):
+    stats = photon_stats(params, phi)
+    return stats.mean_nplus, stats.mean_nminus, stats.var_nplus, stats.var_nminus, stats.cov_npm
+
+
+def test_mean_photocounts_track_the_fringe():
     ideal = InterferometerParams(n_photons=1e4)
-    n1, n2 = photon_means(ideal, 0.0)
+    n1, n2 = _means(ideal, 0.0)
     assert n1 == 0.0 and math.isclose(n2, 1e4, rel_tol=1e-12)
-    n1, n2 = photon_means(ideal, math.pi / 3.0)
+    n1, n2 = _means(ideal, math.pi / 3.0)
     assert math.isclose(n1, 2500.0, rel_tol=1e-12)  # sin^2(pi/6) = 1/4
     assert math.isclose(n2, 7500.0, rel_tol=1e-12)
-    n1, n2 = photon_means(ideal, math.pi / 2.0)
+    n1, n2 = _means(ideal, math.pi / 2.0)
     assert math.isclose(n1, n2, rel_tol=1e-12)
 
 
-def test_photon_means_scale_with_transfer_gain():
+def test_mean_photocounts_scale_with_transfer_gain():
     params = InterferometerParams(mu=0.8, eta=0.5, r2=0.6, n_photons=1e4)
     g2 = transfer_gain(params) ** 2
-    n1, n2 = photon_means(params, 1.2)
+    n1, n2 = _means(params, 1.2)
     assert math.isclose(n1 + n2, g2 * 1e4, rel_tol=1e-12)
 
 
@@ -83,7 +87,7 @@ def test_cross_covariance_vanishes_for_coherent_balance():
 
 
 def test_sumdiff_reference_points(solid_params):
-    mean_p, mean_m, var_p, var_m, cov_pm = sumdiff_stats(solid_params, math.pi / 2.0)
+    mean_p, mean_m, var_p, var_m, cov_pm = _sumdiff(solid_params, math.pi / 2.0)
     assert math.isclose(mean_p, 1e6, rel_tol=1e-12)
     assert abs(mean_m) < 1e-9
     assert math.isclose(var_p, 1e6, rel_tol=1e-9)
@@ -92,15 +96,15 @@ def test_sumdiff_reference_points(solid_params):
 
 
 def test_sum_mean_is_phase_independent(solid_params):
-    reference = sumdiff_stats(solid_params, 0.123)[0]
+    reference = _sumdiff(solid_params, 0.123)[0]
     for phi in midpoint_grid(11):
-        assert math.isclose(sumdiff_stats(solid_params, phi)[0], reference, rel_tol=1e-12)
+        assert math.isclose(_sumdiff(solid_params, phi)[0], reference, rel_tol=1e-12)
 
 
 def test_difference_variance_flat_for_coherent_ideal_case():
     params = InterferometerParams(n_photons=1e4)  # r1 = 0, A = 1, lossless
     for phi in midpoint_grid(9):
-        assert math.isclose(sumdiff_stats(params, phi)[3], 1e4, rel_tol=1e-12)
+        assert math.isclose(_sumdiff(params, phi)[3], 1e4, rel_tol=1e-12)
 
 
 def test_weighted_variance_at_the_optimal_weight(solid_params):
@@ -116,10 +120,12 @@ def test_weighted_variance_reference_value(solid_params):
     assert math.isclose(value, 1e6 * 0.10996671107937919, rel_tol=1e-9)
 
 
-def test_weighted_variance_terms_sum_to_the_compact_form(solid_params):
+def test_weighted_variance_decomposition_sums_to_the_compact_form(solid_params):
+    # Var(N- + k N+) = Var N- + 2k Cov(N+, N-) + k^2 Var N+ with k = cos(phi_apr)
     for phi, phi_apr in [(0.7, 0.9), (2.2, 2.0), (4.0, 4.4)]:
         total = weighted_variance(solid_params, phi, phi_apr)
-        terms = weighted_variance_terms(solid_params, phi, phi_apr)
+        stats, k = photon_stats(solid_params, phi), math.cos(phi_apr)
+        terms = (stats.var_nminus, 2.0 * k * stats.cov_npm, k * k * stats.var_nplus)
         assert math.isclose(sum(terms), total, rel_tol=1e-10)
 
 
@@ -133,12 +139,14 @@ def test_mean_slopes_match_finite_differences(dashed_params):
     floor = 1e-6 * transfer_gain(dashed_params) ** 2 * dashed_params.n_photons
     for phi in midpoint_grid(7):
         slope1, slope2 = photon_mean_slopes(dashed_params, phi)
-        fd1 = (photon_means(dashed_params, phi + h)[0] - photon_means(dashed_params, phi - h)[0]) / (2 * h)
-        fd2 = (photon_means(dashed_params, phi + h)[1] - photon_means(dashed_params, phi - h)[1]) / (2 * h)
+        fd1 = (_means(dashed_params, phi + h)[0] - _means(dashed_params, phi - h)[0]) / (2 * h)
+        fd2 = (_means(dashed_params, phi + h)[1] - _means(dashed_params, phi - h)[1]) / (2 * h)
         assert math.isclose(slope1, fd1, rel_tol=1e-6, abs_tol=floor)
         assert math.isclose(slope2, fd2, rel_tol=1e-6, abs_tol=floor)
-        assert sumdiff_mean_slopes(dashed_params, phi)[0] == 0.0
-        assert math.isclose(sumdiff_mean_slopes(dashed_params, phi)[1], slope1 - slope2, rel_tol=1e-12)
+        # N+ = N1 + N2 is flat, and N- = N1 - N2 has the slope dN1 - dN2
+        assert slope1 + slope2 == 0.0
+        fdm = (_sumdiff(dashed_params, phi + h)[1] - _sumdiff(dashed_params, phi - h)[1]) / (2 * h)
+        assert math.isclose(slope1 - slope2, fdm, rel_tol=1e-6, abs_tol=floor)
 
 
 def test_moments_scale_linearly_with_photon_number():
@@ -164,8 +172,8 @@ def test_structural_identities(params, phi):
 @settings(max_examples=100)
 @given(interferometer_params(), phases, phases)
 def test_sum_mean_constant_property(params, phi_a, phi_b):
-    a = sumdiff_stats(params, phi_a)[0]
-    b = sumdiff_stats(params, phi_b)[0]
+    a = _sumdiff(params, phi_a)[0]
+    b = _sumdiff(params, phi_b)[0]
     assert math.isclose(a, b, rel_tol=1e-12)
 
 

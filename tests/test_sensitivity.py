@@ -26,6 +26,7 @@ from sqzmzi.sensitivity import (
     required_r2,
     small_deviation_dphi_squared,
     snl,
+    sweep,
 )
 
 ALL_STRATEGIES = (
@@ -132,11 +133,8 @@ def test_phase_must_be_finite(solid_params, monkeypatch):
     spawned = []
     monkeypatch.setattr(oracle, "_spawn_streams", spawned.append)
     per_phase = (
-        photostats.photon_means,
         photostats.photon_mean_slopes,
         photostats.photon_second_moments,
-        photostats.sumdiff_stats,
-        photostats.sumdiff_mean_slopes,
         photostats.photon_stats,
         quadratures.core_output_means,
         quadratures.detector_field_stats,
@@ -145,6 +143,7 @@ def test_phase_must_be_finite(solid_params, monkeypatch):
     entry_points = (
         partial(phase_uncertainty, Strategy.single(), solid_params),
         partial(phase_uncertainty_grid, Strategy.single(), solid_params),
+        lambda phi: sweep(solid_params, phi, ALL_STRATEGIES),
         optimal_weight,
         *(partial(fn, solid_params) for fn in per_phase),
         lambda phi: photostats.weighted_variance(solid_params, phi, 0.5),
@@ -180,6 +179,19 @@ def test_overflowing_squeeze_factor_names_r1(monkeypatch):
         with pytest.raises(ParameterError, match="r1 = 360.0 is too large"):
             entry(1.0)
     assert spawned == []
+
+
+def test_bright_source_gives_finite_checked_results():
+    # at G^4 N ~ 1e300 the Cauchy-Schwarz identity of the photocount moments,
+    # which every strategy reads, squares a covariance: it must not overflow
+    # while every moment is finite
+    params = InterferometerParams(n_photons=1e300)
+    stats = photostats.photon_stats(params, 1.0)
+    assert all(math.isfinite(v) for v in stats.as_dict().values())
+    strategies = ALL_STRATEGIES + (Strategy.suboptimal(0.5),)
+    for strategy, grid in zip(strategies, sweep(params, [0.5, 1.0], strategies)):
+        assert np.all(np.isfinite(grid.dphi))
+        assert math.isfinite(phase_uncertainty(strategy, params, 1.0).dphi)
 
 
 def test_output_gain_cancels_without_loss():
@@ -350,11 +362,16 @@ def test_closed_forms_survive_error_propagation(params, phi):
 def test_grid_matches_scalar_bit_for_bit(params, phis, phi_apr):
     # the singular phases of every strategy, one removable for phi_apr = 0
     phis = phis + [0.0, math.pi, 2.0 * math.pi, -math.pi]
-    for strategy in ALL_STRATEGIES + (Strategy.suboptimal(phi_apr),):
+    strategies = ALL_STRATEGIES + (Strategy.suboptimal(phi_apr),)
+    # one sweep: every strategy reads the same photocount moments
+    shared = sweep(params, phis, strategies)
+    for strategy, swept in zip(strategies, shared):
         grid = phase_uncertainty_grid(strategy, params, phis)
         for i, phi in enumerate(phis):
             # repr tells every float apart, -0.0 from 0.0 included
-            assert repr(grid.point(i)) == repr(phase_uncertainty(strategy, params, phi))
+            scalar = repr(phase_uncertainty(strategy, params, phi))
+            assert repr(grid.point(i)) == scalar
+            assert repr(swept.point(i)) == scalar
         assert list(grid.divergent) == [math.isinf(d) for d in grid.dphi]
 
 
@@ -374,8 +391,14 @@ def test_grid_cross_checks_are_live(monkeypatch, module, name, strategy):
         2.0, r1=R1_10DB, r2=0.5, mu=0.95, eta=0.8, n_photons=1e6
     )
     grid = midpoint_grid(24)
+    # this strategy first, then the other three, all on one photocount state
+    shared = (strategy, *(s for s in ALL_STRATEGIES + (Strategy.suboptimal(1.0),) if s != strategy))
     phase_uncertainty_grid(strategy, params, grid)
+    sweep(params, grid, shared)
     exact = getattr(module, name)
     monkeypatch.setattr(module, name, lambda p: exact(p) * (1.0 + 1e-8))
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError) as alone:
         phase_uncertainty_grid(strategy, params, grid)
+    with pytest.raises(ConsistencyError) as among:
+        sweep(params, grid, shared)
+    assert str(among.value) == str(alone.value)
