@@ -359,10 +359,9 @@ def sweep_cmd(ctx, phi_start, phi_end, points, strategy, phi_apr, format, output
             Strategy(StrategyKind(name), phi_apr if name == "suboptimal" else None)
             for name in strategy
         )
-        phis = _grid(phi_start, phi_end, points)
+        grids = sweep(params, _grid(phi_start, phi_end, points), strategies)
     except ParameterError as exc:
         raise click.UsageError(str(exc)) from exc
-    grids = sweep(params, phis, strategies)
     _write_output(render_csv(grids) if format == "csv" else render_json(grids), output)
 
 
@@ -376,36 +375,36 @@ def sweep_cmd(ctx, phi_start, phi_end, points, strategy, phi_apr, format, output
 def report_cmd(ctx, implied_gain_db, format, output, **values):
     """Summarize the design quantities of one parameter set."""
     params = _params_from(ctx, values)
-    floor = dphi_min(params)
-    shot = snl(params.n_photons)
-    gain_db = -20.0 * math.log10(floor / shot)
-    quantities = {
-        "r1": params.r1,
-        "r1_db": squeeze_factor_to_db(params.r1),
-        "r2": params.r2,
-        "r2_db": squeeze_factor_to_db(params.r2),
-        "mu": params.mu,
-        "eta": params.eta,
-        "n_photons": params.n_photons,
-        "g2": params.g2,
-        "technical_noise_factor": technical_noise_factor(params),
-        "eps2": inefficiency(params),
-        "dphi_snl": shot,
-        "dphi_min": floor,
-        "dphi_min_normalized": floor / shot,
-        "sensitivity_gain_db": gain_db,
-        "k_factor": k_factor(params),
-        "fwhm_single": fwhm(Strategy.single(), params),
-        "fwhm_single_approx": fwhm_approx(Strategy.single(), params),
-        "fwhm_differential": fwhm(Strategy.differential(), params),
-        "fwhm_differential_approx": fwhm_approx(Strategy.differential(), params),
-        "apriori_tolerance": apriori_tolerance(params),
-    }
-    if implied_gain_db is not None:
-        try:
+    try:
+        floor = dphi_min(params)
+        shot = snl(params.n_photons)
+        gain_db = -20.0 * math.log10(floor / shot)
+        quantities = {
+            "r1": params.r1,
+            "r1_db": squeeze_factor_to_db(params.r1),
+            "r2": params.r2,
+            "r2_db": squeeze_factor_to_db(params.r2),
+            "mu": params.mu,
+            "eta": params.eta,
+            "n_photons": params.n_photons,
+            "g2": params.g2,
+            "technical_noise_factor": technical_noise_factor(params),
+            "eps2": inefficiency(params),
+            "dphi_snl": shot,
+            "dphi_min": floor,
+            "dphi_min_normalized": floor / shot,
+            "sensitivity_gain_db": gain_db,
+            "k_factor": k_factor(params),
+            "fwhm_single": fwhm(Strategy.single(), params),
+            "fwhm_single_approx": fwhm_approx(Strategy.single(), params),
+            "fwhm_differential": fwhm(Strategy.differential(), params),
+            "fwhm_differential_approx": fwhm_approx(Strategy.differential(), params),
+            "apriori_tolerance": apriori_tolerance(params),
+        }
+        if implied_gain_db is not None:
             quantities["implied_eps2"] = implied_inefficiency(params.r1, implied_gain_db)
-        except ParameterError as exc:
-            raise click.UsageError(str(exc)) from exc
+    except ParameterError as exc:
+        raise click.UsageError(str(exc)) from exc
     if format == "json":
         text = json.dumps(quantities, indent=2) + "\n"
     else:

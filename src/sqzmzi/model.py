@@ -10,8 +10,9 @@ package: phases in radians, squeeze factors as natural-log amplitude gains
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from sys import float_info
 
 import numpy as np
 
@@ -166,9 +167,23 @@ def inefficiency(params: InterferometerParams) -> float:
     eps^2 = (1 - mu)/mu + (1 - eta)/(mu eta) e^{-2 r2}: internal loss enters
     raw, external loss is suppressed by the output amplification.
     """
-    return (1.0 - params.mu) / params.mu + (1.0 - params.eta) / (
-        params.mu * params.eta
-    ) * math.exp(-2.0 * params.r2)
+    mu, eta = params.mu, params.eta
+    try:
+        eps2 = (1.0 - mu) / mu + (1.0 - eta) / (mu * eta) * math.exp(-2.0 * params.r2)
+    except ZeroDivisionError:  # mu eta underflows to 0
+        eps2 = math.inf
+    if not math.isfinite(eps2):
+        raise ParameterError(f"mu = {mu!r} and eta = {eta!r} are too small: eps^2 overflows")
+    return eps2
+
+
+def _require_normal(params: InterferometerParams, *named: tuple[str, float]) -> None:
+    """Raise :class:`ParameterError` naming the knobs of ``params`` unless each
+    (name, value) pair holds a normal float: finite, and not underflowed."""
+    for name, x in named:
+        if not float_info.min <= abs(x) <= float_info.max:
+            knobs = ", ".join(f"{f.name} = {getattr(params, f.name)!r}" for f in fields(params))
+            raise ParameterError(f"{knobs} put {name} = {x!r} out of the normal float range")
 
 
 class StrategyKind(Enum):

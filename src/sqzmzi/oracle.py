@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import photostats
-from .model import InterferometerParams, ParameterError, Phase, technical_noise_factor
+from .model import InterferometerParams, ParameterError, Phase, _require_normal, technical_noise_factor
 from .quadratures import VACUUM, _input_variances
 
 # the 12 independent Gaussian inputs; order fixes the RNG stream assignment
@@ -279,6 +279,9 @@ def _reports(points, config: OracleConfig) -> list[MomentReport]:
     n1, n2 and the chain buffers are allocated once, and a draw set of
     n <= _CHUNK samples is shared by consecutive points of equal draw key
     (input variances, mu, eta): the draws carry both loss amplitudes."""
+    for params, _ in points:  # the batch errors square moments up to the floor
+        floor = photostats._moment_ingredients(params)[-1]
+        _require_normal(params, (f"{N_BATCHES} floor^2", N_BATCHES * floor * floor))
     n = config.n_samples
     scratch = np.empty(n), np.empty(n), np.empty((_CHAIN_ROWS, min(n, _BLOCK)))
     reports = []

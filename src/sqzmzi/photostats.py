@@ -26,7 +26,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import InterferometerParams, Phase, inefficiency, technical_noise_factor
+from .model import InterferometerParams, ParameterError, Phase, _require_normal
+from .model import inefficiency, technical_noise_factor
 from .quadratures import detector_field_stats
 
 CONSISTENCY_RTOL = 1e-12
@@ -41,16 +42,18 @@ class ConsistencyError(RuntimeError):
 
 
 def _require_close(name: str, a, b, floor: float, rtol: float = CONSISTENCY_RTOL) -> None:
-    """Raise :class:`ConsistencyError` where |a - b| > rtol max(|a|, |b|, floor).
+    """Raise :class:`ConsistencyError` unless |a - b| <= rtol max(|a|, |b|, floor).
 
     ``a`` and ``b`` are floats or arrays over one grid, compared point by
-    point; the first point out of tolerance is reported.  A comparison with
-    nan is False, so nan passes.
+    point; the first point out of tolerance is reported.  The check fails
+    closed: a point passes only where its difference is finite and within
+    tolerance, so a nan or inf operand raises.
     """
-    bad = abs(a - b) > rtol * _largest(abs(a), abs(b), floor)
-    if _anywhere(bad):
-        i = int(np.argmax(bad))
-        a, b = (float(np.broadcast_to(v, np.shape(bad)).flat[i]) for v in (a, b))
+    diff = abs(a - b)
+    ok = (diff <= rtol * _largest(abs(a), abs(b), floor)) & (diff < math.inf)
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        i = int(np.argmin(ok))
+        a, b = (float(np.broadcast_to(v, np.shape(ok)).flat[i]) for v in (a, b))
         raise ConsistencyError(f"{name}: {a!r} vs {b!r} differ beyond tolerance")
 
 
@@ -126,50 +129,47 @@ MOMENT_FIELDS = tuple(f.name for f in fields(PhotonStats))
 
 def transfer_gain(params: InterferometerParams) -> float:
     """Amplitude gain G = sqrt(mu eta) e^{r2} from the core to the detectors."""
-    return math.sqrt(params.mu * params.eta) * math.exp(params.r2)
+    try:
+        return math.sqrt(params.mu * params.eta) * math.exp(params.r2)
+    except OverflowError:
+        raise ParameterError(f"amplifier gain r2 = {params.r2!r} is too large: e^(r2) overflows") from None
 
 
-def _moment_ingredients(params: InterferometerParams) -> tuple[float, float, float, float]:
-    g2 = transfer_gain(params) ** 2
+def _moment_ingredients(params: InterferometerParams) -> tuple:
+    """(G^2 N, G^4 N, A, e^{-2 r1}, eps^2, floor): the units of the means and
+    second moments, their factors, and the floor G^4 N (A + e^{-2 r1} + eps^2 + 1)
+    of every moment check, which bounds every second moment.  No check scales
+    one by more than 4, so :class:`ParameterError` is raised unless G^4, G^2 N,
+    G^4 N and 4 floor are normal floats (e^{-2 r1} <= 1 only adds to A >= 1)."""
+    try:
+        g2 = transfer_gain(params) ** 2
+    except OverflowError:
+        g2 = math.inf
     excess = technical_noise_factor(params)
     squeezed = math.exp(-2.0 * params.r1)
     eps2 = inefficiency(params)
-    return g2, excess, squeezed, eps2
+    mean, scale = g2 * params.n_photons, g2 * g2 * params.n_photons
+    floor = scale * (excess + squeezed + eps2 + 1.0)
+    _require_normal(params, ("G^4", g2 * g2), ("G^2 N", mean), ("G^4 N", scale),
+                    ("4 G^4 N (A + e^(-2 r1) + eps^2 + 1)", 4.0 * floor))
+    return mean, scale, excess, squeezed, eps2, floor
 
 
 def photon_mean_slopes(params: InterferometerParams, phi) -> tuple:
     """Analytic derivatives (d<N1>/dphi, d<N2>/dphi) = +/- G^2 N sin(phi)/2."""
-    half = 0.5 * transfer_gain(params) ** 2 * params.n_photons * Phase(phi).sin
+    half = 0.5 * _moment_ingredients(params)[0] * Phase(phi).sin
     return half, -half
 
 
 def photon_second_moments(params: InterferometerParams, phi) -> tuple:
-    """(Var N1, Var N2, Cov(N1, N2)) of the two photocounts.
+    """(Var N1, Var N2, Cov(N1, N2)) of the two photocounts, from :func:`photon_stats`.
 
     Var N1 = G^4 N sin^2(phi/2) [e^{-2 r1} cos^2(phi/2) + A sin^2(phi/2) + eps^2]
     and symmetrically for N2; the cross covariance G^4 N (A - e^{-2 r1}) sin^2(phi)/4
     changes sign with the squeezing/excess-noise balance.
     """
-    phase = Phase(phi)
-    g2, excess, squeezed, eps2 = _moment_ingredients(params)
-    n = params.n_photons
-    # every square is a product, which rounds alike on a float and a grid
-    # (a float's ** 2 is C pow(), a grid's is x * x)
-    s2 = phase.sin_half * phase.sin_half
-    c2 = phase.cos_half * phase.cos_half
-    scale = g2 * g2 * n
-    var1 = scale * s2 * (squeezed * c2 + excess * s2 + eps2)
-    var2 = scale * c2 * (squeezed * s2 + excess * c2 + eps2)
-    cov = scale * 0.25 * (excess - squeezed) * (phase.sin * phase.sin)
-
-    # independent route: <N> = <g>^2/2, Var N = <g>^2 Var(dg), Cov likewise
-    det = detector_field_stats(params, phase)
-    m1, m2 = det.mean_of("g1s"), det.mean_of("g2c")
-    floor = scale * (excess + squeezed + eps2 + 1.0)
-    _require_close("var_n1", var1, m1 * m1 * det.variance("g1s"), floor)
-    _require_close("var_n2", var2, m2 * m2 * det.variance("g2c"), floor)
-    _require_close("cov_n1n2", cov, m1 * m2 * det.covariance("g1s", "g2c"), floor)
-    return var1, var2, cov
+    stats = photon_stats(params, phi)
+    return stats.var_n1, stats.var_n2, stats.cov_n1n2
 
 
 def photon_stats(params: InterferometerParams, phi) -> PhotonStats:
@@ -178,32 +178,40 @@ def photon_stats(params: InterferometerParams, phi) -> PhotonStats:
 
     <N1>, <N2> = G^2 N (sin^2(phi/2), cos^2(phi/2)); <N+> = G^2 N is
     phase-independent and <N-> = -G^2 N cos(phi) carries the fringe.  The
-    sum/difference second moments are checked against the per-detector ones
-    of :func:`photon_second_moments`, which propagates the detector state
-    once for all of them.
+    per-detector second moments are checked against the detector state,
+    propagated once, and the sum/difference ones against them.
     """
     phase = Phase(phi)
-    g2, excess, squeezed, eps2 = _moment_ingredients(params)
-    n = params.n_photons
+    mean, scale, excess, squeezed, eps2, floor = _moment_ingredients(params)
     s, c, cs = phase.sin_half, phase.cos_half, phase.cos
-    v1, v2, c12 = photon_second_moments(params, phase)
-    scale = g2 * g2 * n
+    # every square is a product, which rounds alike on a float and a grid
+    # (a float's ** 2 is C pow(), a grid's is x * x)
+    s2, c2 = s * s, c * c
+    v1 = scale * s2 * (squeezed * c2 + excess * s2 + eps2)
+    v2 = scale * c2 * (squeezed * s2 + excess * c2 + eps2)
+    c12 = scale * 0.25 * (excess - squeezed) * (phase.sin * phase.sin)
+
+    # independent route: <N> = <g>^2/2, Var N = <g>^2 Var(dg), Cov likewise
+    det = detector_field_stats(params, phase)
+    m1, m2 = det.mean_of("g1s"), det.mean_of("g2c")
+    _require_close("var_n1", v1, m1 * m1 * det.variance("g1s"), floor)
+    _require_close("var_n2", v2, m2 * m2 * det.variance("g2c"), floor)
+    _require_close("cov_n1n2", c12, m1 * m2 * det.covariance("g1s", "g2c"), floor)
+
     var_plus = scale * (excess + eps2)
     var_minus = scale * (squeezed * (phase.sin * phase.sin) + excess * cs * cs + eps2)
     cov_pm = -scale * (excess + eps2) * cs
-
-    floor = scale * (excess + squeezed + eps2 + 1.0)
     _require_close("var_nplus", var_plus, v1 + v2 + 2.0 * c12, floor)
     _require_close("var_nminus", var_minus, v1 + v2 - 2.0 * c12, floor)
     _require_close("cov_npm", cov_pm, v1 - v2, floor)
     return PhotonStats(
-        mean_n1=g2 * n * s * s,
-        mean_n2=g2 * n * c * c,
+        mean_n1=mean * s * s,
+        mean_n2=mean * c * c,
         var_n1=v1,
         var_n2=v2,
         cov_n1n2=c12,
-        mean_nplus=g2 * n,
-        mean_nminus=-g2 * n * cs,
+        mean_nplus=mean,
+        mean_nminus=-mean * cs,
         var_nplus=var_plus,
         var_nminus=var_minus,
         cov_npm=cov_pm,
@@ -226,15 +234,12 @@ def _weighted_variance(params: InterferometerParams, phase: Phase, apr: Phase, s
     """:func:`weighted_variance` at ``phase`` from the moments ``stats`` held
     there, checked against its decomposition
     Var N- + 2k Cov(N+, N-) + k^2 Var N+."""
-    g2, excess, squeezed, eps2 = _moment_ingredients(params)
-    scale = g2 * g2 * params.n_photons
+    _, scale, excess, squeezed, eps2, floor = _moment_ingredients(params)
     dcos = phase.cos - apr.cos
     compact = scale * (
         (squeezed + eps2) * (phase.sin * phase.sin) + (excess + eps2) * dcos * dcos
     )
     k = apr.cos
     decomposition = stats.var_nminus + 2.0 * k * stats.cov_npm + k * k * stats.var_nplus
-    _require_close(
-        "weighted_variance", compact, decomposition, scale * (excess + eps2 + 1.0)
-    )
+    _require_close("weighted_variance", compact, decomposition, floor)
     return compact

@@ -58,6 +58,8 @@ class QuadratureStats:
             raise ValueError(f"mean shape {mean.shape} does not match {n} labels")
         if cov.shape != mean.shape + (n,):
             raise ValueError(f"cov shape {cov.shape} does not match {n} labels")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ParameterError(f"the moments of {self.labels} must be finite")
         if n:
             tol = PSD_TOL * np.maximum(1.0, abs(cov).max(axis=(-2, -1)))
             # np.allclose(cov, cov^T, rtol=0, atol=tol) spelled out: its
@@ -202,7 +204,10 @@ def detector_field_stats(params: InterferometerParams, phi, extended: bool = Fal
     core = _core_variances(params, phase)
     m1s, m2c = core_output_means(params, phase)
     eta = params.eta
-    amp2 = eta * math.exp(2.0 * params.r2)
+    try:
+        amp2 = eta * math.exp(2.0 * params.r2)
+    except OverflowError:
+        raise ParameterError(f"amplifier gain r2 = {params.r2!r} is too large: e^(2 r2) overflows") from None
     deamp2 = eta * math.exp(-2.0 * params.r2)
     leak = (1.0 - eta) * VACUUM
     gain = math.sqrt(eta) * math.exp(params.r2)

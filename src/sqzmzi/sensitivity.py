@@ -33,6 +33,7 @@ from .model import (
     Strategy,
     StrategyKind,
     _per_phase,
+    _require_normal,
     inefficiency,
     technical_noise_factor,
 )
@@ -73,13 +74,17 @@ def snl(n_photons: float) -> float:
 
 def dphi_min(params: InterferometerParams) -> float:
     """Best attainable phase uncertainty sqrt((e^{-2 r1} + eps^2)/N)."""
-    return math.sqrt((math.exp(-2.0 * params.r1) + inefficiency(params)) / params.n_photons)
+    floor2 = (math.exp(-2.0 * params.r1) + inefficiency(params)) / params.n_photons
+    _require_normal(params, ("dphi_min^2 = (e^(-2 r1) + eps^2)/N", floor2))
+    return math.sqrt(floor2)
 
 
 def k_factor(params: InterferometerParams) -> float:
     """Deterioration coefficient K = (A + eps^2)/N multiplying the working-point
     penalty of every non-optimal strategy."""
-    return (technical_noise_factor(params) + inefficiency(params)) / params.n_photons
+    k = (technical_noise_factor(params) + inefficiency(params)) / params.n_photons
+    _require_normal(params, ("K = (A + eps^2)/N", k))
+    return k
 
 
 def optimal_weight(phi: float) -> float:
@@ -258,10 +263,9 @@ def _evaluate(
         width = fwhm(strategy, params)
         lobes = 1
         var_o = stats.var_n1
-        slope = photostats.photon_mean_slopes(params, phase)[0]
+        slope = 0.5 * stats.mean_nplus * phase.sin
     else:
-        slope1, slope2 = photostats.photon_mean_slopes(params, phase)
-        slope = slope1 - slope2
+        slope = stats.mean_nplus * phase.sin
         if kind is StrategyKind.DIFFERENTIAL:
             s = phase.sin
             divergent = abs(s) <= SINGULARITY_TOL
@@ -296,15 +300,16 @@ def _evaluate(
         else:  # pragma: no cover - exhaustive over StrategyKind
             raise ParameterError(f"unknown strategy kind {kind!r}")
 
-    # error propagation where the check applies, the closed form itself
-    # elsewhere; compared while the singular phases still hold finite values
-    scale = photostats.transfer_gain(params) ** 2 * params.n_photons
-    unchecked = divergent | (abs(slope) <= 1e-9 * scale)
+    # a huge K times the penalty near a singular phase overflows dphi there
+    peak = _replace(dphi, divergent, floor)
+    _require_normal(params, (f"largest {kind.value} dphi", peak.max() if isinstance(peak, np.ndarray) else peak))
+    # error propagation against the closed form where it applies, 0 vs 0 elsewhere
+    unchecked = divergent | (abs(slope) <= 1e-9 * stats.mean_nplus)
     propagated = np.sqrt(var_o) / _replace(abs(slope), unchecked, 1.0)
     photostats._require_close(
         f"{kind.value} dphi, closed form vs error propagation",
-        dphi,
-        _replace(propagated, unchecked, dphi),
+        _replace(dphi, unchecked, 0.0),
+        _replace(propagated, unchecked, 0.0),
         0.0,
         rtol=CROSSCHECK_RTOL,
     )

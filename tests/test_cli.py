@@ -190,7 +190,15 @@ def test_sweep_suboptimal_strategy(runner):
 
 
 # the message of a usage error that no other test reads
-USAGE_MESSAGES = {("sweep", "--phi-start", "nan"): "must be finite"}
+USAGE_MESSAGES = {
+    ("sweep", "--phi-start", "nan"): "must be finite",
+    ("sweep", "--r1", "360", "--points", "3"): "r1 = 360.0 is too large",
+    ("sweep", "--r2", "360", "--points", "3"): "r2 = 360.0",
+    ("report", "--mu", "1e-200", "--eta", "1e-200"): "mu = 1e-200 and eta = 1e-200 are too small",
+    ("report", "--mu", "1e-300", "--eta", "1e-10"): "eps^2 overflows",
+    ("report", "--r1", "174", "--n-photons", "1e211"): "dphi_min^2",
+    ("validate", "--r2", "160", "--points", "2", "--oracle-samples", "10"): "32 floor^2 = inf",
+}
 
 
 @pytest.mark.parametrize(
@@ -208,6 +216,13 @@ USAGE_MESSAGES = {("sweep", "--phi-start", "nan"): "must be finite"}
         ["validate", "--z-threshold", "0", "--points", "2", "--oracle-samples", "10"],
         ["report", "--r1-db", "7.2", "--implied-gain-db", "20"],
         ["sweep", "--phi-start", "nan"],
+        # parameter sets whose evaluation leaves the float range
+        ["sweep", "--r1", "360", "--points", "3"],
+        ["sweep", "--r2", "360", "--points", "3"],
+        ["report", "--mu", "1e-200", "--eta", "1e-200"],
+        ["report", "--mu", "1e-300", "--eta", "1e-10"],
+        ["report", "--r1", "174", "--n-photons", "1e211"],
+        ["validate", "--r2", "160", "--points", "2", "--oracle-samples", "10"],
     ],
 )
 def test_usage_errors_exit_2(runner, args):

@@ -3,6 +3,7 @@ the diagnostics around the linearized photocounting model."""
 
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -147,14 +148,45 @@ def test_degenerate_moments_report_zero_z(solid_params):
     assert math.isfinite(report.max_abs_z())
 
 
+@pytest.mark.parametrize(
+    "overrides, knob",
+    [
+        # G^4 N overflows, so do the closed-form moments
+        ({"r2": 200.0}, "r2 = 200.0"),
+        # the moments are finite, but squaring them for the batch standard
+        # errors overflows
+        ({"r2": 160.0}, "r2 = 160.0"),
+        ({"r1": 0.0, "r2": 0.0, "mu": 1.0, "eta": 1.0, "n_photons": 1e300}, "n_photons = 1e+300"),
+    ],
+    ids=["r2-200", "r2-160", "n-1e300"],
+)
+@pytest.mark.parametrize("linearized", [False, True], ids=["exact", "linearized"])
+def test_overflowing_moments_are_refused_before_any_draw(spawn_calls, overrides, knob, linearized):
+    params = InterferometerParams(**{"r1": 1.0, "mu": 0.9, "eta": 0.9, "n_photons": 1e6, **overrides})
+    config = OracleConfig(n_samples=2000, linearized_mode=linearized)
+    with pytest.raises(ParameterError, match=re.escape(knob)):
+        run(params, [0.5, 1.5], config)
+    with pytest.raises(ParameterError, match=re.escape(knob)):
+        linearization_error(params, 1.5, config, (1.0, params.n_photons))
+    assert spawn_calls == []
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-def test_overflowing_moments_report_nan_z():
-    # G^4 N overflows at r2 = 200: the variances and the batch standard errors
-    # of the means are inf there, and a finite difference over an inf standard
-    # error must not read as z = 0
-    params = InterferometerParams(r1=1.0, r2=200.0, mu=0.9, eta=0.9, n_photons=1e6)
-    report = run(params, 1.5, OracleConfig(n_samples=2000, linearized_mode=True))
+def test_non_finite_samples_report_nan_z(solid_params, monkeypatch):
+    # a non-finite sample makes the sample moments and the batch standard
+    # errors non-finite; a difference over them must read as z = nan, never
+    # as a number that could pass
+    real_draws = oracle._scaled_draws
+
+    def draws_with_inf(*args):
+        fields = real_draws(*args)
+        fields["z2c"][0] = math.inf
+        return fields
+
+    monkeypatch.setattr(oracle, "_scaled_draws", draws_with_inf)
+    report = run(solid_params, 1.5, OracleConfig(n_samples=2000, linearized_mode=True))
     assert all(math.isnan(z) for z in report.z_scores.values()), report.z_scores
+    assert math.isnan(report.max_abs_z())
 
 
 @pytest.mark.parametrize("position", ["first", "last"])

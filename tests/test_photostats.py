@@ -177,6 +177,19 @@ def test_sum_mean_constant_property(params, phi_a, phi_b):
     assert math.isclose(a, b, rel_tol=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize(
+    "a, b",
+    [(math.inf, 1.0), (math.inf, math.inf), (-math.inf, math.inf), (math.nan, 1.0), (math.nan, math.nan)],
+)
+def test_cross_checks_fail_closed(a, b):
+    # a moment is finite wherever the scales are checked, so a non-finite
+    # operand is a defect: it must raise, on one phase and on a grid
+    for x, y in ((a, b), (np.array([1.0, a]), np.array([1.0, b]))):
+        with pytest.raises(photostats.ConsistencyError):
+            photostats._require_close("moment", x, y, 1.0)
+
+
 def test_photon_stats_rejects_inconsistent_moments(solid_params):
     good = photon_stats(solid_params, 1.0).as_dict()
     broken = dict(good, var_nplus=good["var_nplus"] * 1.5)

@@ -6,12 +6,12 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import R1_10DB, interferometer_params, midpoint_grid, phases
 from sqzmzi import oracle, photostats, quadratures, sensitivity
-from sqzmzi.model import InterferometerParams, ParameterError, Strategy
+from sqzmzi.model import InterferometerParams, ParameterError, Strategy, inefficiency
 from sqzmzi.photostats import ConsistencyError
 from sqzmzi.sensitivity import (
     apriori_tolerance,
@@ -181,6 +181,47 @@ def test_overflowing_squeeze_factor_names_r1(monkeypatch):
     assert spawned == []
 
 
+@pytest.mark.parametrize(
+    "overrides, knob", [({"r2": 360.0}, "r2"), ({"mu": 1e-300}, "mu"), ({"eta": 1e-300}, "eta")]
+)
+def test_scale_edges_name_their_knob(monkeypatch, overrides, knob):
+    # G^4 N overflows at r2 = 360 and underflows at mu or eta = 1e-300; every
+    # entry point must refuse, and the oracle before it draws anything
+    spawned = []
+    monkeypatch.setattr(oracle, "_spawn_streams", spawned.append)
+    params = InterferometerParams(**{"r1": 1.0, "r2": 0.5, "mu": 0.9, "eta": 0.9, **overrides})
+    entry_points = (
+        *(partial(phase_uncertainty, s, params) for s in ALL_STRATEGIES + (Strategy.suboptimal(0.5),)),
+        partial(photostats.photon_stats, params),
+        lambda phi: oracle.run(params, phi, oracle.OracleConfig(n_samples=4)),
+    )
+    for entry in entry_points:
+        with pytest.raises(ParameterError, match=f"{knob} = {overrides[knob]!r}.* out of the normal float range"):
+            entry(1.0)
+    assert spawned == []
+
+
+@pytest.mark.parametrize(
+    "entry, overrides, message",
+    [
+        # mu eta underflows to 0
+        (dphi_min, {"mu": 1e-200, "eta": 1e-200}, "mu = 1e-200 and eta = 1e-200 are too small"),
+        *(
+            (partial(phase_uncertainty, s, phi=1.0), {"mu": 1e-200, "eta": 1e-200}, "are too small")
+            for s in ALL_STRATEGIES + (Strategy.suboptimal(0.5),)
+        ),
+        # eps^2 overflows
+        (inefficiency, {"mu": 1e-300, "eta": 1e-10}, "eps\\^2 overflows"),
+        # e^(2 r2) and e^(r2) overflow
+        (partial(quadratures.detector_field_stats, phi=1.0), {"r2": 355.0}, "r2 = 355.0 is too large"),
+        (photostats.transfer_gain, {"r2": 710.0}, "r2 = 710.0 is too large"),
+    ],
+)
+def test_float_range_errors_name_their_knob(entry, overrides, message):
+    with pytest.raises(ParameterError, match=message):
+        entry(InterferometerParams(**overrides))
+
+
 def test_bright_source_gives_finite_checked_results():
     # at G^4 N ~ 1e300 the Cauchy-Schwarz identity of the photocount moments,
     # which every strategy reads, squares a covariance: it must not overflow
@@ -192,6 +233,66 @@ def test_bright_source_gives_finite_checked_results():
     for strategy, grid in zip(strategies, sweep(params, [0.5, 1.0], strategies)):
         assert np.all(np.isfinite(grid.dphi))
         assert math.isfinite(phase_uncertainty(strategy, params, 1.0).dphi)
+
+
+@st.composite
+def wide_params(draw) -> InterferometerParams:
+    """Parameter sets over the whole domain, far past where the float range
+    ends: r1, r2 in [0, 400], mu and eta log-uniform in [1e-300, 1],
+    n_photons log-uniform in [1e-3, 1e300] and g2 log-uniform in [1, 1e300]."""
+    return InterferometerParams(
+        r1=draw(st.floats(0.0, 400.0)),
+        r2=draw(st.floats(0.0, 400.0)),
+        mu=10.0 ** draw(st.floats(-300.0, 0.0)),
+        eta=10.0 ** draw(st.floats(-300.0, 0.0)),
+        n_photons=10.0 ** draw(st.floats(-3.0, 300.0)),
+        g2=10.0 ** draw(st.floats(0.0, 300.0)),
+    )
+
+
+def _must_be_finite(out) -> np.ndarray:
+    """The numbers in an entry point's result that must be finite: all of
+    them but dphi and dphi/dphi_snl at a divergent phase."""
+    if isinstance(out, float):
+        return np.array([out])
+    if isinstance(out, photostats.PhotonStats):
+        return np.array(list(out.as_dict().values()))
+    if isinstance(out, quadratures.QuadratureStats):
+        return np.concatenate([out.mean.ravel(), out.cov.ravel()])
+    parts = []
+    for g in out if isinstance(out, list) else [out]:
+        divergent = g.divergent if isinstance(g, sensitivity.SensitivityGrid) else g.diagnostic is not None
+        defined = ~np.atleast_1d(divergent)
+        parts += [np.atleast_1d(g.dphi)[defined], np.atleast_1d(g.normalized)[defined]]
+        parts += [g.dphi_min, g.dphi_snl, g.k_factor, g.eps2, g.k_opt, g.fwhm]
+    return np.concatenate([np.ravel(np.asarray(p, dtype=float)) for p in parts if p is not None])
+
+
+@settings(max_examples=400)
+@given(wide_params(), phases, phases)
+# dphi_min^2 = (e^(-2 r1) + eps^2)/N underflows
+@example(InterferometerParams(r1=174.0, n_photons=1e211), 1.0, 2.0)
+# G^4 is subnormal before N multiplies it
+@example(InterferometerParams(eta=2e-157, n_photons=1e300), 1.0, 2.0)
+# the floor is within 4x of the float maximum
+@example(InterferometerParams(n_photons=5e307), 0.1, math.pi - 0.1)
+def test_wide_domain_gives_checked_values_or_parameter_errors(params, phi, phi2):
+    # every entry point gives finite, cross-checked values or a
+    # ParameterError: never a ConsistencyError, a raw arithmetic error or nan
+    strategies = ALL_STRATEGIES + (Strategy.suboptimal(0.5),)
+    entry_points = (
+        *(partial(phase_uncertainty, s, params, phi) for s in strategies),
+        partial(sweep, params, [phi, phi2], strategies),
+        partial(photostats.photon_stats, params, phi),
+        partial(quadratures.detector_field_stats, params, phi),
+        partial(dphi_min, params),
+    )
+    for entry in entry_points:
+        try:
+            out = entry()
+        except ParameterError:
+            continue
+        assert np.all(np.isfinite(_must_be_finite(out))), (entry, out)
 
 
 def test_output_gain_cancels_without_loss():
