@@ -31,12 +31,25 @@ through the chain in blocks of _BLOCK samples: each step writes into one of
 _CHAIN_ROWS block-sized buffers, and each block's photon numbers go straight
 into the sample arrays n1 and n2, allocated once per call.  The steps are
 elementwise, so neither the blocks, nor the in-place writes, nor scaling the
-vacuums at draw time change an output bit.  Nothing is kept after a call returns and nothing is
-shared between calls, so calls from several threads at once are independent.
+vacuums at draw time change an output bit.
+
+What does not depend on the draws runs once per run of consecutive points
+with equal params, not once per phase: the refusal of a point whose scale or
+batch errors leave the float range (before any draw), the closed forms (one
+:func:`~sqzmzi.photostats.photon_stats` call over the run's phases) and, in
+linearized mode, the mean path (one :func:`_propagate` call on one-element
+zero inputs, broadcast over those phases).  Every point is still checked
+against its own closed forms, which carry the bits of an evaluation at that
+phase alone.  The 32 batch moments of a phase take a few calls, each on a
+stack of equal-length batches copied into the idle chain buffers; each row
+gets the bits of a call on it alone.  Nothing is kept after a call returns
+and nothing is shared between calls, so calls from several threads at once
+are independent.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -137,7 +150,7 @@ def _beamsplit(x, y, plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, n
 
 def _propagate(
     params: InterferometerParams,
-    phi: float,
+    phi,
     fields: dict[str, np.ndarray],
     buf,
     measured_only: bool = False,
@@ -148,6 +161,10 @@ def _propagate(
     already scaled by their loss amplitudes (see :func:`_scaled_draws`), and
     ``buf`` is a sequence of _CHAIN_ROWS scratch arrays of the same length:
     every step writes into them, and the quadratures returned are among them.
+    ``phi`` is one phase, or a :class:`Phase` over a grid as long as ``buf``'s
+    rows when every field holds one element: each element of the result is
+    then that field value taken through the chain at its own phase, with the
+    bits of a call at that phase alone.
     With ``measured_only`` only the measured pair (g1s, g2c) is built, which
     is all linearized photon numbers read, and g1c and g2s are None.  The
     chain here is deliberately stepwise and elementary; it shares no algebra
@@ -167,7 +184,8 @@ def _propagate(
     # opposite arm phases rotate each (c, s) pair by +/- phi/2; the second
     # rotation of a pair writes over its inputs, which frees r for c2c and u
     # and tmp for the measured pair
-    ch, sh = math.cos(0.5 * phi), math.sin(0.5 * phi)
+    phase = Phase(phi)
+    ch, sh = phase.cos_half, phase.sin_half
     c1c = _mix(b1c, ch, b1s, -sh, v, tmp)
     c1s = _mix(b1c, sh, b1s, ch, b1c, b1s)
     c2c = _mix(b2c, ch, b2s, sh, r, tmp)
@@ -228,20 +246,23 @@ def _scaled_draws(
     return fields
 
 
-def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict[str, float]:
-    """The ten photocounting moments of a sample block (ddof = 1); centres n1
-    and n2 in place."""
-    # ndarray.mean is this pairwise sum divided by the count, without its
-    # Python-level wrapper
-    mean1 = float(np.add.reduce(n1)) / n1.size
-    mean2 = float(np.add.reduce(n2)) / n2.size
-    n1 -= mean1
-    n2 -= mean2
-    denom = n1.size - 1
-    var1 = float(n1 @ n1) / denom
-    var2 = float(n2 @ n2) / denom
-    cov12 = float(n1 @ n2) / denom
-    return {
+def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict:
+    """The ten photocounting moments (ddof = 1) of a sample block, as floats,
+    or of each row of a stack of equal-length blocks, as lists in row order;
+    centres n1 and n2 in place.  Each row gets the bits of a call on it alone:
+    the row sums are the pairwise sums of ndarray.mean (without its
+    Python-level wrapper), and the stacked products are the 1-D dot products."""
+    size = n1.shape[-1]
+    mean1 = np.add.reduce(n1, axis=-1) / size
+    mean2 = np.add.reduce(n2, axis=-1) / size
+    n1 -= mean1[..., None]
+    n2 -= mean2[..., None]
+    denom = size - 1
+    row1, col1, col2 = n1[..., None, :], n1[..., :, None], n2[..., :, None]
+    var1 = (row1 @ col1)[..., 0, 0] / denom
+    var2 = (n2[..., None, :] @ col2)[..., 0, 0] / denom
+    cov12 = (row1 @ col2)[..., 0, 0] / denom
+    moments = {
         "mean_n1": mean1,
         "mean_n2": mean2,
         "var_n1": var1,
@@ -254,6 +275,7 @@ def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict[str, float]:
         "var_nminus": var1 + var2 - 2.0 * cov12,
         "cov_npm": var1 - var2,
     }
+    return {name: value.tolist() for name, value in moments.items()}
 
 
 def run(
@@ -275,60 +297,97 @@ def run(
 
 
 def _reports(points, config: OracleConfig) -> list[MomentReport]:
-    """The reports of (params, phi) pairs sampled with one config, in order:
+    """The reports of (params, phi) pairs sampled with one config, in order.
+
     n1, n2 and the chain buffers are allocated once, and a draw set of
     n <= _CHUNK samples is shared by consecutive points of equal draw key
-    (input variances, mu, eta): the draws carry both loss amplitudes."""
-    for params, _ in points:  # the batch errors square moments up to the floor
+    (input variances, mu, eta): the draws carry both loss amplitudes.  Each
+    run of consecutive points with equal params is refused or passed once,
+    before any draw, and gets its closed forms from one
+    :func:`~sqzmzi.photostats.photon_stats` call and its linearized mean
+    path from one :func:`_propagate` call over its phases.
+    """
+    runs = [list(run) for _, run in itertools.groupby(points, key=lambda point: point[0])]
+    for params in dict.fromkeys(run[0][0] for run in runs):
+        # the batch errors square moments up to the floor
         floor = photostats._moment_ingredients(params)[-1]
         _require_normal(params, (f"{N_BATCHES} floor^2", N_BATCHES * floor * floor))
     n = config.n_samples
-    scratch = np.empty(n), np.empty(n), np.empty((_CHAIN_ROWS, min(n, _BLOCK)))
+    n_batches = min(N_BATCHES, n // 2)
+    edges = np.linspace(0, n, n_batches + 1).astype(int).tolist()
+    batches = list(zip(edges[:-1], edges[1:]))
+    # the chain buffers, flat, and long enough to hold one batch of n1 and one
+    # of n2 at a time once the chain is idle
+    chain = np.empty(max(_CHAIN_ROWS * min(n, _BLOCK), 2 * max(b - a for a, b in batches)))
+    scratch = np.empty(n), np.empty(n), chain, batches
     reports = []
     drawn = draws = None
-    for params, phi in points:
-        key = (_input_variances(params), params.mu, params.eta)
-        if n > _CHUNK:
-            streams = _spawn_streams(config.seed)
-            sizes = (min(_CHUNK, n - a) for a in range(0, n, _CHUNK))
-            chunks = (_scaled_draws(*key, m, streams) for m in sizes)
-        else:
-            if key != drawn:
-                chunks = draws = None  # drop the old set before drawing
-                draws = _scaled_draws(*key, n, _spawn_streams(config.seed))
-                for values in draws.values():
-                    values.flags.writeable = False
-                drawn = key
-            chunks = (draws,)
-        reports.append(_report(params, phi, config, chunks, scratch))
+    for run in runs:
+        phase = Phase([phi for _, phi in run])
+        closed = photostats.photon_stats(run[0][0], phase).as_dict()
+        means = _mean_path(run[0][0], phase) if config.linearized_mode else None
+        for i, (params, phi) in enumerate(run):
+            key = (_input_variances(params), params.mu, params.eta)
+            if n > _CHUNK:
+                streams = _spawn_streams(config.seed)
+                sizes = (min(_CHUNK, n - a) for a in range(0, n, _CHUNK))
+                chunks = (_scaled_draws(*key, m, streams) for m in sizes)
+            else:
+                if key != drawn:
+                    chunks = draws = None  # drop the old set before drawing
+                    draws = _scaled_draws(*key, n, _spawn_streams(config.seed))
+                    for values in draws.values():
+                        values.flags.writeable = False
+                    drawn = key
+                chunks = (draws,)
+            point_closed = photostats.PhotonStats(
+                **{k: float(v[i]) if isinstance(v, np.ndarray) else v for k, v in closed.items()}
+            )
+            mean = None if means is None else (float(means[0][i]), float(means[1][i]))
+            reports.append(_report(params, phi, config, chunks, scratch, point_closed, mean))
     return reports
 
 
+def _mean_path(params: InterferometerParams, phase: Phase) -> tuple:
+    """(<g1s>, <g2c>) at every phase of the grid ``phase``: the same chain on
+    one-element zero inputs, broadcast over the phases."""
+    zero = np.zeros(1)
+    zero.flags.writeable = False
+    zeros = dict.fromkeys(CHANNELS, zero)
+    buf = np.empty((_CHAIN_ROWS, phase.phi.size))
+    _, mg1s, mg2c, _ = _propagate(params, phase, zeros, buf, measured_only=True)
+    return mg1s, mg2c
+
+
 def _report(
-    params: InterferometerParams, phi: float, config: OracleConfig, chunks, scratch
+    params: InterferometerParams,
+    phi: float,
+    config: OracleConfig,
+    chunks,
+    scratch,
+    closed: photostats.PhotonStats,
+    mean: tuple[float, float] | None,
 ) -> MomentReport:
-    """The report of one phase: ``chunks`` yields its scaled draws, and
-    ``scratch`` holds n1, n2 and the chain buffers it works in."""
+    """The report of one phase: ``chunks`` yields its scaled draws, ``scratch``
+    holds n1, n2, the flat chain buffers it works in and the batch bounds,
+    ``closed`` holds the closed forms there and, in linearized mode, ``mean``
+    the mean fields (<g1s>, <g2c>)."""
     n = config.n_samples
+    phase = Phase(phi)
     if config.linearized_mode:
-        # the mean path: the same chain on one-element zero inputs
-        zero = np.zeros(1)
-        zero.flags.writeable = False
-        zeros = dict.fromkeys(CHANNELS, zero)
-        _, mg1s, mg2c, _ = _propagate(
-            params, phi, zeros, np.empty((_CHAIN_ROWS, 1)), measured_only=True
-        )
-        mg1s, mg2c = float(mg1s[0]), float(mg2c[0])
+        mg1s, mg2c = mean
         half1, half2 = 0.5 * mg1s * mg1s, 0.5 * mg2c * mg2c
 
-    n1, n2, buf = scratch
+    n1, n2, chain, batches = scratch
+    width = min(n, _BLOCK)
+    buf = chain[: _CHAIN_ROWS * width].reshape(_CHAIN_ROWS, width)
     done = 0
     for fields in chunks:
         for a in range(0, fields["a1c"].size, _BLOCK):
             block = {ch: values[a : a + _BLOCK] for ch, values in fields.items()}
             m = block["a1c"].size
             g1c, g1s, g2c, g2s = _propagate(
-                params, phi, block, buf[:, :m], measured_only=config.linearized_mode
+                params, phase, block, buf[:, :m], measured_only=config.linearized_mode
             )
             out1, out2 = n1[done : done + m], n2[done : done + m]
             if config.linearized_mode:
@@ -343,20 +402,32 @@ def _report(
                     np.multiply(gc, 0.5, out=out)
             done += m
 
-    # _moments_of centres its arguments in place: batches get copies, and the
-    # full sample goes last
-    n_batches = min(N_BATCHES, n // 2)
-    edges = np.linspace(0, n, n_batches + 1).astype(int)
-    blocks = [
-        _moments_of(n1[a:b].copy(), n2[a:b].copy()) for a, b in zip(edges[:-1], edges[1:])
-    ]
+    # _moments_of centres its arguments in place, so the batches go through it
+    # as copies, stacked by length in the idle chain buffers (n1's in the
+    # first half, n2's in the second), and the full sample goes last.  A
+    # stack holds at most half the batches, so only the full-sample call has
+    # the full sample's size
+    table = np.empty((len(photostats.MOMENT_FIELDS), len(batches)))
+    half = chain.size // 2
+    for length in sorted({b - a for a, b in batches}):
+        rows = [i for i, (a, b) in enumerate(batches) if b - a == length]
+        height = min(half // length, len(batches) // 2)
+        for first in range(0, len(rows), height):
+            stack = rows[first : first + height]
+            size = len(stack) * length
+            s1 = chain[:size].reshape(len(stack), length)
+            s2 = chain[half : half + size].reshape(len(stack), length)
+            for row, i in enumerate(stack):
+                a, b = batches[i]
+                s1[row] = n1[a:b]
+                s2[row] = n2[a:b]
+            batch_moments = _moments_of(s1, s2)
+            table[:, stack] = [batch_moments[name] for name in photostats.MOMENT_FIELDS]
     moments = _moments_of(n1, n2)
 
-    table = np.array([[block[name] for block in blocks] for name in photostats.MOMENT_FIELDS])
     stds = np.std(table, axis=1, ddof=1).tolist()
-    ses = {name: std / math.sqrt(n_batches) for name, std in zip(photostats.MOMENT_FIELDS, stds)}
+    ses = {name: std / math.sqrt(len(batches)) for name, std in zip(photostats.MOMENT_FIELDS, stds)}
 
-    closed = photostats.photon_stats(params, phi)
     closed_dict = closed.as_dict()
     z = {}
     for name in photostats.MOMENT_FIELDS:

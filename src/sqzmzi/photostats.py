@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
+from sys import float_info
 
 import numpy as np
 
@@ -128,9 +129,18 @@ MOMENT_FIELDS = tuple(f.name for f in fields(PhotonStats))
 
 
 def transfer_gain(params: InterferometerParams) -> float:
-    """Amplitude gain G = sqrt(mu eta) e^{r2} from the core to the detectors."""
+    """Amplitude gain G = sqrt(mu eta) e^{r2} from the core to the detectors.
+
+    Raises :class:`ParameterError` where mu eta underflows the normal float
+    range or e^{r2} overflows."""
+    mu, eta = params.mu, params.eta
+    if mu * eta < float_info.min:
+        raise ParameterError(
+            f"mu = {mu!r} and eta = {eta!r} are too small: mu eta = {mu * eta!r} "
+            "underflows the normal float range"
+        )
     try:
-        return math.sqrt(params.mu * params.eta) * math.exp(params.r2)
+        return math.sqrt(mu * eta) * math.exp(params.r2)
     except OverflowError:
         raise ParameterError(f"amplifier gain r2 = {params.r2!r} is too large: e^(r2) overflows") from None
 

@@ -20,7 +20,9 @@ observable O is a linear combination of the two photocounts, so one
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,6 +187,14 @@ def _constant(phi, value):
     return np.full(phi.shape, value) if isinstance(phi, np.ndarray) else value
 
 
+def _times_k(k: float, *factors):
+    """K times the penalty ``factors``, multiplied left to right.  Where that
+    overflows on a grid it is inf without numpy's warning: the point is then
+    divergent, or the peak check of :func:`_evaluate` refuses it."""
+    with np.errstate(over="ignore"):
+        return functools.reduce(operator.mul, factors, k)
+
+
 def _squared(x: float) -> float:
     # x ** 2 of a Python float is C pow(), which rounds differently from
     # numpy's x * x for about one argument in a thousand
@@ -258,7 +268,7 @@ def _evaluate(
     if kind is StrategyKind.SINGLE:
         divergent = abs(phase.cos_half) <= SINGULARITY_TOL
         t = phase.tan_half
-        dphi = np.sqrt(floor2 + k * t * t)
+        dphi = np.sqrt(floor2 + _times_k(k, t, t))
         diagnostic = "single-detector read-out diverges at phi = pi (mod 2 pi): the fringe slope vanishes"
         width = fwhm(strategy, params)
         lobes = 1
@@ -270,7 +280,7 @@ def _evaluate(
             s = phase.sin
             divergent = abs(s) <= SINGULARITY_TOL
             cot = phase.cos / _replace(s, divergent, 1.0)
-            dphi = np.sqrt(floor2 + k * cot * cot)
+            dphi = np.sqrt(floor2 + _times_k(k, cot, cot))
             diagnostic = "differential read-out diverges at phi = 0 and pi (mod pi): the fringe slope vanishes"
             width = fwhm(strategy, params)
             lobes = 2
@@ -291,7 +301,7 @@ def _evaluate(
             removable = singular & (abs(dcos) <= SINGULARITY_TOL)
             divergent = singular & (abs(dcos) > SINGULARITY_TOL)
             penalty = _per_phase(_squared, dcos / _replace(s, singular, 1.0))
-            dphi = _replace(np.sqrt(floor2 + k * penalty), removable, floor)
+            dphi = _replace(np.sqrt(floor2 + _times_k(k, penalty)), removable, floor)
             diagnostic = (
                 "suboptimal read-out diverges where sin(phi) = 0 unless "
                 "cos(phi_apr) = cos(phi)"
@@ -369,11 +379,14 @@ def apriori_tolerance(params: InterferometerParams) -> float:
 
     Independent of N, and wider than the squeezing-enhanced uncertainty itself
     by a factor sqrt(N) dphi_min, so a previous coarse estimate suffices.
+    Raises :class:`ParameterError` where the ratio under the root leaves the
+    normal float range.
     """
-    return math.sqrt(
-        (math.exp(-2.0 * params.r1) + inefficiency(params))
-        / (technical_noise_factor(params) + inefficiency(params))
+    ratio = (math.exp(-2.0 * params.r1) + inefficiency(params)) / (
+        technical_noise_factor(params) + inefficiency(params)
     )
+    _require_normal(params, ("(e^(-2 r1) + eps^2)/(A + eps^2)", ratio))
+    return math.sqrt(ratio)
 
 
 def small_deviation_dphi_squared(params: InterferometerParams, dphi_apr: float) -> float:

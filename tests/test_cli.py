@@ -335,6 +335,13 @@ def test_failed_sweep_writes_no_file(runner, tmp_path, monkeypatch):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_report_refuses_an_underflowing_tolerance(runner):
+    # the a-priori tolerance, and with it both widths, underflows to 0.0 here
+    result = runner.invoke(main, ["report", "--r1", "340", "--n-photons", "1e3", "--g2", "1e100"])
+    assert result.exit_code == 2, result.output
+    assert "r1 = 340.0" in result.output and "out of the normal float range" in result.output
+
+
 def test_report_text_output(runner):
     result = runner.invoke(main, ["report", "--preset", "fig2-solid"])
     assert result.exit_code == 0

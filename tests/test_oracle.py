@@ -12,11 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import R1_10DB, midpoint_grid
 from sqzmzi import oracle
 from sqzmzi.cli import validate_against_oracle
-from sqzmzi.model import InterferometerParams, ParameterError, db_to_squeeze_factor
+from sqzmzi.model import InterferometerParams, ParameterError, Phase, db_to_squeeze_factor
 from sqzmzi.oracle import (
     _CHAIN_ROWS,
     _CHUNK,
@@ -337,6 +339,81 @@ def test_moments_of_means_are_ndarray_means(size):
         assert moments["cov_n1n2"] == float(c1 @ c2) / (size - 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    height=st.integers(1, 16),
+    length=st.integers(2, 9000),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.sampled_from([0.0, 1e9, -3.5]),
+)
+def test_stacked_moments_are_the_moments_of_each_row(height, length, seed, offset):
+    # a stack of equal-length batches gives each row the bits of its own call,
+    # and centres each row in place as that call does
+    rng = np.random.default_rng(seed)
+    n1 = offset + rng.standard_normal((height, length))
+    n2 = rng.standard_normal((height, length))
+    n2[:, ::3] = -0.0
+    stack1, stack2 = n1.copy(), n2.copy()
+    stacked = _moments_of(stack1, stack2)
+    for row in range(height):
+        row1, row2 = n1[row].copy(), n2[row].copy()
+        alone = _moments_of(row1, row2)
+        for name, value in alone.items():
+            assert stacked[name][row].hex() == value.hex(), (name, row)
+        assert stack1[row].tobytes() == row1.tobytes()
+        assert stack2[row].tobytes() == row2.tobytes()
+
+
+@pytest.mark.parametrize("linearized", [False, True], ids=["exact", "linearized"])
+def test_closed_forms_and_mean_path_once_per_run_of_equal_params(
+    solid_params, dashed_params, monkeypatch, linearized
+):
+    # every point is still checked against its own closed forms, but each run
+    # of consecutive points with equal params evaluates them, and takes its
+    # mean path, in one call over the run's phases
+    closed_calls, mean_calls = [], []
+    photon_stats = oracle.photostats.photon_stats
+
+    def counting_stats(params, phi):
+        closed_calls.append(np.size(Phase(phi).phi))
+        return photon_stats(params, phi)
+
+    def counting_propagate(params, phi, fields, buf, measured_only=False):
+        if fields["a1c"].size == 1:
+            mean_calls.append(np.size(Phase(phi).phi))
+        return _propagate(params, phi, fields, buf, measured_only=measured_only)
+
+    monkeypatch.setattr(oracle.photostats, "photon_stats", counting_stats)
+    monkeypatch.setattr(oracle, "_propagate", counting_propagate)
+    config = OracleConfig(n_samples=1000, seed=38, linearized_mode=linearized)
+    points = [
+        (solid_params, 0.3), (solid_params, 1.0), (dashed_params, 1.0),
+        (dashed_params, 2.0), (dashed_params, 2.5), (solid_params, 2.5),
+    ]
+    reports = oracle._reports(points, config)
+    assert closed_calls == [2, 3, 1]
+    assert mean_calls == ([2, 3, 1] if linearized else [])
+    closed_calls.clear()
+    mean_calls.clear()
+    grid = run(solid_params, midpoint_grid(12), config)
+    assert closed_calls == [12]
+    assert mean_calls == ([12] if linearized else [])
+    monkeypatch.undo()
+    assert list(map(repr, reports)) == [repr(run(p, phi, config)) for p, phi in points]
+    assert list(map(repr, grid)) == [repr(run(solid_params, phi, config)) for phi in midpoint_grid(12)]
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in BLOCKS_CASES if c.endswith("phi1.3") and ("-n8191-" in c or "-n50000-" in c)]
+)
+def test_batches_longer_than_half_the_chain_buffers_match_golden(monkeypatch, case):
+    # with 64-sample blocks the chain buffers hold 384 samples, so the idle
+    # buffers must grow to hold one batch of n1 and one of n2 (256 and 1563
+    # samples); blocking changes no bit
+    monkeypatch.setattr(oracle, "_BLOCK", 64)
+    assert _blocks_repr(case) == BLOCKS_GOLDEN[case]
+
+
 @pytest.fixture
 def spawn_calls(monkeypatch) -> list[int]:
     """Seeds of the _spawn_streams calls made during the test."""
@@ -484,8 +561,8 @@ def test_kept_draws_are_read_only(solid_params, monkeypatch):
         received.clear()
         config = OracleConfig(n_samples=1000, seed=26, linearized_mode=linearized)
         run(solid_params, [0.3, 1.0], config)
-        # one block per phase, plus the mean path in linearized mode
-        assert len(received) == (4 if linearized else 2)
+        # one block per phase, plus one mean path for the grid in linearized mode
+        assert len(received) == (3 if linearized else 2)
         for fields in received:
             assert set(fields) == set(oracle.CHANNELS)
             for values in fields.values():

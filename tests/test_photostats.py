@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from sqzmzi import (
     weighted_variance,
 )
 from sqzmzi import photostats
+from sqzmzi.model import ParameterError
 from sqzmzi.photostats import photon_mean_slopes
 
 R1_10DB = db_to_squeeze_factor(10.0)
@@ -30,6 +32,23 @@ def test_transfer_gain_reference_points():
     # mu = 0.99, eta = 0.8, e^{2 r2} = 10
     params = InterferometerParams(mu=0.99, eta=0.8, r2=0.5 * math.log(10.0))
     assert math.isclose(transfer_gain(params), 2.8142494558940583, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("mu, eta", [(1e-200, 1e-200), (1e-160, 1e-160), (1.0, 1e-310)])
+def test_transfer_gain_refuses_an_underflowing_mu_eta(mu, eta):
+    # mu eta = 1e-400 underflows to 0.0, and 1e-320 and 1e-310 to subnormals
+    # that have lost digits; G must not come back as 0.0 or as a rounded-off
+    # number
+    with pytest.raises(ParameterError, match=f"mu = {mu!r} and eta = {eta!r} are too small"):
+        transfer_gain(InterferometerParams(mu=mu, eta=eta))
+
+
+def test_transfer_gain_keeps_the_normal_range():
+    # the smallest normal mu eta still gives G, with the bits of its formula
+    tiny = sys.float_info.min
+    for mu, eta, r2 in ((1.0, tiny, 0.0), (tiny, 1.0, 3.0), (0.3, 0.7, 0.8)):
+        params = InterferometerParams(mu=mu, eta=eta, r2=r2)
+        assert transfer_gain(params) == math.sqrt(mu * eta) * math.exp(r2)
 
 
 def _means(params, phi):

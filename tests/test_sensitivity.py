@@ -222,6 +222,44 @@ def test_float_range_errors_name_their_knob(entry, overrides, message):
         entry(InterferometerParams(**overrides))
 
 
+def test_underflowing_apriori_tolerance_names_its_knobs():
+    # (e^(-2 r1) + eps^2)/(A + eps^2) = 5e-296/1e103 underflows to 0.0, which
+    # made the tolerance, both widths and the single and differential fwhm
+    # fields read 0.0 while dphi came back checked
+    params = InterferometerParams(r1=340.0, n_photons=1e3, g2=1e100)
+    message = r"r1 = 340.0, .*g2 = 1e\+100 put \(e\^\(-2 r1\) \+ eps\^2\)/\(A \+ eps\^2\) = 0.0 out"
+    entry_points = (
+        apriori_tolerance,
+        partial(fwhm, Strategy.single()),
+        partial(fwhm, Strategy.differential()),
+        *(partial(phase_uncertainty, s, phi=1.0) for s in ALL_STRATEGIES[:2]),
+        *(partial(sweep, phis=[0.5, 1.0], strategies=(s,)) for s in ALL_STRATEGIES[:2]),
+    )
+    for entry in entry_points:
+        with pytest.raises(ParameterError, match=message):
+            entry(params)
+    # the flat strategy reads no width
+    assert math.isfinite(phase_uncertainty(Strategy.optimal(), params, 1.0).dphi)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_penalty_on_a_grid_warns_nothing():
+    # K ~ 7e283 times tan^2(phi/2) ~ 2.7e32 at phi = pi overflows; the point
+    # is divergent, so it reads inf, and its neighbours stay finite
+    params = InterferometerParams(r1=4.16, r2=2.55, n_photons=958.6, g2=6.9e283)
+    strategies = (Strategy.single(), Strategy.differential(), Strategy.suboptimal(0.5))
+    for grid in sweep(params, [0.3, math.pi, 2.0], strategies):
+        assert grid.divergent.tolist() == [False, True, False]
+        assert grid.dphi[1] == math.inf
+        assert np.isfinite(grid.dphi[[0, 2]]).all()
+    # just off a divergent phase the product overflows too, and the point is
+    # refused by name instead
+    params = InterferometerParams(mu=1.29e-46, eta=0.786, n_photons=5.5e5, g2=8.6e299)
+    for strategy in strategies:
+        with pytest.raises(ParameterError, match=f"largest {strategy.kind.value} dphi"):
+            sweep(params, [0.3, math.pi - 6.9e-8, 2.0], (strategy,))
+
+
 def test_bright_source_gives_finite_checked_results():
     # at G^4 N ~ 1e300 the Cauchy-Schwarz identity of the photocount moments,
     # which every strategy reads, squares a covariance: it must not overflow
