@@ -183,7 +183,7 @@ def _require_normal(params: InterferometerParams, *named: tuple[str, float]) -> 
     for name, x in named:
         if not float_info.min <= abs(x) <= float_info.max:
             knobs = ", ".join(f"{f.name} = {getattr(params, f.name)!r}" for f in fields(params))
-            raise ParameterError(f"{knobs} put {name} = {x!r} out of the normal float range")
+            raise ParameterError(f"{knobs} put {name} = {float(x)!r} out of the normal float range")
 
 
 class StrategyKind(Enum):

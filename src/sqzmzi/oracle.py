@@ -16,9 +16,14 @@ sampling error at any brightness, and the chain builds only the measured pair
 
 Reproducibility contract: one PCG64 stream per input channel, spawned from
 SeedSequence(seed) in the fixed CHANNELS order, samples drawn in batch order.
-Results for a given (params, phi, config) are bit-identical across runs and
-machines, independent of batching, of the other phases of a grid and of the
-calls made before.
+Only the channels the chain reads are drawn: a1c, a1s, z2c and z2s always,
+the internal-loss vacuums m1c, m1s, m2c and m2s only where mu < 1, n1s and
+n2c only where eta < 1, and n1c and n2s only in exact mode with eta < 1.  A
+channel left out leaves its own stream unused and no other draw moves, and
+at mu = 1 (eta = 1) its admixing step could only have flipped the sign of an
+exactly zero sample.  Results for a given (params, phi, config) are
+bit-identical across runs and machines, independent of batching, of the
+other phases of a grid and of the calls made before.
 
 A call of :func:`run` over a phase grid (or of :func:`linearization_error`
 over a brightness grid) owns its draws and buffers.  The loss vacuums are
@@ -158,7 +163,8 @@ def _propagate(
     """Push the input quadratures through the chain; returns (g1c, g1s, g2c, g2s).
 
     ``fields`` maps channel name to a sample array, its loss vacuums (m*, n*)
-    already scaled by their loss amplitudes (see :func:`_scaled_draws`), and
+    already scaled by their loss amplitudes (see :func:`_scaled_draws`); a
+    loss vacuum it does not hold is not admixed, as at a zero amplitude, and
     ``buf`` is a sequence of _CHAIN_ROWS scratch arrays of the same length:
     every step writes into them, and the quadratures returned are among them.
     ``phi`` is one phase, or a :class:`Phase` over a grid as long as ``buf``'s
@@ -191,12 +197,18 @@ def _propagate(
     c2c = _mix(b2c, ch, b2s, sh, r, tmp)
     c2s = _mix(b2c, -sh, b2s, ch, b2c, b2s)
 
-    # internal loss admixes one (pre-scaled) vacuum per arm
+    # internal loss admixes one (pre-scaled) vacuum per arm.  A loss step
+    # runs only where ``fields`` holds its vacuum: a lossless arm's is not
+    # drawn (see _scaled_draws).  Its amplitude is 0 exactly where the
+    # transmissivity is exactly 1, so t (te below) is then 1.0, d * 1.0 is d,
+    # and adding the signed-zero vacuum could only have turned a -0.0 sample
+    # into +0.0: skipping the step moves no bit but the sign of an exact zero
     t = math.sqrt(params.mu)
     d1c, d1s, d2c, d2s = c1c, c1s, c2c, c2s
     for d, vacuum in ((d1c, "m1c"), (d1s, "m1s"), (d2c, "m2c"), (d2s, "m2s")):
-        d *= t
-        d += fields[vacuum]
+        if vacuum in fields:
+            d *= t
+            d += fields[vacuum]
 
     # each detected quadrature: one output of the symmetric recombining
     # beamsplitter, stretched (the measured s on port 1 and c on port 2) or
@@ -218,27 +230,38 @@ def _propagate(
     for combine, x, y, amplify, vacuum, out in ports:
         np.multiply(combine(x, y, out=out), inv_sqrt2, out=out)
         amplify(out, g, out=out)
-        out *= te
-        out += fields[vacuum]
+        if vacuum in fields:
+            out *= te
+            out += fields[vacuum]
     if measured_only:
         return None, u, tmp, None
     return d2c, u, tmp, d2s
 
 
 def _scaled_draws(
-    inputs: tuple, mu: float, eta: float, m: int, streams: dict[str, np.random.Generator]
+    inputs: tuple,
+    mu: float,
+    eta: float,
+    m: int,
+    streams: dict[str, np.random.Generator],
+    measured_only: bool = False,
 ) -> dict[str, np.ndarray]:
-    """The next m samples of every input channel, scaled to its variance (the
-    ``inputs`` of _input_variances for a1c, a1s and z2c, VACUUM for the rest)
-    and then, for the loss vacuums, by the amplitude sqrt(1 - mu) (internal, m*)
-    or sqrt(1 - eta) (external, n*) with which they enter the chain.  Neither
-    depends on phi, so a draw set serves every phase of the same (inputs, mu,
-    eta); the two products round as admixing the vacuum in the chain did, and
-    a zero amplitude leaves signed zeros."""
+    """The next m samples of every input channel the chain reads, scaled to
+    its variance (the ``inputs`` of _input_variances for a1c, a1s and z2c,
+    VACUUM for the rest) and then, for the loss vacuums, by the amplitude
+    sqrt(1 - mu) (internal, m*) or sqrt(1 - eta) (external, n*) with which
+    they enter the chain.  Neither depends on phi, so a draw set serves every
+    phase of the same (inputs, mu, eta); the two products round as admixing
+    the vacuum in the chain did.  A vacuum of zero amplitude is not drawn,
+    nor, with ``measured_only``, n1c and n2s, which the measured pair never
+    reads: each channel has its own stream, so no other draw moves."""
     variances = inputs + (VACUUM,) * (len(CHANNELS) - len(inputs))
     amplitudes = {"m": math.sqrt(1.0 - mu), "n": math.sqrt(1.0 - eta)}
+    unread = ("n1c", "n2s") if measured_only else ()
     fields = {}
     for ch, variance in zip(CHANNELS, variances):
+        if amplitudes.get(ch[0]) == 0.0 or ch in unread:
+            continue
         x = fields[ch] = streams[ch].standard_normal(m)
         x *= math.sqrt(variance)
         if ch[0] in amplitudes:
@@ -251,18 +274,35 @@ def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict:
     or of each row of a stack of equal-length blocks, as lists in row order;
     centres n1 and n2 in place.  Each row gets the bits of a call on it alone:
     the row sums are the pairwise sums of ndarray.mean (without its
-    Python-level wrapper), and the stacked products are the 1-D dot products."""
+    Python-level wrapper), and the stacked products are the 1-D dot products,
+    which a block takes plainly, without the stack's broadcasting."""
     size = n1.shape[-1]
+    denom = size - 1
+    if n1.ndim == 1:
+        mean1 = float(np.add.reduce(n1)) / size
+        mean2 = float(np.add.reduce(n2)) / size
+        n1 -= mean1
+        n2 -= mean2
+        var1 = float(n1 @ n1) / denom
+        var2 = float(n2 @ n2) / denom
+        cov12 = float(n1 @ n2) / denom
+        return _combined_moments(mean1, mean2, var1, var2, cov12)
     mean1 = np.add.reduce(n1, axis=-1) / size
     mean2 = np.add.reduce(n2, axis=-1) / size
-    n1 -= mean1[..., None]
-    n2 -= mean2[..., None]
-    denom = size - 1
-    row1, col1, col2 = n1[..., None, :], n1[..., :, None], n2[..., :, None]
-    var1 = (row1 @ col1)[..., 0, 0] / denom
-    var2 = (n2[..., None, :] @ col2)[..., 0, 0] / denom
-    cov12 = (row1 @ col2)[..., 0, 0] / denom
-    moments = {
+    n1 -= mean1[:, None]
+    n2 -= mean2[:, None]
+    row1, col1, col2 = n1[:, None, :], n1[:, :, None], n2[:, :, None]
+    var1 = (row1 @ col1)[:, 0, 0] / denom
+    var2 = (n2[:, None, :] @ col2)[:, 0, 0] / denom
+    cov12 = (row1 @ col2)[:, 0, 0] / denom
+    moments = _combined_moments(mean1, mean2, var1, var2, cov12)
+    return {name: value.tolist() for name, value in moments.items()}
+
+
+def _combined_moments(mean1, mean2, var1, var2, cov12) -> dict:
+    """The ten photocounting moments from the means, variances and covariance
+    of n1 and n2 (floats, or arrays of them)."""
+    return {
         "mean_n1": mean1,
         "mean_n2": mean2,
         "var_n1": var1,
@@ -275,7 +315,6 @@ def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict:
         "var_nminus": var1 + var2 - 2.0 * cov12,
         "cov_npm": var1 - var2,
     }
-    return {name: value.tolist() for name, value in moments.items()}
 
 
 def run(
@@ -322,20 +361,21 @@ def _reports(points, config: OracleConfig) -> list[MomentReport]:
     scratch = np.empty(n), np.empty(n), chain, batches
     reports = []
     drawn = draws = None
+    linearized = config.linearized_mode
     for run in runs:
         phase = Phase([phi for _, phi in run])
         closed = photostats.photon_stats(run[0][0], phase).as_dict()
-        means = _mean_path(run[0][0], phase) if config.linearized_mode else None
+        means = _mean_path(run[0][0], phase) if linearized else None
         for i, (params, phi) in enumerate(run):
             key = (_input_variances(params), params.mu, params.eta)
             if n > _CHUNK:
                 streams = _spawn_streams(config.seed)
                 sizes = (min(_CHUNK, n - a) for a in range(0, n, _CHUNK))
-                chunks = (_scaled_draws(*key, m, streams) for m in sizes)
+                chunks = (_scaled_draws(*key, m, streams, linearized) for m in sizes)
             else:
                 if key != drawn:
                     chunks = draws = None  # drop the old set before drawing
-                    draws = _scaled_draws(*key, n, _spawn_streams(config.seed))
+                    draws = _scaled_draws(*key, n, _spawn_streams(config.seed), linearized)
                     for values in draws.values():
                         values.flags.writeable = False
                     drawn = key
@@ -350,7 +390,9 @@ def _reports(points, config: OracleConfig) -> list[MomentReport]:
 
 def _mean_path(params: InterferometerParams, phase: Phase) -> tuple:
     """(<g1s>, <g2c>) at every phase of the grid ``phase``: the same chain on
-    one-element zero inputs, broadcast over the phases."""
+    one-element zero inputs, broadcast over the phases.  Every channel is
+    passed, so every loss step runs and leaves the signed zeros it always
+    left at the fringes (phi = 0, pi)."""
     zero = np.zeros(1)
     zero.flags.writeable = False
     zeros = dict.fromkeys(CHANNELS, zero)

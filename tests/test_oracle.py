@@ -30,7 +30,7 @@ from sqzmzi.oracle import (
     linearization_error,
     run,
 )
-from sqzmzi.quadratures import _input_variances, detector_field_stats
+from sqzmzi.quadratures import VACUUM, _input_variances, detector_field_stats
 
 # repr of linearization_error output per case, keyed "<mode>-seed<seed>-phi<phi>",
 # on the lossy, amplified parameter set of validate-digests.json
@@ -289,20 +289,83 @@ def test_measured_pair_alone_is_bit_identical(mu, eta, phi):
         assert g2c.tobytes() == full[2].tobytes()
 
 
-@pytest.mark.parametrize("mu, eta", [(1.0, 0.8), (0.8, 1.0)])
-def test_lossless_vacuums_keep_their_signed_zeros(mu, eta):
-    # a zero loss amplitude still multiplies the draws, as the chain's
-    # admixing step did, so a negative draw leaves -0.0 rather than +0.0
-    params = InterferometerParams.with_technical_noise(1.0, r1=1.0, mu=mu, eta=eta, n_photons=1e6)
-    fields = _scaled_draws(_input_variances(params), mu, eta, 1000, _spawn_streams(36))
+@pytest.mark.parametrize("linearized", [False, True], ids=["exact", "linearized"])
+@pytest.mark.parametrize("phi", [0.0, 1.3, math.pi], ids=["0", "1.3", "pi"])
+@pytest.mark.parametrize("eta", LOSSES)
+@pytest.mark.parametrize("mu", LOSSES)
+def test_undrawn_vacuums_move_no_bit(mu, eta, phi, linearized):
+    # a lossless arm's vacuums and the ports linearized mode never builds are
+    # not drawn; the chain must give the bits it gives with them drawn from
+    # the same streams and admixed, zero amplitudes leaving signed zeros
+    params = InterferometerParams.with_technical_noise(
+        2.0, r1=1.0, r2=0.6, mu=mu, eta=eta, n_photons=1e6
+    )
+    n = 1000
+    fields = _scaled_draws(_input_variances(params), mu, eta, n, _spawn_streams(36), linearized)
+    amplitudes = {"m": math.sqrt(1.0 - mu), "n": math.sqrt(1.0 - eta)}
     normals = _spawn_streams(36)
+    admixed = {}
     for ch in oracle.CHANNELS:
-        normal = normals[ch].standard_normal(1000)
-        if (ch[0] == "m" and mu == 1.0) or (ch[0] == "n" and eta == 1.0):
-            assert not fields[ch].any()
-            assert np.array_equal(np.signbit(fields[ch]), np.signbit(normal))
+        normal = normals[ch].standard_normal(n)
+        if ch in fields:
+            admixed[ch] = fields[ch]
         else:
-            assert fields[ch].all()
+            admixed[ch] = normal * math.sqrt(VACUUM) * amplitudes[ch[0]]
+            if amplitudes[ch[0]] == 0.0:
+                assert np.signbit(admixed[ch]).any() and not admixed[ch].any()
+    reduced, full = (
+        _propagate(params, phi, inputs, np.empty((_CHAIN_ROWS, n)), measured_only=linearized)
+        for inputs in (fields, admixed)
+    )
+    for g, h in zip(reduced, full):
+        assert (g is None) == (h is None)
+        if g is not None:
+            assert g.tobytes() == h.tobytes()
+
+
+INPUTS = ("a1c", "a1s", "z2c", "z2s")
+INTERNAL = ("m1c", "m1s", "m2c", "m2s")
+MEASURED_EXTERNAL = ("n1s", "n2c")
+
+
+@pytest.mark.parametrize("n", [3000, _CHUNK + 1])
+@pytest.mark.parametrize(
+    "mu, eta, linearized, drawn",
+    [
+        (1.0, 1.0, False, INPUTS),
+        (1.0, 1.0, True, INPUTS),
+        (0.9, 1.0, False, INPUTS + INTERNAL),
+        (0.9, 1.0, True, INPUTS + INTERNAL),
+        (1.0, 0.9, False, INPUTS + ("n1c", "n1s", "n2c", "n2s")),
+        (1.0, 0.9, True, INPUTS + MEASURED_EXTERNAL),
+        (0.9, 0.9, False, INPUTS + INTERNAL + ("n1c", "n1s", "n2c", "n2s")),
+        (0.9, 0.9, True, INPUTS + INTERNAL + MEASURED_EXTERNAL),
+    ],
+)
+def test_a_run_draws_only_the_channels_it_reads(monkeypatch, mu, eta, linearized, drawn, n):
+    # a grid of n <= _CHUNK samples draws one set, n from each channel it
+    # reads; a longer run draws every phase in chunks
+    draws = []
+
+    class Recording:
+        def __init__(self, ch, gen):
+            self.ch, self.gen = ch, gen
+
+        def standard_normal(self, size):
+            draws.append((self.ch, size))
+            return self.gen.standard_normal(size)
+
+    def recording_streams(seed):
+        return {ch: Recording(ch, gen) for ch, gen in _spawn_streams(seed).items()}
+
+    monkeypatch.setattr(oracle, "_spawn_streams", recording_streams)
+    params = InterferometerParams.with_technical_noise(
+        2.0, r1=1.0, r2=0.6, mu=mu, eta=eta, n_photons=1e6
+    )
+    grid = [0.3, 2.5]
+    run(params, grid, OracleConfig(n_samples=n, seed=39, linearized_mode=linearized))
+    sizes = [n] if n <= _CHUNK else [_CHUNK, n - _CHUNK] * len(grid)
+    assert draws == [(ch, m) for m in sizes for ch in drawn]
 
 
 @pytest.mark.parametrize("knob, other", [("eta", 0.6), ("mu", 0.6)])
@@ -561,10 +624,14 @@ def test_kept_draws_are_read_only(solid_params, monkeypatch):
         received.clear()
         config = OracleConfig(n_samples=1000, seed=26, linearized_mode=linearized)
         run(solid_params, [0.3, 1.0], config)
-        # one block per phase, plus one mean path for the grid in linearized mode
-        assert len(received) == (3 if linearized else 2)
+        # one block per phase, which reads the lossless set's four drawn
+        # channels, after one mean path for the grid, on every channel, in
+        # linearized mode
+        blocks = [set(INPUTS)] * 2
+        assert [set(fields) for fields in received] == (
+            [set(oracle.CHANNELS)] + blocks if linearized else blocks
+        )
         for fields in received:
-            assert set(fields) == set(oracle.CHANNELS)
             for values in fields.values():
                 with pytest.raises(ValueError, match="read-only"):
                     values[0] = 1.0
