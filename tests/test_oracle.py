@@ -304,15 +304,11 @@ def test_undrawn_vacuums_move_no_bit(mu, eta, phi, linearized):
     fields = _scaled_draws(_input_variances(params), mu, eta, n, _spawn_streams(36), linearized)
     amplitudes = {"m": math.sqrt(1.0 - mu), "n": math.sqrt(1.0 - eta)}
     normals = _spawn_streams(36)
-    admixed = {}
-    for ch in oracle.CHANNELS:
-        normal = normals[ch].standard_normal(n)
-        if ch in fields:
-            admixed[ch] = fields[ch]
-        else:
-            admixed[ch] = normal * math.sqrt(VACUUM) * amplitudes[ch[0]]
-            if amplitudes[ch[0]] == 0.0:
-                assert np.signbit(admixed[ch]).any() and not admixed[ch].any()
+    admixed = dict(fields)
+    for ch in set(oracle.CHANNELS) - set(fields):
+        admixed[ch] = normals[ch].standard_normal(n) * math.sqrt(VACUUM) * amplitudes[ch[0]]
+        if amplitudes[ch[0]] == 0.0:
+            assert np.signbit(admixed[ch]).any() and not admixed[ch].any()
     reduced, full = (
         _propagate(params, phi, inputs, np.empty((_CHAIN_ROWS, n)), measured_only=linearized)
         for inputs in (fields, admixed)
@@ -325,6 +321,7 @@ def test_undrawn_vacuums_move_no_bit(mu, eta, phi, linearized):
 
 INPUTS = ("a1c", "a1s", "z2c", "z2s")
 INTERNAL = ("m1c", "m1s", "m2c", "m2s")
+EXTERNAL = ("n1c", "n1s", "n2c", "n2s")
 MEASURED_EXTERNAL = ("n1s", "n2c")
 
 
@@ -336,9 +333,9 @@ MEASURED_EXTERNAL = ("n1s", "n2c")
         (1.0, 1.0, True, INPUTS),
         (0.9, 1.0, False, INPUTS + INTERNAL),
         (0.9, 1.0, True, INPUTS + INTERNAL),
-        (1.0, 0.9, False, INPUTS + ("n1c", "n1s", "n2c", "n2s")),
+        (1.0, 0.9, False, INPUTS + EXTERNAL),
         (1.0, 0.9, True, INPUTS + MEASURED_EXTERNAL),
-        (0.9, 0.9, False, INPUTS + INTERNAL + ("n1c", "n1s", "n2c", "n2s")),
+        (0.9, 0.9, False, INPUTS + INTERNAL + EXTERNAL),
         (0.9, 0.9, True, INPUTS + INTERNAL + MEASURED_EXTERNAL),
     ],
 )
@@ -624,9 +621,8 @@ def test_kept_draws_are_read_only(solid_params, monkeypatch):
         received.clear()
         config = OracleConfig(n_samples=1000, seed=26, linearized_mode=linearized)
         run(solid_params, [0.3, 1.0], config)
-        # one block per phase, which reads the lossless set's four drawn
-        # channels, after one mean path for the grid, on every channel, in
-        # linearized mode
+        # in linearized mode one mean path for the grid, on every channel,
+        # then one block per phase, on the four channels the lossless set draws
         blocks = [set(INPUTS)] * 2
         assert [set(fields) for fields in received] == (
             [set(oracle.CHANNELS)] + blocks if linearized else blocks

@@ -260,7 +260,6 @@ def test_overflowing_penalty_on_a_grid_warns_nothing():
             sweep(params, [0.3, math.pi - 6.9e-8, 2.0], (strategy,))
 
 
-
 def test_out_of_range_value_prints_as_a_float():
     # the refused value reads as a float, not as the numpy scalar a grid
     # reduction hands over
@@ -271,6 +270,7 @@ def test_out_of_range_value_prints_as_a_float():
         "r1 = 0.0, r2 = 0.0, mu = 1.29e-46, eta = 0.786, n_photons = 550000.0, g2 = 8.6e+299"
         " put largest single dphi = inf out of the normal float range"
     )
+
 
 def test_bright_source_gives_finite_checked_results():
     # at G^4 N ~ 1e300 the Cauchy-Schwarz identity of the photocount moments,
