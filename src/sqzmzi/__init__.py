@@ -34,7 +34,6 @@ from .quadratures import (
     detector_field_stats,
 )
 from .sensitivity import (
-    SensitivityGrid,
     SensitivityResult,
     apriori_tolerance,
     dphi_min,
@@ -44,7 +43,6 @@ from .sensitivity import (
     k_factor,
     optimal_weight,
     phase_uncertainty,
-    phase_uncertainty_grid,
     required_r2,
     small_deviation_dphi_squared,
     snl,
@@ -73,13 +71,11 @@ __all__ = [
     "transfer_gain",
     "weighted_variance",
     "SensitivityResult",
-    "SensitivityGrid",
     "snl",
     "dphi_min",
     "k_factor",
     "optimal_weight",
     "phase_uncertainty",
-    "phase_uncertainty_grid",
     "sweep",
     "fwhm",
     "fwhm_approx",

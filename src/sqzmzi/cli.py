@@ -41,7 +41,7 @@ from .model import (
 )
 from .oracle import OracleConfig
 from .sensitivity import (
-    SensitivityGrid,
+    SensitivityResult,
     apriori_tolerance,
     dphi_min,
     fwhm,
@@ -109,13 +109,15 @@ def _texts(columns: list[np.ndarray | None], n: int, number, nonfinite, missing:
     return np.array(texts, dtype=object)[index].ravel().tolist()
 
 
-def _rows(grids: list[SensitivityGrid], number, nonfinite, missing: str):
+def _rows(grids: list[SensitivityResult], number, nonfinite, missing: str):
     """The rows of a sweep in grid order, each phase followed by every
     strategy: tuples of the texts of the phase, the strategy name, dphi,
     dphi_normalized and k_opt (``missing`` where a strategy applies no
     weight), each number through :func:`_texts`."""
     if not grids:
         raise ParameterError("a sweep to render needs at least one strategy grid")
+    if not all(isinstance(grid.phi, np.ndarray) for grid in grids):
+        raise ParameterError("a sweep to render needs results over a phase grid, not at one phase")
     phi = grids[0].phi.view(np.int64)
     for grid in grids[1:]:
         if not np.array_equal(grid.phi.view(np.int64), phi):
@@ -133,7 +135,7 @@ def _rows(grids: list[SensitivityGrid], number, nonfinite, missing: str):
     )
 
 
-def render_csv(grids: list[SensitivityGrid]) -> str:
+def render_csv(grids: list[SensitivityResult]) -> str:
     # inf for either sign; nan stays nan
     rows = _rows(grids, "%.12g".__mod__, lambda x: "inf" if math.isinf(x) else "nan", "")
     return "\n".join([CSV_HEADER, *map(",".join, rows)]) + "\n"
@@ -149,7 +151,7 @@ _JSON_ROW = """  {
   }"""
 
 
-def render_json(grids: list[SensitivityGrid]) -> str:
+def render_json(grids: list[SensitivityResult]) -> str:
     # what json.dumps writes for a float, with the string "inf" for every
     # non-finite value
     rows = _rows(grids, repr, lambda x: '"inf"', "null")

@@ -117,11 +117,11 @@ class InterferometerParams:
         n_photons: float = 1e6,
     ) -> "InterferometerParams":
         """Build params from the excess-noise factor A = N(g2 - 1) + 1 instead of g2."""
-        if not math.isfinite(technical_noise) or technical_noise < 1.0:
+        if not 1.0 <= technical_noise <= float_info.max:
             raise ParameterError(
                 f"technical noise factor must be >= 1, got {technical_noise!r}"
             )
-        if not (math.isfinite(n_photons) and n_photons > 0.0):
+        if not 0.0 < n_photons <= float_info.max:
             raise ParameterError(f"n_photons must be > 0, got {n_photons!r}")
         g2 = 1.0 + (technical_noise - 1.0) / n_photons
         return cls(r1=r1, r2=r2, mu=mu, eta=eta, n_photons=n_photons, g2=g2)
@@ -137,7 +137,8 @@ def validate(params: InterferometerParams) -> None:
     errors: list[str] = []
     for name in ("r1", "r2", "mu", "eta", "n_photons", "g2"):
         value = getattr(params, name)
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        # an int past the float range is no finite float either
+        if not isinstance(value, (int, float)) or not abs(value) <= float_info.max:
             errors.append(f"{name} must be a finite number, got {value!r}")
     if not errors:
         _check(params.r1 >= 0.0, f"squeeze factor r1 must be >= 0, got {params.r1}", errors)

@@ -164,7 +164,10 @@ def core_noise_covariance(params: InterferometerParams, phi: float) -> Quadratur
     Built as B diag(v) B^T from the source coefficient matrix, so positive
     semidefiniteness is structural.  Means are zero by construction (the
     fluctuations are defined about the signal)."""
-    b = _core_coefficients(params.mu, Phase(phi))
+    phase = Phase(phi)
+    if not isinstance(phase.phi, float):
+        raise ParameterError(f"phi must be one phase, got a grid of {phase.phi.size}")
+    b = _core_coefficients(params.mu, phase)
     v = np.array(_input_variances(params) + (VACUUM,) * 5)
     cov = (b * v) @ b.T
     return QuadratureStats(labels=CORE_LABELS, mean=np.zeros(4), cov=cov)

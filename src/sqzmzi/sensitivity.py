@@ -43,13 +43,11 @@ from .model import (
 # re-exported: eps^2 belongs to the loss model but is mostly consumed here
 __all__ = [
     "SensitivityResult",
-    "SensitivityGrid",
     "snl",
     "dphi_min",
     "k_factor",
     "optimal_weight",
     "phase_uncertainty",
-    "phase_uncertainty_grid",
     "sweep",
     "fwhm",
     "fwhm_approx",
@@ -100,51 +98,32 @@ def optimal_weight(phi: float) -> float:
 
 @dataclass(frozen=True)
 class SensitivityResult:
-    """Phase uncertainty of one strategy at one working point.
-
-    dphi is math.inf exactly at a strategy's singular phases (diagnostic says
-    which); normalized = dphi/dphi_snl.  fwhm is the width of the high-
-    sensitivity region where defined (None for the flat strategies), k_opt the
-    applied weight for the weighted strategies.
-    """
-
-    strategy: Strategy
-    phi: float
-    dphi: float
-    dphi_min: float
-    dphi_snl: float
-    k_factor: float
-    eps2: float
-    normalized: float
-    fwhm: float | None = None
-    fwhm_lobes: int | None = None
-    k_opt: float | None = None
-    diagnostic: str | None = None
-
-
-@dataclass(frozen=True)
-class SensitivityGrid:
-    """Phase uncertainty of one strategy over a 1-D grid of working points.
+    """Phase uncertainty of one strategy at one working point or over a 1-D
+    grid of them.
 
     ``phi``, ``dphi``, ``normalized``, ``divergent`` and, for the weighted
-    strategies, ``k_opt`` are arrays over the grid; the other fields are
-    those of :class:`SensitivityResult`.  dphi is inf
-    exactly where ``divergent`` marks a singular phase, and ``diagnostic``
-    says why it diverges there.
+    strategies, ``k_opt`` are floats (``divergent`` a bool) at one phase and
+    arrays over a grid, as in :class:`~sqzmzi.photostats.PhotonStats`; the
+    other fields do not depend on the phase.  dphi is math.inf exactly where
+    ``divergent`` marks a singular phase, and normalized = dphi/dphi_snl.
+    ``diagnostic`` says why the strategy diverges: at one phase only if it
+    does there, over a grid whether or not any of its phases is singular.
+    fwhm is the width of the high-sensitivity region where defined (None for
+    the flat strategies), k_opt the applied weight for the weighted strategies.
     """
 
     strategy: Strategy
-    phi: np.ndarray
-    dphi: np.ndarray
-    normalized: np.ndarray
-    divergent: np.ndarray
+    phi: float | np.ndarray
+    dphi: float | np.ndarray
+    normalized: float | np.ndarray
+    divergent: bool | np.ndarray
     dphi_min: float
     dphi_snl: float
     k_factor: float
     eps2: float
     fwhm: float | None = None
     fwhm_lobes: int | None = None
-    k_opt: np.ndarray | None = None
+    k_opt: float | np.ndarray | None = None
     diagnostic: str | None = None
 
     def point(self, i: int) -> SensitivityResult:
@@ -161,13 +140,14 @@ class SensitivityGrid:
 def _result(
     strategy, phi, dphi, normalized, divergent, k_opt, *, diagnostic, **constants
 ) -> SensitivityResult:
-    """The :class:`SensitivityResult` at one phase from the per-phase values
+    """The one-phase :class:`SensitivityResult` from the per-phase values
     there and the phase-independent ``constants``."""
     return SensitivityResult(
         strategy=strategy,
         phi=float(phi),
         dphi=float(dphi),
         normalized=float(normalized),
+        divergent=bool(divergent),
         k_opt=None if k_opt is None else float(k_opt),
         diagnostic=diagnostic if divergent else None,
         **constants,
@@ -203,47 +183,30 @@ def _squared(x: float) -> float:
 
 def sweep(
     params: InterferometerParams, phis, strategies: tuple[Strategy, ...]
-) -> list[SensitivityGrid]:
-    """Phase uncertainty of each of ``strategies`` at every working point of
-    ``phis``, a 1-D sequence of phases or a :class:`Phase` over one: one
-    :class:`Phase` and one :func:`~sqzmzi.photostats.photon_stats` over the
-    grid, which every strategy's evaluation reads (see :func:`_evaluate`)."""
+) -> list[SensitivityResult]:
+    """Phase uncertainty of each of ``strategies`` at ``phis``, one phase, a
+    1-D sequence of phases or a :class:`Phase`: one :class:`Phase` and one
+    :func:`~sqzmzi.photostats.photon_stats` there, which every strategy's
+    evaluation reads (see :func:`_evaluate`)."""
     phase = Phase(phis)
-    if not isinstance(phase.phi, np.ndarray):
-        raise ParameterError(f"phases must form a 1-D grid, got shape {np.shape(phis)}")
     stats = photostats.photon_stats(params, phase)
-    return [
-        SensitivityGrid(strategy=strategy, phi=phase.phi, **_evaluate(strategy, params, phase, stats))
-        for strategy in strategies
-    ]
+    return [_evaluate(strategy, params, phase, stats) for strategy in strategies]
 
 
-def phase_uncertainty_grid(
-    strategy: Strategy, params: InterferometerParams, phis
-) -> SensitivityGrid:
-    """Phase uncertainty of ``strategy`` at every working point of ``phis``, a
-    1-D sequence of phases or a :class:`Phase` over one, in one pass over the
-    grid: a one-strategy :func:`sweep`."""
-    return sweep(params, phis, (strategy,))[0]
-
-
-def phase_uncertainty(
-    strategy: Strategy, params: InterferometerParams, phi: float
-) -> SensitivityResult:
-    """Phase uncertainty of ``strategy`` at working point ``phi``: the values
-    of :func:`phase_uncertainty_grid` at this one phase, computed by the same
-    code in Python-float arithmetic, which is faster for one point."""
+def phase_uncertainty(strategy: Strategy, params: InterferometerParams, phi) -> SensitivityResult:
+    """Phase uncertainty of ``strategy`` at ``phi``, one phase or a 1-D grid of
+    them: a one-strategy :func:`sweep`.  One phase is evaluated in
+    Python-float arithmetic, which is faster for one point and gives the grid
+    point's bits."""
     phase = Phase(phi)
-    stats = photostats.photon_stats(params, phase)
-    return _result(strategy, phase.phi, **_evaluate(strategy, params, phase, stats))
+    return _evaluate(strategy, params, phase, photostats.photon_stats(params, phase))
 
 
 def _evaluate(
     strategy: Strategy, params: InterferometerParams, phase: Phase, stats: photostats.PhotonStats
-) -> dict:
-    """The fields of a :class:`SensitivityGrid` but its strategy and phases,
-    at ``phase``, one phase or a 1-D grid of them, where ``stats`` holds the
-    photocount moments.
+) -> SensitivityResult:
+    """The :class:`SensitivityResult` of ``strategy`` at ``phase``, one phase
+    or a 1-D grid of them, where ``stats`` holds the photocount moments.
 
     The closed form is cross-checked against error propagation,
     sqrt(Var O)/|d<O>/dphi| of the strategy's photocount observable O, at every
@@ -312,7 +275,9 @@ def _evaluate(
 
     # a huge K times the penalty near a singular phase overflows dphi there
     peak = _replace(dphi, divergent, floor)
-    _require_normal(params, (f"largest {kind.value} dphi", peak.max() if isinstance(peak, np.ndarray) else peak))
+    # every dphi is at least the floor, which an empty grid's peak reads
+    largest = peak.max(initial=floor) if isinstance(peak, np.ndarray) else peak
+    _require_normal(params, (f"largest {kind.value} dphi", largest))
     # error propagation against the closed form where it applies, 0 vs 0 elsewhere
     unchecked = divergent | (abs(slope) <= 1e-9 * stats.mean_nplus)
     propagated = np.sqrt(var_o) / _replace(abs(slope), unchecked, 1.0)
@@ -324,7 +289,7 @@ def _evaluate(
         rtol=CROSSCHECK_RTOL,
     )
     dphi = _replace(dphi, divergent, math.inf)
-    return dict(
+    fields = dict(
         dphi=dphi,
         normalized=dphi / shot,
         divergent=divergent,
@@ -337,6 +302,9 @@ def _evaluate(
         k_opt=k_opt,
         diagnostic=diagnostic,
     )
+    if isinstance(phase.phi, np.ndarray):
+        return SensitivityResult(strategy=strategy, phi=phase.phi, **fields)
+    return _result(strategy, phase.phi, **fields)
 
 
 def fwhm(strategy: Strategy, params: InterferometerParams) -> float:
@@ -395,7 +363,9 @@ def small_deviation_dphi_squared(params: InterferometerParams, dphi_apr: float) 
     if not math.isfinite(dphi_apr):
         raise ParameterError(f"dphi_apr must be finite, got {dphi_apr!r}")
     floor = dphi_min(params)
-    return floor * floor + k_factor(params) * dphi_apr * dphi_apr
+    law = floor * floor + k_factor(params) * dphi_apr * dphi_apr
+    _require_normal(params, (f"dphi_min^2 + K dphi_apr^2 at dphi_apr = {dphi_apr!r}", law))
+    return law
 
 
 def required_r2(mu: float, eta: float, target_eps2: float) -> float | None:
@@ -430,7 +400,11 @@ def implied_inefficiency(r1: float, gain_db: float) -> float:
         raise ParameterError(f"r1 must be >= 0, got {r1!r}")
     if not math.isfinite(gain_db):
         raise ParameterError(f"gain_db must be finite, got {gain_db!r}")
-    eps2 = 10.0 ** (-gain_db / 10.0) - math.exp(-2.0 * r1)
+    try:
+        total = 10.0 ** (-gain_db / 10.0)
+    except OverflowError:
+        raise ParameterError(f"gain_db = {gain_db!r} is too small: 10^(-gain_db/10) overflows") from None
+    eps2 = total - math.exp(-2.0 * r1)
     if eps2 < 0.0:
         raise ParameterError(
             f"a gain of {gain_db} dB exceeds the loss-free limit for r1 = {r1}"

@@ -27,7 +27,6 @@ from sqzmzi.sensitivity import (
     dphi_min,
     fwhm,
     phase_uncertainty,
-    phase_uncertainty_grid,
     small_deviation_dphi_squared,
 )
 
@@ -58,14 +57,14 @@ def test_criterion_1_reference_curves():
     # timed through the grid route, the one `sqzmzi sweep` runs
     start = time.perf_counter()
     curves = {
-        (id(params), strategy.kind): phase_uncertainty_grid(strategy, params, grid).normalized
+        (id(params), strategy.kind): phase_uncertainty(strategy, params, grid).normalized
         for params, _ in cases
         for strategy in strategies
     }
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"sweeps took {elapsed:.3f} s"
 
-    # the scalar route gives the same curves bit for bit
+    # the one-phase route gives the same curves bit for bit
     for params, _ in cases:
         for strategy in strategies:
             scalar = [phase_uncertainty(strategy, params, phi).normalized for phi in grid]

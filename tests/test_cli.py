@@ -197,6 +197,7 @@ USAGE_MESSAGES = {
     ("report", "--mu", "1e-200", "--eta", "1e-200"): "mu = 1e-200 and eta = 1e-200 are too small",
     ("report", "--mu", "1e-300", "--eta", "1e-10"): "eps^2 overflows",
     ("report", "--r1", "174", "--n-photons", "1e211"): "dphi_min^2",
+    ("report", "--implied-gain-db", "-10000"): "gain_db = -10000.0 is too small",
     ("validate", "--r2", "160", "--points", "2", "--oracle-samples", "10"): "32 floor^2 = inf",
 }
 
@@ -222,6 +223,7 @@ USAGE_MESSAGES = {
         ["report", "--mu", "1e-200", "--eta", "1e-200"],
         ["report", "--mu", "1e-300", "--eta", "1e-10"],
         ["report", "--r1", "174", "--n-photons", "1e211"],
+        ["report", "--implied-gain-db", "-10000"],
         ["validate", "--r2", "160", "--points", "2", "--oracle-samples", "10"],
     ],
 )

@@ -80,6 +80,11 @@ def test_with_technical_noise_rejects_sub_coherent():
         InterferometerParams.with_technical_noise(0.5)
     with pytest.raises(ParameterError, match="n_photons must be > 0"):
         InterferometerParams.with_technical_noise(2.0, n_photons=0.0)
+    # ints past the float range, which math.isfinite cannot convert
+    with pytest.raises(ParameterError, match="technical noise factor must be >= 1"):
+        InterferometerParams.with_technical_noise(10**400)
+    with pytest.raises(ParameterError, match="n_photons must be > 0"):
+        InterferometerParams.with_technical_noise(2.0, n_photons=10**400)
 
 
 def test_validation_messages_name_the_violation():
@@ -97,6 +102,14 @@ def test_validation_messages_name_the_violation():
         InterferometerParams(r1=-0.1)
     with pytest.raises(ParameterError, match="finite"):
         InterferometerParams(n_photons=math.nan)
+
+
+@pytest.mark.parametrize("name", ["r1", "r2", "mu", "eta", "n_photons", "g2"])
+def test_int_past_the_float_range_is_not_a_finite_number(name):
+    with pytest.raises(ParameterError, match=f"{name} must be a finite number"):
+        InterferometerParams(**{name: 10**400})
+    # an int inside the range is a number like any other
+    assert getattr(InterferometerParams(**{name: 1}), name) == 1
 
 
 def test_validation_reports_every_violation_at_once():

@@ -262,6 +262,11 @@ def test_quadrature_stats_validation():
         QuadratureStats(("a", "b"), np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def test_core_noise_covariance_refuses_a_grid_by_name():
+    with pytest.raises(ParameterError, match="phi must be one phase, got a grid of 2"):
+        core_noise_covariance(InterferometerParams(), [1.0, 2.0])
+
+
 def test_quadrature_stats_arrays_are_read_only():
     stats = core_noise_covariance(InterferometerParams(), 0.3)
     with pytest.raises(ValueError):

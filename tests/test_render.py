@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import interferometer_params
 from sqzmzi import cli
 from sqzmzi.model import InterferometerParams, ParameterError, Strategy, StrategyKind
-from sqzmzi.sensitivity import SensitivityGrid
+from sqzmzi.sensitivity import SensitivityResult
 
 
 def _fmt(x: float) -> str:
@@ -65,7 +65,7 @@ EDGES = [
 def _synthetic(strategy, phi, dphi, normalized, k_opt):
     as_array = lambda values: np.array(values, dtype=np.float64)  # noqa: E731
     dphi = as_array(dphi)
-    return SensitivityGrid(
+    return SensitivityResult(
         strategy=strategy, phi=as_array(phi), dphi=dphi, normalized=as_array(normalized),
         divergent=np.isinf(dphi), dphi_min=1.0, dphi_snl=1.0, k_factor=1.0, eps2=0.0,
         k_opt=None if k_opt is None else as_array(k_opt),
@@ -148,3 +148,19 @@ def _optimal_then_single(first, second):
 def test_renderers_refuse_grids_without_one_shared_phase_grid(render, grids):
     with pytest.raises(ParameterError, match="strategy grid|share one phase grid"):
         render(grids)
+
+
+@pytest.mark.parametrize("render", [cli.render_csv, cli.render_json])
+def test_renderers_refuse_one_phase_results(render):
+    # a sweep at one phase answers with one-phase results, which have no rows
+    results = cli.sweep(InterferometerParams(), 1.0, STRATEGIES)
+    with pytest.raises(ParameterError, match="over a phase grid, not at one phase"):
+        render(results)
+    with pytest.raises(ParameterError, match="over a phase grid, not at one phase"):
+        render([*cli.sweep(InterferometerParams(), [1.0], STRATEGIES[:1]), *results[1:]])
+
+
+def test_empty_sweeps_render_only_the_header():
+    grids = cli.sweep(InterferometerParams(), [], STRATEGIES)
+    assert cli.render_csv(grids) == cli.CSV_HEADER + "\n"
+    _assert_renders_like_reference(grids)

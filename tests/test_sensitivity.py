@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import R1_10DB, interferometer_params, midpoint_grid, phases
 from sqzmzi import oracle, photostats, quadratures, sensitivity
-from sqzmzi.model import InterferometerParams, ParameterError, Strategy, inefficiency
+from sqzmzi.model import InterferometerParams, ParameterError, Strategy, StrategyKind, inefficiency
 from sqzmzi.photostats import ConsistencyError
 from sqzmzi.sensitivity import (
     apriori_tolerance,
@@ -22,7 +22,6 @@ from sqzmzi.sensitivity import (
     k_factor,
     optimal_weight,
     phase_uncertainty,
-    phase_uncertainty_grid,
     required_r2,
     small_deviation_dphi_squared,
     snl,
@@ -66,6 +65,7 @@ def test_single_detector_reference_point(solid_params):
     assert math.isclose(res.normalized, math.sqrt(1.1), rel_tol=1e-12)
     assert res.dphi_snl == 1e-3
     assert res.fwhm_lobes == 1
+    assert res.divergent is False
     assert res.diagnostic is None
 
 
@@ -106,6 +106,7 @@ def test_single_detector_singularity(solid_params):
     res = phase_uncertainty(Strategy.single(), solid_params, math.pi)
     assert res.dphi == math.inf
     assert res.normalized == math.inf
+    assert res.divergent is True
     assert res.diagnostic is not None and "pi" in res.diagnostic
 
 
@@ -142,7 +143,6 @@ def test_phase_must_be_finite(solid_params, monkeypatch):
     )
     entry_points = (
         partial(phase_uncertainty, Strategy.single(), solid_params),
-        partial(phase_uncertainty_grid, Strategy.single(), solid_params),
         lambda phi: sweep(solid_params, phi, ALL_STRATEGIES),
         optimal_weight,
         *(partial(fn, solid_params) for fn in per_phase),
@@ -156,9 +156,7 @@ def test_phase_must_be_finite(solid_params, monkeypatch):
                 with pytest.raises(ParameterError, match="finite"):
                     entry(phi)
     with pytest.raises(ParameterError, match="1-D"):
-        phase_uncertainty_grid(Strategy.single(), solid_params, [[0.5, 1.0]])
-    with pytest.raises(ParameterError, match="1-D grid"):
-        phase_uncertainty_grid(Strategy.single(), solid_params, 1.0)
+        phase_uncertainty(Strategy.single(), solid_params, [[0.5, 1.0]])
     with pytest.raises(ParameterError, match="1-D"):
         oracle.run(solid_params, [[0.5, 1.0]], oracle.OracleConfig(n_samples=4))
     assert spawned == []
@@ -311,8 +309,7 @@ def _must_be_finite(out) -> np.ndarray:
         return np.concatenate([out.mean.ravel(), out.cov.ravel()])
     parts = []
     for g in out if isinstance(out, list) else [out]:
-        divergent = g.divergent if isinstance(g, sensitivity.SensitivityGrid) else g.diagnostic is not None
-        defined = ~np.atleast_1d(divergent)
+        defined = ~np.atleast_1d(g.divergent)
         parts += [np.atleast_1d(g.dphi)[defined], np.atleast_1d(g.normalized)[defined]]
         parts += [g.dphi_min, g.dphi_snl, g.k_factor, g.eps2, g.k_opt, g.fwhm]
     return np.concatenate([np.ravel(np.asarray(p, dtype=float)) for p in parts if p is not None])
@@ -440,6 +437,9 @@ def test_small_deviation_law_matches_exact_formula(dashed_params):
         assert math.isclose(exact, law, rel_tol=1e-4)
     with pytest.raises(ParameterError):
         small_deviation_dphi_squared(dashed_params, math.nan)
+    # K dphi_apr^2 overflows
+    with pytest.raises(ParameterError, match="dphi_min\\^2 \\+ K dphi_apr\\^2 at dphi_apr = 1e\\+200 = inf"):
+        small_deviation_dphi_squared(dashed_params, 1e200)
 
 
 def test_required_r2_reference_points():
@@ -492,6 +492,9 @@ def test_implied_inefficiency_reference():
         implied_inefficiency(-0.5, 1.0)
     with pytest.raises(ParameterError, match="gain_db must be finite"):
         implied_inefficiency(1.0, math.nan)
+    # 10^(-gain_db/10) overflows
+    with pytest.raises(ParameterError, match="gain_db = -10000.0 is too small"):
+        implied_inefficiency(1.0, -10000.0)
 
 
 @settings(max_examples=150)
@@ -517,13 +520,29 @@ def test_grid_matches_scalar_bit_for_bit(params, phis, phi_apr):
     # one sweep: every strategy reads the same photocount moments
     shared = sweep(params, phis, strategies)
     for strategy, swept in zip(strategies, shared):
-        grid = phase_uncertainty_grid(strategy, params, phis)
+        grid = phase_uncertainty(strategy, params, phis)
         for i, phi in enumerate(phis):
             # repr tells every float apart, -0.0 from 0.0 included
             scalar = repr(phase_uncertainty(strategy, params, phi))
             assert repr(grid.point(i)) == scalar
             assert repr(swept.point(i)) == scalar
         assert list(grid.divergent) == [math.isinf(d) for d in grid.dphi]
+
+
+def test_sweep_answers_in_kind(solid_params):
+    # at one phase a sweep gives every strategy's one-phase result
+    strategies = ALL_STRATEGIES + (Strategy.suboptimal(0.5),)
+    for phi in (1.0, math.pi, np.float64(0.0), np.array(2.0)):
+        alone = [phase_uncertainty(s, solid_params, phi) for s in strategies]
+        assert repr(sweep(solid_params, phi, strategies)) == repr(alone)
+        assert {(type(r.phi), type(r.dphi), type(r.divergent)) for r in alone} == {(float, float, bool)}
+    # over an empty grid every per-phase field is empty
+    for strategy, res in zip(strategies, sweep(solid_params, [], strategies)):
+        per_phase = [res.phi, res.dphi, res.normalized, res.divergent]
+        if strategy.kind in (StrategyKind.OPTIMAL, StrategyKind.SUBOPTIMAL):
+            per_phase.append(res.k_opt)
+        assert [x.shape for x in per_phase] == [(0,)] * len(per_phase)
+        assert repr(phase_uncertainty(strategy, solid_params, [])) == repr(res)
 
 
 @pytest.mark.parametrize(
@@ -544,12 +563,12 @@ def test_grid_cross_checks_are_live(monkeypatch, module, name, strategy):
     grid = midpoint_grid(24)
     # this strategy first, then the other three, all on one photocount state
     shared = (strategy, *(s for s in ALL_STRATEGIES + (Strategy.suboptimal(1.0),) if s != strategy))
-    phase_uncertainty_grid(strategy, params, grid)
+    phase_uncertainty(strategy, params, grid)
     sweep(params, grid, shared)
     exact = getattr(module, name)
     monkeypatch.setattr(module, name, lambda p: exact(p) * (1.0 + 1e-8))
     with pytest.raises(ConsistencyError) as alone:
-        phase_uncertainty_grid(strategy, params, grid)
+        phase_uncertainty(strategy, params, grid)
     with pytest.raises(ConsistencyError) as among:
         sweep(params, grid, shared)
     assert str(among.value) == str(alone.value)
