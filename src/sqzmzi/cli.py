@@ -153,9 +153,9 @@ _JSON_ROW = """  {
 
 def render_json(grids: list[SensitivityResult]) -> str:
     # what json.dumps writes for a float, with the string "inf" for every
-    # non-finite value
-    rows = _rows(grids, repr, lambda x: '"inf"', "null")
-    return "[\n" + ",\n".join(map(_JSON_ROW.__mod__, rows)) + "\n]\n"
+    # non-finite value; json.dumps writes an empty list on one line
+    body = ",\n".join(map(_JSON_ROW.__mod__, _rows(grids, repr, lambda x: '"inf"', "null")))
+    return f"[\n{body}\n]\n" if body else "[]\n"
 
 
 def validate_against_oracle(

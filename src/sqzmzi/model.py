@@ -25,14 +25,14 @@ class ParameterError(ValueError):
 
 def db_to_squeeze_factor(db: float) -> float:
     """Convert squeezing in dB (variance convention, 10*log10 e^{2r}) to the factor r."""
-    if not math.isfinite(db):
+    if not abs(db) <= float_info.max:
         raise ParameterError(f"squeezing in dB must be finite, got {db!r}")
     return db * LN10 / 20.0
 
 
 def squeeze_factor_to_db(r: float) -> float:
     """Inverse of :func:`db_to_squeeze_factor`."""
-    if not math.isfinite(r):
+    if not abs(r) <= float_info.max:
         raise ParameterError(f"squeeze factor must be finite, got {r!r}")
     return 20.0 * r / LN10
 
@@ -60,11 +60,14 @@ class Phase:
     def __new__(cls, phi):
         if isinstance(phi, Phase):
             return phi
-        if isinstance(phi, float) or np.ndim(phi) == 0:
-            phi = float(phi)
+        try:
+            one = isinstance(phi, float) or np.ndim(phi) == 0
+            phi = float(phi) if one else np.array(phi, dtype=float)
+        except OverflowError:
+            raise ParameterError("phi must be finite, got an int past the float range") from None
+        if one:
             bad = [] if math.isfinite(phi) else [phi]
         else:
-            phi = np.array(phi, dtype=float)
             if phi.ndim != 1:
                 raise ParameterError(f"phases must form a 1-D grid, got shape {phi.shape}")
             bad = phi[~np.isfinite(phi)][:1].tolist()
@@ -209,7 +212,7 @@ class Strategy:
 
     def __post_init__(self) -> None:
         if self.kind is StrategyKind.SUBOPTIMAL:
-            if self.phi_apr is None or not math.isfinite(self.phi_apr):
+            if self.phi_apr is None or not abs(self.phi_apr) <= float_info.max:
                 raise ParameterError(
                     f"suboptimal strategy needs a finite phi_apr, got {self.phi_apr!r}"
                 )

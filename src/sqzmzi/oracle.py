@@ -45,11 +45,12 @@ batch errors leave the float range (before any draw), the closed forms (one
 linearized mode, the mean path (one :func:`_propagate` call on one-element
 zero inputs, broadcast over those phases).  Every point is still checked
 against its own closed forms, which carry the bits of an evaluation at that
-phase alone.  The 32 batch moments of a phase take a few calls, each on a
-stack of equal-length batches copied into the idle chain buffers; each row
-gets the bits of a call on it alone.  Nothing is kept after a call returns
-and nothing is shared between calls, so calls from several threads at once
-are independent.
+phase alone.  One routine takes every sample moment of a phase, on stacks
+of equal-length blocks: the 32 batch moments in a few calls, each on a stack
+of batches copied into the idle chain buffers, and the full-sample moments
+in one call on a one-row stack.  Each row gets the bits of plain numpy on
+that row alone.  Nothing is kept after a call returns and nothing is shared
+between calls, so calls from several threads at once are independent.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from sys import float_info
 
 import numpy as np
 
@@ -270,23 +272,13 @@ def _scaled_draws(
 
 
 def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict:
-    """The ten photocounting moments (ddof = 1) of a sample block, as floats,
-    or of each row of a stack of equal-length blocks, as lists in row order;
-    centres n1 and n2 in place.  Each row gets the bits of a call on it alone:
-    the row sums are the pairwise sums of ndarray.mean (without its
-    Python-level wrapper), and the stacked products are the 1-D dot products,
-    which a block takes plainly, without the stack's broadcasting."""
+    """The ten photocounting moments (ddof = 1) of each row of a stack of
+    equal-length sample blocks, as lists in row order; centres n1 and n2 in
+    place.  Each row gets the bits of plain numpy on that row alone: its sums
+    are the pairwise sums of ndarray.mean (without its Python-level wrapper),
+    and its products the 1-D dot products."""
     size = n1.shape[-1]
     denom = size - 1
-    if n1.ndim == 1:
-        mean1 = float(np.add.reduce(n1)) / size
-        mean2 = float(np.add.reduce(n2)) / size
-        n1 -= mean1
-        n2 -= mean2
-        var1 = float(n1 @ n1) / denom
-        var2 = float(n2 @ n2) / denom
-        cov12 = float(n1 @ n2) / denom
-        return _combined_moments(mean1, mean2, var1, var2, cov12)
     mean1 = np.add.reduce(n1, axis=-1) / size
     mean2 = np.add.reduce(n2, axis=-1) / size
     n1 -= mean1[:, None]
@@ -295,14 +287,7 @@ def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict:
     var1 = (row1 @ col1)[:, 0, 0] / denom
     var2 = (n2[:, None, :] @ col2)[:, 0, 0] / denom
     cov12 = (row1 @ col2)[:, 0, 0] / denom
-    moments = _combined_moments(mean1, mean2, var1, var2, cov12)
-    return {name: value.tolist() for name, value in moments.items()}
-
-
-def _combined_moments(mean1, mean2, var1, var2, cov12) -> dict:
-    """The ten photocounting moments from the means, variances and covariance
-    of n1 and n2 (floats, or arrays of them)."""
-    return {
+    moments = {
         "mean_n1": mean1,
         "mean_n2": mean2,
         "var_n1": var1,
@@ -315,6 +300,7 @@ def _combined_moments(mean1, mean2, var1, var2, cov12) -> dict:
         "var_nminus": var1 + var2 - 2.0 * cov12,
         "cov_npm": var1 - var2,
     }
+    return {name: value.tolist() for name, value in moments.items()}
 
 
 def run(
@@ -446,9 +432,9 @@ def _report(
 
     # _moments_of centres its arguments in place, so the batches go through it
     # as copies, stacked by length in the idle chain buffers (n1's in the
-    # first half, n2's in the second), and the full sample goes last.  A
-    # stack holds at most half the batches, so only the full-sample call has
-    # the full sample's size
+    # first half, n2's in the second), and the full sample goes last, as a
+    # one-row stack.  A stack holds at most half the batches, so only the
+    # full-sample call has the full sample's size
     table = np.empty((len(photostats.MOMENT_FIELDS), len(batches)))
     half = chain.size // 2
     for length in sorted({b - a for a, b in batches}):
@@ -465,7 +451,7 @@ def _report(
                 s2[row] = n2[a:b]
             batch_moments = _moments_of(s1, s2)
             table[:, stack] = [batch_moments[name] for name in photostats.MOMENT_FIELDS]
-    moments = _moments_of(n1, n2)
+    moments = {name: row for name, (row,) in _moments_of(n1[None], n2[None]).items()}
 
     stds = np.std(table, axis=1, ddof=1).tolist()
     ses = {name: std / math.sqrt(len(batches)) for name, std in zip(photostats.MOMENT_FIELDS, stds)}
@@ -522,7 +508,7 @@ def linearization_error(
     """
     if len(alpha_grid) == 0:
         raise ParameterError("alpha_grid must not be empty")
-    if any(not (math.isfinite(a) and a > 0.0) for a in alpha_grid):
+    if any(not 0.0 < a <= float_info.max for a in alpha_grid):
         raise ParameterError(f"alpha_grid entries must be > 0, got {alpha_grid!r}")
     if list(alpha_grid) != sorted(alpha_grid):
         raise ParameterError("alpha_grid must be ascending")

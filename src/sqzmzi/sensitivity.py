@@ -24,6 +24,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
@@ -67,7 +68,7 @@ CROSSCHECK_RTOL = 1e-10
 
 def snl(n_photons: float) -> float:
     """Shot-noise-limited phase uncertainty 1/sqrt(N) of an ideal MZI."""
-    if not (math.isfinite(n_photons) and n_photons > 0.0):
+    if not 0.0 < n_photons <= float_info.max:
         raise ParameterError(f"n_photons must be > 0, got {n_photons!r}")
     return 1.0 / math.sqrt(n_photons)
 
@@ -360,7 +361,7 @@ def apriori_tolerance(params: InterferometerParams) -> float:
 def small_deviation_dphi_squared(params: InterferometerParams, dphi_apr: float) -> float:
     """(Delta phi)^2 predicted by the small-deviation law dphi_min^2 + K dphi_apr^2
     for a suboptimal weight frozen dphi_apr away from the true phase."""
-    if not math.isfinite(dphi_apr):
+    if not abs(dphi_apr) <= float_info.max:
         raise ParameterError(f"dphi_apr must be finite, got {dphi_apr!r}")
     floor = dphi_min(params)
     law = floor * floor + k_factor(params) * dphi_apr * dphi_apr
@@ -379,7 +380,7 @@ def required_r2(mu: float, eta: float, target_eps2: float) -> float | None:
         raise ParameterError(f"internal transmissivity must be in (0, 1], got {mu!r}")
     if not (0.0 < eta <= 1.0):
         raise ParameterError(f"external transmissivity must be in (0, 1], got {eta!r}")
-    if not (math.isfinite(target_eps2) and target_eps2 >= 0.0):
+    if not 0.0 <= target_eps2 <= float_info.max:
         raise ParameterError(f"target eps^2 must be >= 0, got {target_eps2!r}")
     floor = (1.0 - mu) / mu
     if eta == 1.0:
@@ -396,9 +397,9 @@ def implied_inefficiency(r1: float, gain_db: float) -> float:
     A measured gain of ``gain_db`` dB (amplitude convention) with input squeezing
     r1 means e^{-2 r1} + eps^2 = 10^{-gain_db/10}; solves for eps^2.
     """
-    if not math.isfinite(r1) or r1 < 0.0:
+    if not 0.0 <= r1 <= float_info.max:
         raise ParameterError(f"r1 must be >= 0, got {r1!r}")
-    if not math.isfinite(gain_db):
+    if not abs(gain_db) <= float_info.max:
         raise ParameterError(f"gain_db must be finite, got {gain_db!r}")
     try:
         total = 10.0 ** (-gain_db / 10.0)

@@ -20,6 +20,8 @@ from sqzmzi import (
     technical_noise_factor,
     validate,
 )
+from sqzmzi import oracle, sensitivity
+from sqzmzi.model import Phase
 
 
 def test_db_conversion_reference_points():
@@ -110,6 +112,44 @@ def test_int_past_the_float_range_is_not_a_finite_number(name):
         InterferometerParams(**{name: 10**400})
     # an int inside the range is a number like any other
     assert getattr(InterferometerParams(**{name: 1}), name) == 1
+
+
+_PARAMS = InterferometerParams(r1=1.0, mu=0.9, eta=0.8)
+
+# every public entry point that takes a number outside InterferometerParams,
+# as a function of that number
+_NUMBER_TAKERS = {
+    "db_to_squeeze_factor": db_to_squeeze_factor,
+    "squeeze_factor_to_db": squeeze_factor_to_db,
+    "snl": sensitivity.snl,
+    "implied_inefficiency-r1": lambda x: sensitivity.implied_inefficiency(x, 1.0),
+    "implied_inefficiency-gain_db": lambda x: sensitivity.implied_inefficiency(1.0, x),
+    "required_r2": lambda x: sensitivity.required_r2(0.5, 0.5, x),
+    "Phase": Phase,
+    "Phase-grid": lambda x: Phase([0.0, x]),
+    "optimal_weight": sensitivity.optimal_weight,
+    "Strategy.suboptimal": Strategy.suboptimal,
+    "small_deviation_dphi_squared": lambda x: sensitivity.small_deviation_dphi_squared(_PARAMS, x),
+    "sweep": lambda x: sensitivity.sweep(_PARAMS, [0.0, x], [Strategy.optimal()]),
+    "phase_uncertainty": lambda x: sensitivity.phase_uncertainty(Strategy.optimal(), _PARAMS, x),
+    "oracle.run": lambda x: oracle.run(_PARAMS, x, oracle.OracleConfig(8)),
+    "linearization_error": lambda x: oracle.linearization_error(
+        _PARAMS, 1.0, oracle.OracleConfig(8), (x,)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _NUMBER_TAKERS.values(), ids=_NUMBER_TAKERS)
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_int_past_the_float_range_is_refused_as_inf_is(call, sign):
+    # an int past the float range is no finite float, and raises no
+    # OverflowError on its way to the check that refuses inf
+    refusals = []
+    for value in (sign * math.inf, sign * 10**400):
+        with pytest.raises(ParameterError) as excinfo:
+            call(value)
+        refusals.append(str(excinfo.value).split(", got ")[0])
+    assert refusals[0] == refusals[1]
 
 
 def test_validation_reports_every_violation_at_once():

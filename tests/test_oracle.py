@@ -30,6 +30,7 @@ from sqzmzi.oracle import (
     linearization_error,
     run,
 )
+from sqzmzi.photostats import MOMENT_FIELDS
 from sqzmzi.quadratures import VACUUM, _input_variances, detector_field_stats
 
 # repr of linearization_error output per case, keyed "<mode>-seed<seed>-phi<phi>",
@@ -392,11 +393,11 @@ def test_moments_of_means_are_ndarray_means(size):
     for n1, n2 in ((offset, signed_zeros), (signed_zeros, offset), (negative_zeros, offset)):
         mean1, mean2 = float(n1.mean()), float(n2.mean())
         c1, c2 = n1 - mean1, n2 - mean2
-        moments = _moments_of(n1.copy(), n2.copy())
-        assert moments["mean_n1"].hex() == mean1.hex()
-        assert moments["mean_n2"].hex() == mean2.hex()
-        assert moments["var_n1"] == float(c1 @ c1) / (size - 1)
-        assert moments["cov_n1n2"] == float(c1 @ c2) / (size - 1)
+        moments = _moments_of(n1[None].copy(), n2[None].copy())
+        assert moments["mean_n1"][0].hex() == mean1.hex()
+        assert moments["mean_n2"][0].hex() == mean2.hex()
+        assert moments["var_n1"] == [float(c1 @ c1) / (size - 1)]
+        assert moments["cov_n1n2"] == [float(c1 @ c2) / (size - 1)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -407,21 +408,54 @@ def test_moments_of_means_are_ndarray_means(size):
     offset=st.sampled_from([0.0, 1e9, -3.5]),
 )
 def test_stacked_moments_are_the_moments_of_each_row(height, length, seed, offset):
-    # a stack of equal-length batches gives each row the bits of its own call,
-    # and centres each row in place as that call does
+    # a stack of equal-length batches gives each row the bits of plain numpy
+    # on that row alone, and centres each row in place
     rng = np.random.default_rng(seed)
     n1 = offset + rng.standard_normal((height, length))
     n2 = rng.standard_normal((height, length))
     n2[:, ::3] = -0.0
     stack1, stack2 = n1.copy(), n2.copy()
     stacked = _moments_of(stack1, stack2)
+    assert list(stacked) == list(MOMENT_FIELDS)
     for row in range(height):
-        row1, row2 = n1[row].copy(), n2[row].copy()
-        alone = _moments_of(row1, row2)
+        mean1, mean2 = float(n1[row].mean()), float(n2[row].mean())
+        c1, c2 = n1[row] - mean1, n2[row] - mean2
+        var1, var2, cov12 = (float(x @ y) / (length - 1) for x, y in ((c1, c1), (c2, c2), (c1, c2)))
+        alone = {
+            "mean_n1": mean1,
+            "mean_n2": mean2,
+            "var_n1": var1,
+            "var_n2": var2,
+            "cov_n1n2": cov12,
+            "mean_nplus": mean1 + mean2,
+            "mean_nminus": mean1 - mean2,
+            "var_nplus": var1 + var2 + 2.0 * cov12,
+            "var_nminus": var1 + var2 - 2.0 * cov12,
+            "cov_npm": var1 - var2,
+        }
         for name, value in alone.items():
             assert stacked[name][row].hex() == value.hex(), (name, row)
-        assert stack1[row].tobytes() == row1.tobytes()
-        assert stack2[row].tobytes() == row2.tobytes()
+        assert stack1[row].tobytes() == c1.tobytes()
+        assert stack2[row].tobytes() == c2.tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 5, 64, 4096, 2**16, 50_000, 2**18 + 1])
+def test_only_the_full_sample_moments_have_the_full_sample_size(solid_params, monkeypatch, n):
+    # perfbench's tracer tells the full-sample _moments_of call from the batch
+    # stacks by size alone (n1.size == n), so no stack of batches may reach n,
+    # not even where n splits into batches of one length
+    shapes = []
+
+    def recording(n1, n2):
+        shapes.append(n1.shape)
+        return _moments_of(n1, n2)
+
+    monkeypatch.setattr(oracle, "_moments_of", recording)
+    run(solid_params, [0.5, 2.0], OracleConfig(n_samples=n, seed=5, linearized_mode=True))
+    full = [i for i, shape in enumerate(shapes) if math.prod(shape) == n]
+    # one one-row call per phase, after that phase's batch stacks
+    assert [shapes[i] for i in full] == [(1, n), (1, n)]
+    assert full == [len(shapes) // 2 - 1, len(shapes) - 1]
 
 
 @pytest.mark.parametrize("linearized", [False, True], ids=["exact", "linearized"])

@@ -1,6 +1,7 @@
 """The sweep renderers against a per-value statement of their output rules,
 and their refusal of grids that do not share one phase grid."""
 
+import json
 import math
 
 import numpy as np
@@ -41,7 +42,9 @@ def reference_csv(grids):
 
 
 def reference_json(grids):
-    return "[\n" + ",\n".join(_reference_rows(grids, _json_number, cli._JSON_ROW, "null")) + "\n]\n"
+    rows = _reference_rows(grids, _json_number, cli._JSON_ROW, "null")
+    # json.dumps(rows, indent=2) writes an empty list on one line
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
 def _assert_renders_like_reference(grids):
@@ -163,4 +166,5 @@ def test_renderers_refuse_one_phase_results(render):
 def test_empty_sweeps_render_only_the_header():
     grids = cli.sweep(InterferometerParams(), [], STRATEGIES)
     assert cli.render_csv(grids) == cli.CSV_HEADER + "\n"
+    assert cli.render_json(grids) == json.dumps([], indent=2) + "\n"
     _assert_renders_like_reference(grids)
