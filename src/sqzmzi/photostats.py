@@ -165,12 +165,6 @@ def _moment_ingredients(params: InterferometerParams) -> tuple:
     return mean, scale, excess, squeezed, eps2, floor
 
 
-def photon_mean_slopes(params: InterferometerParams, phi) -> tuple:
-    """Analytic derivatives (d<N1>/dphi, d<N2>/dphi) = +/- G^2 N sin(phi)/2."""
-    half = 0.5 * _moment_ingredients(params)[0] * Phase(phi).sin
-    return half, -half
-
-
 def photon_second_moments(params: InterferometerParams, phi) -> tuple:
     """(Var N1, Var N2, Cov(N1, N2)) of the two photocounts, from :func:`photon_stats`.
 

@@ -111,6 +111,9 @@ class SensitivityResult:
     does there, over a grid whether or not any of its phases is singular.
     fwhm is the width of the high-sensitivity region where defined (None for
     the flat strategies), k_opt the applied weight for the weighted strategies.
+    A result holds only what depends on its strategy: the numbers that depend
+    on the parameters alone come from :func:`dphi_min`, :func:`snl`,
+    :func:`k_factor` and :func:`~sqzmzi.model.inefficiency`.
     """
 
     strategy: Strategy
@@ -118,10 +121,6 @@ class SensitivityResult:
     dphi: float | np.ndarray
     normalized: float | np.ndarray
     divergent: bool | np.ndarray
-    dphi_min: float
-    dphi_snl: float
-    k_factor: float
-    eps2: float
     fwhm: float | None = None
     fwhm_lobes: int | None = None
     k_opt: float | np.ndarray | None = None
@@ -132,9 +131,7 @@ class SensitivityResult:
         return _result(
             self.strategy, self.phi[i], self.dphi[i], self.normalized[i], self.divergent[i],
             None if self.k_opt is None else self.k_opt[i],
-            dphi_min=self.dphi_min, dphi_snl=self.dphi_snl, k_factor=self.k_factor,
-            eps2=self.eps2, fwhm=self.fwhm, fwhm_lobes=self.fwhm_lobes,
-            diagnostic=self.diagnostic,
+            fwhm=self.fwhm, fwhm_lobes=self.fwhm_lobes, diagnostic=self.diagnostic,
         )
 
 
@@ -294,10 +291,6 @@ def _evaluate(
         dphi=dphi,
         normalized=dphi / shot,
         divergent=divergent,
-        dphi_min=floor,
-        dphi_snl=shot,
-        k_factor=k,
-        eps2=inefficiency(params),
         fwhm=width,
         fwhm_lobes=lobes,
         k_opt=k_opt,

@@ -53,6 +53,13 @@ def interferometer_params(draw) -> InterferometerParams:
 phases = st.floats(min_value=-7.0, max_value=7.0)
 
 
+def mean_slope(params: InterferometerParams, phi: float) -> float:
+    """d<N1>/dphi = -d<N2>/dphi = G^2 N sin(phi)/2 with G^2 = mu eta e^(2 r2),
+    restated from the paper so the slope checks do not read it from sqzmzi."""
+    gain2 = params.mu * params.eta * math.exp(2.0 * params.r2)
+    return 0.5 * gain2 * params.n_photons * math.sin(phi)
+
+
 def midpoint_grid(n: int, span: float = 2.0 * math.pi) -> list[float]:
     """n phases strictly inside (0, span), avoiding the singular fringe points."""
     return [(i + 0.5) * span / n for i in range(n)]

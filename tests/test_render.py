@@ -70,8 +70,7 @@ def _synthetic(strategy, phi, dphi, normalized, k_opt):
     dphi = as_array(dphi)
     return SensitivityResult(
         strategy=strategy, phi=as_array(phi), dphi=dphi, normalized=as_array(normalized),
-        divergent=np.isinf(dphi), dphi_min=1.0, dphi_snl=1.0, k_factor=1.0, eps2=0.0,
-        k_opt=None if k_opt is None else as_array(k_opt),
+        divergent=np.isinf(dphi), k_opt=None if k_opt is None else as_array(k_opt),
     )
 
 

@@ -63,7 +63,7 @@ def test_single_detector_reference_point(solid_params):
     res = phase_uncertainty(Strategy.single(), solid_params, math.pi / 2.0)
     assert math.isclose(res.dphi, math.sqrt(1.1) * 1e-3, rel_tol=1e-12)
     assert math.isclose(res.normalized, math.sqrt(1.1), rel_tol=1e-12)
-    assert res.dphi_snl == 1e-3
+    assert res.normalized == res.dphi / snl(solid_params.n_photons)
     assert res.fwhm_lobes == 1
     assert res.divergent is False
     assert res.diagnostic is None
@@ -134,7 +134,6 @@ def test_phase_must_be_finite(solid_params, monkeypatch):
     spawned = []
     monkeypatch.setattr(oracle, "_spawn_streams", spawned.append)
     per_phase = (
-        photostats.photon_mean_slopes,
         photostats.photon_second_moments,
         photostats.photon_stats,
         quadratures.core_output_means,
@@ -311,7 +310,7 @@ def _must_be_finite(out) -> np.ndarray:
     for g in out if isinstance(out, list) else [out]:
         defined = ~np.atleast_1d(g.divergent)
         parts += [np.atleast_1d(g.dphi)[defined], np.atleast_1d(g.normalized)[defined]]
-        parts += [g.dphi_min, g.dphi_snl, g.k_factor, g.eps2, g.k_opt, g.fwhm]
+        parts += [g.k_opt, g.fwhm]
     return np.concatenate([np.ravel(np.asarray(p, dtype=float)) for p in parts if p is not None])
 
 
@@ -333,6 +332,9 @@ def test_wide_domain_gives_checked_values_or_parameter_errors(params, phi, phi2)
         partial(photostats.photon_stats, params, phi),
         partial(quadratures.detector_field_stats, params, phi),
         partial(dphi_min, params),
+        partial(snl, params.n_photons),
+        partial(k_factor, params),
+        partial(inefficiency, params),
     )
     for entry in entry_points:
         try:
@@ -373,7 +375,7 @@ def test_optimal_lower_bounds_every_strategy(params, phi):
     for strategy in (Strategy.single(), Strategy.differential(), Strategy.suboptimal(0.3)):
         res = phase_uncertainty(strategy, params, phi)
         assert res.dphi >= opt.dphi
-        assert res.dphi_min == opt.dphi
+        assert dphi_min(params) == opt.dphi
 
 
 def test_fwhm_reference_values(solid_params):
