@@ -34,6 +34,7 @@ from .model import (
     ParameterError,
     Strategy,
     StrategyKind,
+    _shown,
     db_to_squeeze_factor,
     inefficiency,
     squeeze_factor_to_db,
@@ -464,7 +465,7 @@ def validate_cmd(ctx, phi_start, phi_end, points, oracle_samples, seed, mode,
             linearized_mode=(mode == "linearized"),
         )
         if not (math.isfinite(z_threshold) and z_threshold > 0.0):
-            raise ParameterError(f"z threshold must be > 0, got {z_threshold!r}")
+            raise ParameterError(f"z threshold must be > 0, got {_shown(z_threshold)}")
         rows, worst = validate_against_oracle(params, phis, config)
     except ParameterError as exc:
         raise click.UsageError(str(exc)) from exc

@@ -23,18 +23,36 @@ class ParameterError(ValueError):
     """A parameter set violates its physical domain."""
 
 
+_PAST_FLOAT_RANGE = "an int past the float range"
+
+
+def _shown(value) -> str:
+    """``value`` as a refusal message prints it: its ``repr``, but an int past
+    the float range in words, since such an int may have more digits than
+    Python converts to a string (4300 by default) and none of them matter."""
+    if isinstance(value, int) and not abs(value) <= float_info.max:
+        return _PAST_FLOAT_RANGE
+    return repr(value)
+
+
 def db_to_squeeze_factor(db: float) -> float:
     """Convert squeezing in dB (variance convention, 10*log10 e^{2r}) to the factor r."""
     if not abs(db) <= float_info.max:
-        raise ParameterError(f"squeezing in dB must be finite, got {db!r}")
-    return db * LN10 / 20.0
+        raise ParameterError(f"squeezing in dB must be finite, got {_shown(db)}")
+    r = db * LN10 / 20.0
+    if not abs(r) <= float_info.max:
+        raise ParameterError(f"squeezing of {_shown(db)} dB is too large: its squeeze factor overflows")
+    return r
 
 
 def squeeze_factor_to_db(r: float) -> float:
     """Inverse of :func:`db_to_squeeze_factor`."""
     if not abs(r) <= float_info.max:
-        raise ParameterError(f"squeeze factor must be finite, got {r!r}")
-    return 20.0 * r / LN10
+        raise ParameterError(f"squeeze factor must be finite, got {_shown(r)}")
+    db = 20.0 * r / LN10
+    if not abs(db) <= float_info.max:
+        raise ParameterError(f"squeeze factor {_shown(r)} is too large: its dB value overflows")
+    return db
 
 
 def _per_phase(fn, phi):
@@ -64,7 +82,7 @@ class Phase:
             one = isinstance(phi, float) or np.ndim(phi) == 0
             phi = float(phi) if one else np.array(phi, dtype=float)
         except OverflowError:
-            raise ParameterError("phi must be finite, got an int past the float range") from None
+            raise ParameterError(f"phi must be finite, got {_PAST_FLOAT_RANGE}") from None
         if one:
             bad = [] if math.isfinite(phi) else [phi]
         else:
@@ -72,7 +90,7 @@ class Phase:
                 raise ParameterError(f"phases must form a 1-D grid, got shape {phi.shape}")
             bad = phi[~np.isfinite(phi)][:1].tolist()
         if bad:
-            raise ParameterError(f"phi must be finite, got {bad[0]!r}")
+            raise ParameterError(f"phi must be finite, got {_shown(bad[0])}")
         self = object.__new__(cls)
         self.phi, half = phi, 0.5 * phi
         self.sin, self.cos = _per_phase(math.sin, phi), _per_phase(math.cos, phi)
@@ -122,10 +140,10 @@ class InterferometerParams:
         """Build params from the excess-noise factor A = N(g2 - 1) + 1 instead of g2."""
         if not 1.0 <= technical_noise <= float_info.max:
             raise ParameterError(
-                f"technical noise factor must be >= 1, got {technical_noise!r}"
+                f"technical noise factor must be >= 1, got {_shown(technical_noise)}"
             )
         if not 0.0 < n_photons <= float_info.max:
-            raise ParameterError(f"n_photons must be > 0, got {n_photons!r}")
+            raise ParameterError(f"n_photons must be > 0, got {_shown(n_photons)}")
         g2 = 1.0 + (technical_noise - 1.0) / n_photons
         return cls(r1=r1, r2=r2, mu=mu, eta=eta, n_photons=n_photons, g2=g2)
 
@@ -142,7 +160,7 @@ def validate(params: InterferometerParams) -> None:
         value = getattr(params, name)
         # an int past the float range is no finite float either
         if not isinstance(value, (int, float)) or not abs(value) <= float_info.max:
-            errors.append(f"{name} must be a finite number, got {value!r}")
+            errors.append(f"{name} must be a finite number, got {_shown(value)}")
     if not errors:
         _check(params.r1 >= 0.0, f"squeeze factor r1 must be >= 0, got {params.r1}", errors)
         _check(params.r2 >= 0.0, f"amplifier gain r2 must be >= 0, got {params.r2}", errors)
@@ -177,7 +195,7 @@ def inefficiency(params: InterferometerParams) -> float:
     except ZeroDivisionError:  # mu eta underflows to 0
         eps2 = math.inf
     if not math.isfinite(eps2):
-        raise ParameterError(f"mu = {mu!r} and eta = {eta!r} are too small: eps^2 overflows")
+        raise ParameterError(f"mu = {_shown(mu)} and eta = {_shown(eta)} are too small: eps^2 overflows")
     return eps2
 
 
@@ -186,7 +204,7 @@ def _require_normal(params: InterferometerParams, *named: tuple[str, float]) -> 
     (name, value) pair holds a normal float: finite, and not underflowed."""
     for name, x in named:
         if not float_info.min <= abs(x) <= float_info.max:
-            knobs = ", ".join(f"{f.name} = {getattr(params, f.name)!r}" for f in fields(params))
+            knobs = ", ".join(f"{f.name} = {_shown(getattr(params, f.name))}" for f in fields(params))
             raise ParameterError(f"{knobs} put {name} = {float(x)!r} out of the normal float range")
 
 
@@ -214,7 +232,7 @@ class Strategy:
         if self.kind is StrategyKind.SUBOPTIMAL:
             if self.phi_apr is None or not abs(self.phi_apr) <= float_info.max:
                 raise ParameterError(
-                    f"suboptimal strategy needs a finite phi_apr, got {self.phi_apr!r}"
+                    f"suboptimal strategy needs a finite phi_apr, got {_shown(self.phi_apr)}"
                 )
         elif self.phi_apr is not None:
             raise ParameterError(f"{self.kind.value} strategy takes no phi_apr")

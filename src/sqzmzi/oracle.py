@@ -63,7 +63,8 @@ from sys import float_info
 import numpy as np
 
 from . import photostats
-from .model import InterferometerParams, ParameterError, Phase, _require_normal, technical_noise_factor
+from .model import InterferometerParams, ParameterError, Phase, _require_normal, _shown
+from .model import technical_noise_factor
 from .quadratures import VACUUM, _input_variances
 
 # the 12 independent Gaussian inputs; order fixes the RNG stream assignment
@@ -101,9 +102,12 @@ class OracleConfig:
         # the batch standard errors need at least 2 batches of at least 2
         # samples; with the batch edges run() uses, every n >= 4 gives that
         if not isinstance(self.n_samples, int) or self.n_samples < 4:
-            raise ParameterError(f"n_samples must be an integer >= 4, got {self.n_samples!r}")
+            raise ParameterError(f"n_samples must be an integer >= 4, got {_shown(self.n_samples)}")
+        # run() places the batch edges with np.linspace in float64, exact up to 2^53
+        if self.n_samples > 2**53:
+            raise ParameterError(f"n_samples must be at most 2^53, got {_shown(self.n_samples)}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ParameterError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+            raise ParameterError(f"seed must be an integer in [0, 2^64), got {_shown(self.seed)}")
 
 
 @dataclass
@@ -508,8 +512,9 @@ def linearization_error(
     """
     if len(alpha_grid) == 0:
         raise ParameterError("alpha_grid must not be empty")
-    if any(not 0.0 < a <= float_info.max for a in alpha_grid):
-        raise ParameterError(f"alpha_grid entries must be > 0, got {alpha_grid!r}")
+    bad = [a for a in alpha_grid if not 0.0 < a <= float_info.max]
+    if bad:
+        raise ParameterError(f"alpha_grid entries must be > 0, got {_shown(bad[0])}")
     if list(alpha_grid) != sorted(alpha_grid):
         raise ParameterError("alpha_grid must be ascending")
     phi = Phase(phi).phi

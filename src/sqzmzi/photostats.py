@@ -27,7 +27,7 @@ from sys import float_info
 
 import numpy as np
 
-from .model import InterferometerParams, ParameterError, Phase, _require_normal
+from .model import InterferometerParams, ParameterError, Phase, _require_normal, _shown
 from .model import inefficiency, technical_noise_factor
 from .quadratures import detector_field_stats
 
@@ -136,13 +136,13 @@ def transfer_gain(params: InterferometerParams) -> float:
     mu, eta = params.mu, params.eta
     if mu * eta < float_info.min:
         raise ParameterError(
-            f"mu = {mu!r} and eta = {eta!r} are too small: mu eta = {mu * eta!r} "
+            f"mu = {_shown(mu)} and eta = {_shown(eta)} are too small: mu eta = {mu * eta!r} "
             "underflows the normal float range"
         )
     try:
         return math.sqrt(mu * eta) * math.exp(params.r2)
     except OverflowError:
-        raise ParameterError(f"amplifier gain r2 = {params.r2!r} is too large: e^(r2) overflows") from None
+        raise ParameterError(f"amplifier gain r2 = {_shown(params.r2)} is too large: e^(r2) overflows") from None
 
 
 def _moment_ingredients(params: InterferometerParams) -> tuple:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InterferometerParams, ParameterError, Phase, technical_noise_factor
+from .model import InterferometerParams, ParameterError, Phase, _shown, technical_noise_factor
 
 PSD_TOL = 1e-10
 
@@ -112,13 +112,13 @@ def _input_variances(params: InterferometerParams) -> tuple[float, float, float]
         var_a1c = 0.5 * math.exp(2.0 * params.r1)
     except OverflowError:
         raise ParameterError(
-            f"squeeze factor r1 = {params.r1!r} is too large: the anti-squeezed "
+            f"squeeze factor r1 = {_shown(params.r1)} is too large: the anti-squeezed "
             "variance e^(2 r1)/2 overflows"
         ) from None
     var_z2c = 0.5 * technical_noise_factor(params)
     if not math.isfinite(var_z2c):
         raise ParameterError(
-            f"n_photons = {params.n_photons!r} and g2 = {params.g2!r} are too large: "
+            f"n_photons = {_shown(params.n_photons)} and g2 = {_shown(params.g2)} are too large: "
             "the excess-noise factor A = N(g2 - 1) + 1 overflows"
         )
     return var_a1c, 0.5 * math.exp(-2.0 * params.r1), var_z2c
@@ -210,7 +210,7 @@ def detector_field_stats(params: InterferometerParams, phi, extended: bool = Fal
     try:
         amp2 = eta * math.exp(2.0 * params.r2)
     except OverflowError:
-        raise ParameterError(f"amplifier gain r2 = {params.r2!r} is too large: e^(2 r2) overflows") from None
+        raise ParameterError(f"amplifier gain r2 = {_shown(params.r2)} is too large: e^(2 r2) overflows") from None
     deamp2 = eta * math.exp(-2.0 * params.r2)
     leak = (1.0 - eta) * VACUUM
     gain = math.sqrt(eta) * math.exp(params.r2)

@@ -37,6 +37,7 @@ from .model import (
     StrategyKind,
     _per_phase,
     _require_normal,
+    _shown,
     inefficiency,
     technical_noise_factor,
 )
@@ -69,7 +70,7 @@ CROSSCHECK_RTOL = 1e-10
 def snl(n_photons: float) -> float:
     """Shot-noise-limited phase uncertainty 1/sqrt(N) of an ideal MZI."""
     if not 0.0 < n_photons <= float_info.max:
-        raise ParameterError(f"n_photons must be > 0, got {n_photons!r}")
+        raise ParameterError(f"n_photons must be > 0, got {_shown(n_photons)}")
     return 1.0 / math.sqrt(n_photons)
 
 
@@ -355,10 +356,10 @@ def small_deviation_dphi_squared(params: InterferometerParams, dphi_apr: float) 
     """(Delta phi)^2 predicted by the small-deviation law dphi_min^2 + K dphi_apr^2
     for a suboptimal weight frozen dphi_apr away from the true phase."""
     if not abs(dphi_apr) <= float_info.max:
-        raise ParameterError(f"dphi_apr must be finite, got {dphi_apr!r}")
+        raise ParameterError(f"dphi_apr must be finite, got {_shown(dphi_apr)}")
     floor = dphi_min(params)
     law = floor * floor + k_factor(params) * dphi_apr * dphi_apr
-    _require_normal(params, (f"dphi_min^2 + K dphi_apr^2 at dphi_apr = {dphi_apr!r}", law))
+    _require_normal(params, (f"dphi_min^2 + K dphi_apr^2 at dphi_apr = {_shown(dphi_apr)}", law))
     return law
 
 
@@ -370,11 +371,11 @@ def required_r2(mu: float, eta: float, target_eps2: float) -> float | None:
     amount of output gain can beat).
     """
     if not (0.0 < mu <= 1.0):
-        raise ParameterError(f"internal transmissivity must be in (0, 1], got {mu!r}")
+        raise ParameterError(f"internal transmissivity must be in (0, 1], got {_shown(mu)}")
     if not (0.0 < eta <= 1.0):
-        raise ParameterError(f"external transmissivity must be in (0, 1], got {eta!r}")
+        raise ParameterError(f"external transmissivity must be in (0, 1], got {_shown(eta)}")
     if not 0.0 <= target_eps2 <= float_info.max:
-        raise ParameterError(f"target eps^2 must be >= 0, got {target_eps2!r}")
+        raise ParameterError(f"target eps^2 must be >= 0, got {_shown(target_eps2)}")
     floor = (1.0 - mu) / mu
     if eta == 1.0:
         return 0.0 if target_eps2 >= floor else None
@@ -391,13 +392,13 @@ def implied_inefficiency(r1: float, gain_db: float) -> float:
     r1 means e^{-2 r1} + eps^2 = 10^{-gain_db/10}; solves for eps^2.
     """
     if not 0.0 <= r1 <= float_info.max:
-        raise ParameterError(f"r1 must be >= 0, got {r1!r}")
+        raise ParameterError(f"r1 must be >= 0, got {_shown(r1)}")
     if not abs(gain_db) <= float_info.max:
-        raise ParameterError(f"gain_db must be finite, got {gain_db!r}")
+        raise ParameterError(f"gain_db must be finite, got {_shown(gain_db)}")
     try:
         total = 10.0 ** (-gain_db / 10.0)
     except OverflowError:
-        raise ParameterError(f"gain_db = {gain_db!r} is too small: 10^(-gain_db/10) overflows") from None
+        raise ParameterError(f"gain_db = {_shown(gain_db)} is too small: 10^(-gain_db/10) overflows") from None
     eps2 = total - math.exp(-2.0 * r1)
     if eps2 < 0.0:
         raise ParameterError(

@@ -199,6 +199,10 @@ USAGE_MESSAGES = {
     ("report", "--r1", "174", "--n-photons", "1e211"): "dphi_min^2",
     ("report", "--implied-gain-db", "-10000"): "gain_db = -10000.0 is too small",
     ("validate", "--r2", "160", "--points", "2", "--oracle-samples", "10"): "32 floor^2 = inf",
+    ("validate", "--oracle-samples", str(10**21)): "n_samples must be at most 2^53",
+    ("validate", "--oracle-samples", str(2**53 + 1)): "n_samples must be at most 2^53",
+    ("report", "--r1-db", "1e308"): "its squeeze factor overflows",
+    ("report", "--r2-db", "-1e308"): "its squeeze factor overflows",
 }
 
 
@@ -225,6 +229,11 @@ USAGE_MESSAGES = {
         ["report", "--r1", "174", "--n-photons", "1e211"],
         ["report", "--implied-gain-db", "-10000"],
         ["validate", "--r2", "160", "--points", "2", "--oracle-samples", "10"],
+        # refused before the oracle allocates anything
+        ["validate", "--oracle-samples", str(10**21)],
+        ["validate", "--oracle-samples", str(2**53 + 1)],
+        ["report", "--r1-db", "1e308"],
+        ["report", "--r2-db", "-1e308"],
     ],
 )
 def test_usage_errors_exit_2(runner, args):

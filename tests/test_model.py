@@ -42,6 +42,14 @@ def test_db_conversion_rejects_non_finite(bad):
         squeeze_factor_to_db(bad)
 
 
+@pytest.mark.parametrize("convert", [db_to_squeeze_factor, squeeze_factor_to_db])
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_db_conversion_refuses_an_overflowing_result(convert, sign):
+    # 1e308 is finite, but its conversion is not
+    with pytest.raises(ParameterError, match="is too large: its .* overflows"):
+        convert(sign * 1e308)
+
+
 @given(st.floats(min_value=-60.0, max_value=60.0))
 def test_db_round_trip_is_faithful(db):
     back = squeeze_factor_to_db(db_to_squeeze_factor(db))
@@ -150,6 +158,31 @@ def test_int_past_the_float_range_is_refused_as_inf_is(call, sign):
             call(value)
         refusals.append(str(excinfo.value).split(", got ")[0])
     assert refusals[0] == refusals[1]
+
+
+# every public entry point that takes an int, as a function of that int
+_INT_TAKERS = {
+    **_NUMBER_TAKERS,
+    **{
+        f"InterferometerParams-{name}": lambda x, name=name: InterferometerParams(**{name: x})
+        for name in ("r1", "r2", "mu", "eta", "n_photons", "g2")
+    },
+    "with_technical_noise": InterferometerParams.with_technical_noise,
+    "with_technical_noise-n_photons": lambda x: InterferometerParams.with_technical_noise(
+        2.0, n_photons=x
+    ),
+    "OracleConfig-n_samples": oracle.OracleConfig,
+    "OracleConfig-seed": lambda x: oracle.OracleConfig(100, seed=x),
+}
+
+
+@pytest.mark.parametrize("call", _INT_TAKERS.values(), ids=_INT_TAKERS)
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_int_too_long_to_print_is_refused_in_words(call, sign):
+    # CPython prints no int of more than 4300 digits (ValueError), so a
+    # refusal names such an int in words instead of by its digits
+    with pytest.raises(ParameterError, match="got an int past the float range"):
+        call(sign * 10**5000)
 
 
 def test_validation_reports_every_violation_at_once():

@@ -80,6 +80,15 @@ def test_config_validation():
     assert OracleConfig(n_samples=4).n_samples == 4
 
 
+@pytest.mark.parametrize("n", [2**53 + 1, 10**21])
+def test_config_refuses_a_sample_count_past_exact_batch_edges(n):
+    # run() places its batch edges in float64, exact up to 2^53; the config
+    # refuses a larger count before anything is allocated
+    with pytest.raises(ParameterError, match="n_samples must be at most 2\\^53"):
+        OracleConfig(n_samples=n)
+    assert OracleConfig(n_samples=2**53).n_samples == 2**53
+
+
 def test_run_rejects_single_sample(solid_params):
     with pytest.raises(ParameterError):
         run(solid_params, 1.0, OracleConfig(n_samples=1))
