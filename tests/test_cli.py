@@ -229,11 +229,11 @@ USAGE_MESSAGES = {
         ["report", "--r1", "174", "--n-photons", "1e211"],
         ["report", "--implied-gain-db", "-10000"],
         ["validate", "--r2", "160", "--points", "2", "--oracle-samples", "10"],
+        ["report", "--r1-db", "1e308"],
+        ["report", "--r2-db", "-1e308"],
         # refused before the oracle allocates anything
         ["validate", "--oracle-samples", str(10**21)],
         ["validate", "--oracle-samples", str(2**53 + 1)],
-        ["report", "--r1-db", "1e308"],
-        ["report", "--r2-db", "-1e308"],
     ],
 )
 def test_usage_errors_exit_2(runner, args):

@@ -156,7 +156,8 @@ def test_mean_slopes_match_finite_differences(dashed_params):
     # central differences carry O(h^2 N) truncation noise, hence the absolute floor
     floor = 1e-6 * transfer_gain(dashed_params) ** 2 * dashed_params.n_photons
     for phi in midpoint_grid(7):
-        slope1, slope2 = mean_slope(dashed_params, phi), -mean_slope(dashed_params, phi)
+        slope1 = mean_slope(dashed_params, phi)
+        slope2 = -slope1
         fd1 = (_means(dashed_params, phi + h)[0] - _means(dashed_params, phi - h)[0]) / (2 * h)
         fd2 = (_means(dashed_params, phi + h)[1] - _means(dashed_params, phi - h)[1]) / (2 * h)
         assert math.isclose(slope1, fd1, rel_tol=1e-6, abs_tol=floor)

@@ -372,10 +372,9 @@ def test_floor_monotonic_in_squeezing_and_efficiency():
 @given(interferometer_params(), phases)
 def test_optimal_lower_bounds_every_strategy(params, phi):
     opt = phase_uncertainty(Strategy.optimal(), params, phi)
+    assert opt.dphi == dphi_min(params)
     for strategy in (Strategy.single(), Strategy.differential(), Strategy.suboptimal(0.3)):
-        res = phase_uncertainty(strategy, params, phi)
-        assert res.dphi >= opt.dphi
-        assert dphi_min(params) == opt.dphi
+        assert phase_uncertainty(strategy, params, phi).dphi >= opt.dphi
 
 
 def test_fwhm_reference_values(solid_params):
