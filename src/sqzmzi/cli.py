@@ -159,31 +159,6 @@ def render_json(grids: list[SensitivityResult]) -> str:
     return f"[\n{body}\n]\n" if body else "[]\n"
 
 
-def validate_against_oracle(
-    params: InterferometerParams, phis: list[float], config: OracleConfig
-) -> tuple[list[dict], dict[str, float]]:
-    """Run the Monte-Carlo oracle over the phase grid ``phis``.
-
-    Returns (per-point rows, per-moment max |z| over the grid); a nan |z|
-    counts as the largest.
-    """
-    rows = []
-    worst: dict[str, float] = {}
-    for phi, report in zip(phis, oracle_mod.run(params, phis, config)):
-        point_worst = 0.0
-        point_moment = ""
-        for name, z in report.z_scores.items():
-            az = abs(z)
-            rank = oracle_mod.rank_abs_z(az)
-            if rank > oracle_mod.rank_abs_z(worst.get(name, 0.0)):
-                worst[name] = az
-            if rank > oracle_mod.rank_abs_z(point_worst):
-                point_worst = az
-                point_moment = name
-        rows.append({"phi": phi, "max_abs_z": point_worst, "worst_moment": point_moment})
-    return rows, worst
-
-
 def _one_of(keys: list[str], source: str) -> None:
     if len(keys) > 1:
         raise click.UsageError(f"{source}: give only one of {' / '.join(keys)}")
@@ -466,17 +441,19 @@ def validate_cmd(ctx, phi_start, phi_end, points, oracle_samples, seed, mode,
         )
         if not (math.isfinite(z_threshold) and z_threshold > 0.0):
             raise ParameterError(f"z threshold must be > 0, got {_shown(z_threshold)}")
-        rows, worst = validate_against_oracle(params, phis, config)
+        reports = oracle_mod.run(params, phis, config)
     except ParameterError as exc:
         raise click.UsageError(str(exc)) from exc
     click.echo(f"oracle validation, {mode} mode, {oracle_samples} samples per point")
     click.echo(f"{'phi':>12}  {'max |z|':>10}  worst moment")
-    for row in rows:
-        click.echo(f"{row['phi']:12.6f}  {row['max_abs_z']:10.3f}  {row['worst_moment']}")
+    for report in reports:
+        moment, abs_z = report.worst_moment()
+        click.echo(f"{report.phi:12.6f}  {abs_z:10.3f}  {moment or ''}")
     click.echo("per-moment max |z| over the grid:")
+    worst = oracle_mod.max_abs_z_per_moment(reports)
     for name in sorted(worst):
         click.echo(f"  {name:12s} {worst[name]:10.3f}")
-    if all(v <= z_threshold for v in worst.values()):
+    if oracle_mod.within(worst.values(), z_threshold):
         click.echo(f"PASS: all moments within |z| <= {z_threshold:g}")
     else:
         click.echo(f"FAIL: some moment exceeds |z| = {z_threshold:g}")

@@ -112,7 +112,7 @@ class OracleConfig:
 
 @dataclass
 class MomentReport:
-    """Empirical photocounting moments against the closed forms.
+    """Empirical photocounting moments at one phase against the closed forms.
 
     z_scores holds (empirical - closed_form)/standard_error per moment; a zero
     standard error with zero difference (degenerate but consistent moments,
@@ -120,22 +120,44 @@ class MomentReport:
     empirical moment, closed form or standard error reports z = nan.
     """
 
-    params: InterferometerParams
     phi: float
-    config: OracleConfig
     empirical: photostats.PhotonStats
     closed_form: photostats.PhotonStats
     standard_errors: dict[str, float]
     z_scores: dict[str, float]
 
+    def worst_moment(self) -> tuple[str | None, float]:
+        """(the moment of largest |z|, that |z|), ranked by :func:`rank_abs_z`,
+        the first moment winning a tie; where every z is 0 it names no moment."""
+        name, abs_z = max(
+            ((name, abs(z)) for name, z in self.z_scores.items()),
+            key=lambda item: rank_abs_z(item[1]),
+        )
+        return (None if abs_z == 0.0 else name), abs_z
+
     def max_abs_z(self) -> float:
-        return max((abs(z) for z in self.z_scores.values()), key=rank_abs_z)
+        return self.worst_moment()[1]
 
 
 def rank_abs_z(abs_z: float) -> tuple[bool, float]:
     """Sort key for |z| that ranks nan above every number, inf included, so a
     z-score that could not be computed is never passed over as small."""
     return (math.isnan(abs_z), abs_z)
+
+
+def max_abs_z_per_moment(reports: list[MomentReport]) -> dict[str, float]:
+    """Each moment's largest |z| over ``reports``, ranked by :func:`rank_abs_z`,
+    for every moment in :data:`~sqzmzi.photostats.MOMENT_FIELDS` order."""
+    return {
+        name: max((abs(report.z_scores[name]) for report in reports), key=rank_abs_z)
+        for name in photostats.MOMENT_FIELDS
+    }
+
+
+def within(abs_zs, z_threshold: float) -> bool:
+    """Whether every |z| of ``abs_zs`` is at most ``z_threshold``; a nan |z|
+    never is."""
+    return all(abs_z <= z_threshold for abs_z in abs_zs)
 
 
 def _spawn_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -473,9 +495,7 @@ def _report(
             z[name] = diff / se
 
     return MomentReport(
-        params=params,
         phi=phi,
-        config=config,
         empirical=photostats.PhotonStats(**moments),
         closed_form=closed,
         standard_errors=ses,

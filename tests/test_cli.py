@@ -421,3 +421,20 @@ def test_validate_fails_on_nan_z(runner, monkeypatch):
     assert "FAIL" in result.output
     assert "  cov_n1n2            nan" in result.output
     assert all(line.endswith("cov_n1n2") for line in result.output.splitlines()[2:4])
+
+
+def test_validate_lists_every_moment(runner):
+    # on a grid at phi = 0 and the next float, linearized N1 has no
+    # fluctuation, so var_n1, mean_n1 and cov_n1n2 read |z| = 0 at both
+    # points; the per-moment table lists them too
+    result = runner.invoke(
+        main,
+        ["validate", "--preset", "fig2-solid", "--phi-start", "0", "--phi-end", "5e-324",
+         "--points", "2", "--oracle-samples", "1000"],
+    )
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    table = lines[lines.index("per-moment max |z| over the grid:") + 1 : -1]
+    assert [line.split()[0] for line in table] == sorted(photostats.MOMENT_FIELDS)
+    for name in ("mean_n1", "var_n1", "cov_n1n2"):
+        assert f"  {name:12s}      0.000" in table

@@ -7,7 +7,7 @@ import re
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from conftest import R1_10DB, midpoint_grid
 from sqzmzi import oracle
-from sqzmzi.cli import validate_against_oracle
 from sqzmzi.model import InterferometerParams, ParameterError, Phase, db_to_squeeze_factor
 from sqzmzi.oracle import (
     _CHAIN_ROWS,
@@ -210,6 +209,54 @@ def test_max_abs_z_ranks_nan_highest(solid_params, position):
     nan_name = names[0] if position == "first" else names[-1]
     report.z_scores[nan_name] = math.nan
     assert math.isnan(report.max_abs_z())
+
+
+def test_report_fields_are_its_phase_and_moments(solid_params):
+    # the params and config a report was run with are the caller's own
+    report = run(solid_params, 1.0, OracleConfig(n_samples=1000, seed=4))
+    assert [f.name for f in fields(report)] == [
+        "phi", "empirical", "closed_form", "standard_errors", "z_scores"
+    ]
+
+
+def test_worst_moment_ranks_like_max_abs_z(solid_params):
+    report = run(solid_params, 1.0, OracleConfig(n_samples=1000, seed=4))
+    cases = [
+        # the first of equal values wins
+        ({"mean_n2": 2.0, "var_n1": -2.0}, ("mean_n2", 2.0)),
+        # inf above every number, nan above inf
+        ({"mean_n1": math.inf, "var_n2": 1e300}, ("mean_n1", math.inf)),
+        ({"mean_n1": -math.inf, "cov_npm": math.nan}, ("cov_npm", math.nan)),
+        ({"mean_n1": math.nan, "cov_npm": math.nan}, ("mean_n1", math.nan)),
+        # a point where every z is 0 names no moment
+        ({}, (None, 0.0)),
+    ]
+    for z, expected in cases:
+        report.z_scores = {name: z.get(name, 0.0) for name in MOMENT_FIELDS}
+        assert repr(report.worst_moment()) == repr(expected), z
+        assert repr(report.max_abs_z()) == repr(expected[1]), z
+
+
+def test_max_abs_z_per_moment_lists_every_moment(solid_params):
+    # a moment whose |z| is 0 at every point is listed too, at 0.0
+    reports = run(solid_params, [0.5, 1.0, 2.0], OracleConfig(n_samples=1000, seed=4))
+    rows = [
+        {"mean_n1": -1.0, "var_n1": math.inf, "cov_npm": 3.0},
+        {"mean_n1": 2.0, "var_n1": 7.0, "cov_npm": math.nan},
+        {"mean_n1": -2.0, "var_n1": -math.inf, "cov_npm": math.inf},
+    ]
+    for report, z in zip(reports, rows):
+        report.z_scores = {name: z.get(name, 0.0) for name in MOMENT_FIELDS}
+    worst = oracle.max_abs_z_per_moment(reports)
+    assert list(worst) == list(MOMENT_FIELDS)
+    expected = {name: 0.0 for name in MOMENT_FIELDS} | {
+        "mean_n1": 2.0, "var_n1": math.inf, "cov_npm": math.nan
+    }
+    assert repr(worst) == repr(expected)
+    assert not oracle.within(worst.values(), 1e308)
+    del worst["cov_npm"], worst["var_n1"]
+    assert oracle.within(worst.values(), 2.0)
+    assert not oracle.within(worst.values(), 1.99)
 
 
 def test_linearization_error_exact_mode_bias(solid_params):
@@ -532,8 +579,8 @@ def spawn_calls(monkeypatch) -> list[int]:
 
 def test_phase_grid_draws_once(solid_params, spawn_calls):
     config = OracleConfig(n_samples=2000, seed=21, linearized_mode=True)
-    rows, _ = validate_against_oracle(solid_params, midpoint_grid(12), config)
-    assert len(rows) == 12
+    reports = run(solid_params, midpoint_grid(12), config)
+    assert len(reports) == 12
     assert spawn_calls == [21]
 
 
@@ -642,11 +689,11 @@ def test_validate_keeps_nothing_allocated(solid_params):
     config = OracleConfig(n_samples=_CHUNK, seed=34, linearized_mode=True)
     tracemalloc.start()
     try:
-        rows, _ = validate_against_oracle(solid_params, [0.4, 1.7, 2.9], config)
+        reports = run(solid_params, [0.4, 1.7, 2.9], config)
         current = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(rows) == 3
+    assert len(reports) == 3
     assert current < 2**20, f"{current / 2**20:.2f} MiB still allocated"
 
 
