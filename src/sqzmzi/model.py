@@ -178,9 +178,16 @@ def technical_noise_factor(params: InterferometerParams) -> float:
     """Excess photon-number noise of the bright input, A = N(g2 - 1) + 1.
 
     A = 1 for an ideal coherent state; super-Poissonian lasers have A > 1 and
-    A approaches N(g2 - 1) when that product is large.
+    A approaches N(g2 - 1) when that product is large.  Raises
+    :class:`ParameterError` where A overflows.
     """
-    return params.n_photons * (params.g2 - 1.0) + 1.0
+    excess = params.n_photons * (params.g2 - 1.0) + 1.0
+    if not math.isfinite(excess):
+        raise ParameterError(
+            f"n_photons = {_shown(params.n_photons)} and g2 = {_shown(params.g2)} are too large: "
+            "the excess-noise factor A = N(g2 - 1) + 1 overflows"
+        )
+    return excess
 
 
 def inefficiency(params: InterferometerParams) -> float:

@@ -369,8 +369,13 @@ def _reports(points, config: OracleConfig) -> list[MomentReport]:
     batches = list(zip(edges[:-1], edges[1:]))
     # the chain buffers, flat, and long enough to hold one batch of n1 and one
     # of n2 at a time once the chain is idle
-    chain = np.empty(max(_CHAIN_ROWS * min(n, _BLOCK), 2 * max(b - a for a, b in batches)))
-    scratch = np.empty(n), np.empty(n), chain, batches
+    try:
+        chain = np.empty(max(_CHAIN_ROWS * min(n, _BLOCK), 2 * max(b - a for a, b in batches)))
+        scratch = np.empty(n), np.empty(n), chain, batches
+    except MemoryError:
+        raise ParameterError(
+            f"n_samples = {n} is too large: its sample buffers cannot be allocated"
+        ) from None
     reports = []
     drawn = draws = None
     linearized = config.linearized_mode

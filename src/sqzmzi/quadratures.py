@@ -115,13 +115,7 @@ def _input_variances(params: InterferometerParams) -> tuple[float, float, float]
             f"squeeze factor r1 = {_shown(params.r1)} is too large: the anti-squeezed "
             "variance e^(2 r1)/2 overflows"
         ) from None
-    var_z2c = 0.5 * technical_noise_factor(params)
-    if not math.isfinite(var_z2c):
-        raise ParameterError(
-            f"n_photons = {_shown(params.n_photons)} and g2 = {_shown(params.g2)} are too large: "
-            "the excess-noise factor A = N(g2 - 1) + 1 overflows"
-        )
-    return var_a1c, 0.5 * math.exp(-2.0 * params.r1), var_z2c
+    return var_a1c, 0.5 * math.exp(-2.0 * params.r1), 0.5 * technical_noise_factor(params)
 
 
 def core_output_means(params: InterferometerParams, phi):

@@ -326,14 +326,17 @@ def fwhm(strategy: Strategy, params: InterferometerParams) -> float:
 def fwhm_approx(strategy: Strategy, params: InterferometerParams) -> float:
     """Small-width approximation of :func:`fwhm`: (4 or 2)/sqrt(A) times the
     sensitivity enhancement dphi_min/dphi_snl.  Accurate when eps^2 is small
-    against A and the enhancement is strong."""
+    against A and the enhancement is strong.  Raises :class:`ParameterError`
+    where the width leaves the normal float range."""
     if strategy.kind not in (StrategyKind.SINGLE, StrategyKind.DIFFERENTIAL):
         raise ValueError(
             "FWHM is defined only for the single-detector and differential strategies"
         )
     lead = 4.0 if strategy.kind is StrategyKind.SINGLE else 2.0
     enhancement = dphi_min(params) / snl(params.n_photons)
-    return lead / math.sqrt(technical_noise_factor(params)) * enhancement
+    width = lead / math.sqrt(technical_noise_factor(params)) * enhancement
+    _require_normal(params, (f"the {strategy.kind.value} FWHM approximation", width))
+    return width
 
 
 def apriori_tolerance(params: InterferometerParams) -> float:
@@ -381,8 +384,14 @@ def required_r2(mu: float, eta: float, target_eps2: float) -> float | None:
         return 0.0 if target_eps2 >= floor else None
     if target_eps2 <= floor:
         return None
-    r2 = -0.5 * math.log((target_eps2 - floor) * mu * eta / (1.0 - eta))
-    return max(0.0, r2)
+    reduction = (target_eps2 - floor) * mu * eta / (1.0 - eta)
+    if reduction == 0.0:
+        raise ParameterError(
+            f"mu = {_shown(mu)}, eta = {_shown(eta)} and target_eps2 = {_shown(target_eps2)} "
+            "need an output gain past the float range: e^(-2 r2) = "
+            "(target_eps2 - (1 - mu)/mu) mu eta/(1 - eta) underflows to 0"
+        )
+    return max(0.0, -0.5 * math.log(reduction))
 
 
 def implied_inefficiency(r1: float, gain_db: float) -> float:

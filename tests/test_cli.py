@@ -201,6 +201,7 @@ USAGE_MESSAGES = {
     ("validate", "--r2", "160", "--points", "2", "--oracle-samples", "10"): "32 floor^2 = inf",
     ("validate", "--oracle-samples", str(10**21)): "n_samples must be at most 2^53",
     ("validate", "--oracle-samples", str(2**53 + 1)): "n_samples must be at most 2^53",
+    ("validate", "--points", "2", "--oracle-samples", str(2**53)): "n_samples = 9007199254740992 is too large",
     ("report", "--r1-db", "1e308"): "its squeeze factor overflows",
     ("report", "--r2-db", "-1e308"): "its squeeze factor overflows",
 }
@@ -234,6 +235,8 @@ USAGE_MESSAGES = {
         # refused before the oracle allocates anything
         ["validate", "--oracle-samples", str(10**21)],
         ["validate", "--oracle-samples", str(2**53 + 1)],
+        # accepted, but its sample buffers exceed any address space
+        ["validate", "--points", "2", "--oracle-samples", str(2**53)],
     ],
 )
 def test_usage_errors_exit_2(runner, args):

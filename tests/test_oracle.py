@@ -88,6 +88,15 @@ def test_config_refuses_a_sample_count_past_exact_batch_edges(n):
         OracleConfig(n_samples=n)
 
 
+def test_run_refuses_sample_buffers_it_cannot_allocate(solid_params):
+    # 2^53 samples pass the config, but their buffers (4 PiB of chain
+    # buffers, 64 PiB each for n1 and n2) exceed any address space, so they
+    # fail at once; never try a count that could actually be allocated
+    config = OracleConfig(n_samples=2**53, linearized_mode=True)
+    with pytest.raises(ParameterError, match="n_samples = 9007199254740992 is too large"):
+        run(solid_params, [0.5, 1.0], config)
+
+
 def test_run_rejects_single_sample(solid_params):
     with pytest.raises(ParameterError):
         run(solid_params, 1.0, OracleConfig(n_samples=1))

@@ -2,6 +2,7 @@
 strategy ordering, widths, and the design helpers."""
 
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 
 from conftest import R1_10DB, interferometer_params, midpoint_grid, phases
 from sqzmzi import oracle, photostats, quadratures, sensitivity
-from sqzmzi.model import InterferometerParams, ParameterError, Strategy, StrategyKind, inefficiency
+from sqzmzi.model import (
+    InterferometerParams,
+    ParameterError,
+    Strategy,
+    StrategyKind,
+    inefficiency,
+    technical_noise_factor,
+)
 from sqzmzi.photostats import ConsistencyError
 from sqzmzi.sensitivity import (
     apriori_tolerance,
@@ -212,6 +220,17 @@ def test_scale_edges_name_their_knob(monkeypatch, overrides, knob):
         # e^(2 r2) and e^(r2) overflow
         (partial(quadratures.detector_field_stats, phi=1.0), {"r2": 355.0}, "r2 = 355.0 is too large"),
         (photostats.transfer_gain, {"r2": 710.0}, "r2 = 710.0 is too large"),
+        # A = N(g2 - 1) + 1 overflows: refused where it is formed, so the
+        # width approximations that divide by sqrt(A) cannot read 0.0
+        *(
+            (entry, {"n_photons": 1e200, "g2": 1e200}, "A = N\\(g2 - 1\\) \\+ 1 overflows")
+            for entry in (
+                technical_noise_factor,
+                k_factor,
+                partial(fwhm_approx, Strategy.single()),
+                partial(fwhm_approx, Strategy.differential()),
+            )
+        ),
     ],
 )
 def test_float_range_errors_name_their_knob(entry, overrides, message):
@@ -314,6 +333,16 @@ def _must_be_finite(out) -> np.ndarray:
     return np.concatenate([np.ravel(np.asarray(p, dtype=float)) for p in parts if p is not None])
 
 
+def _widths(out) -> list[float]:
+    """The phase widths in an entry point's result: the fwhm of each result
+    that has one."""
+    if isinstance(out, sensitivity.SensitivityResult):
+        out = [out]
+    if isinstance(out, list):
+        return [g.fwhm for g in out if g.fwhm is not None]
+    return []
+
+
 @settings(max_examples=400)
 @given(wide_params(), phases, phases)
 # dphi_min^2 = (e^(-2 r1) + eps^2)/N underflows
@@ -322,19 +351,31 @@ def _must_be_finite(out) -> np.ndarray:
 @example(InterferometerParams(eta=2e-157, n_photons=1e300), 1.0, 2.0)
 # the floor is within 4x of the float maximum
 @example(InterferometerParams(n_photons=5e307), 0.1, math.pi - 0.1)
+# A = N(g2 - 1) + 1 overflows, which made both width approximations 0.0
+@example(InterferometerParams(n_photons=1e200, g2=1e200), 1.0, 2.0)
 def test_wide_domain_gives_checked_values_or_parameter_errors(params, phi, phi2):
-    # every entry point gives finite, cross-checked values or a
-    # ParameterError: never a ConsistencyError, a raw arithmetic error or nan
+    # every entry point that takes params gives finite, cross-checked values
+    # or a ParameterError: never a ConsistencyError, a raw arithmetic error
+    # or nan; and every width is a positive normal float
     strategies = ALL_STRATEGIES + (Strategy.suboptimal(0.5),)
-    entry_points = (
+    widths = tuple(
+        partial(width, s, params) for width in (fwhm, fwhm_approx) for s in ALL_STRATEGIES[:2]
+    )
+    entry_points = widths + (
         *(partial(phase_uncertainty, s, params, phi) for s in strategies),
         partial(sweep, params, [phi, phi2], strategies),
         partial(photostats.photon_stats, params, phi),
+        partial(photostats.transfer_gain, params),
+        partial(photostats.weighted_variance, params, phi, phi2),
         partial(quadratures.detector_field_stats, params, phi),
+        partial(quadratures.detector_field_stats, params, phi, extended=True),
         partial(dphi_min, params),
         partial(snl, params.n_photons),
         partial(k_factor, params),
         partial(inefficiency, params),
+        partial(technical_noise_factor, params),
+        partial(apriori_tolerance, params),
+        partial(small_deviation_dphi_squared, params, phi2 - phi),
     )
     for entry in entry_points:
         try:
@@ -342,6 +383,8 @@ def test_wide_domain_gives_checked_values_or_parameter_errors(params, phi, phi2)
         except ParameterError:
             continue
         assert np.all(np.isfinite(_must_be_finite(out))), (entry, out)
+        for width in [out] if entry in widths else _widths(out):
+            assert sys.float_info.min <= width <= sys.float_info.max, (entry, width)
 
 
 def test_output_gain_cancels_without_loss():
@@ -458,6 +501,18 @@ def test_required_r2_reference_points():
         required_r2(0.5, 1.5, 0.1)
     with pytest.raises(ParameterError):
         required_r2(0.5, 0.5, -0.1)
+
+
+@pytest.mark.parametrize("mu, eta, target", [(1.0, 0.5, 5e-324), (1.0, 1e-30, 1e-300)])
+def test_required_r2_refuses_a_gain_past_the_float_range(mu, eta, target):
+    # (target - floor) mu eta/(1 - eta) underflows to 0, whose log is no number
+    message = f"mu = {mu!r}, eta = {eta!r} and target_eps2 = {target!r} need an output gain"
+    with pytest.raises(ParameterError, match=message):
+        required_r2(mu, eta, target)
+    # a subnormal e^(-2 r2) still gives its gain, about 368 or 371
+    reduction = target * 1e10 * mu * eta / (1.0 - eta)
+    assert 0.0 < reduction < sys.float_info.min
+    assert math.isclose(required_r2(mu, eta, target * 1e10), -0.5 * math.log(reduction))
 
 
 @settings(max_examples=100)
