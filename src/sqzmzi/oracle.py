@@ -55,7 +55,6 @@ between calls, so calls from several threads at once are independent.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from sys import float_info
@@ -99,13 +98,14 @@ class OracleConfig:
     linearized_mode: bool = False
 
     def __post_init__(self) -> None:
-        # the batch standard errors need at least 2 batches of at least 2
-        # samples; with the batch edges run() uses, every n >= 4 gives that
-        if not isinstance(self.n_samples, int) or self.n_samples < 4:
-            raise ParameterError(f"n_samples must be an integer >= 4, got {_shown(self.n_samples)}")
+        n = self.n_samples
+        # the batch standard errors cut every sample into N_BATCHES batches
+        # of at least 2 samples
+        if not isinstance(n, int) or n < 2 * N_BATCHES:
+            raise ParameterError(f"n_samples must be an integer >= {2 * N_BATCHES}, got {_shown(n)}")
         # run() places the batch edges with np.linspace in float64, exact up to 2^53
-        if self.n_samples > 2**53:
-            raise ParameterError(f"n_samples must be at most 2^53, got {_shown(self.n_samples)}")
+        if n > 2**53:
+            raise ParameterError(f"n_samples must be at most 2^53, got {_shown(n)}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ParameterError(f"seed must be an integer in [0, 2^64), got {_shown(self.seed)}")
 
@@ -337,54 +337,68 @@ def run(
 
     ``phi`` is a phase, which gives one :class:`MomentReport`, or a 1-D grid of
     them, which gives a list of reports in grid order, each the report of a
-    run at that phase alone.  Standard errors come from 32-batch batch means
-    (n // 2 batches below 64 samples).  A non-finite phase or a grid that is
-    not 1-D raises :class:`ParameterError` before any draw.
+    run at that phase alone.  Standard errors come from 32 batch means.  A
+    non-finite phase or a grid that is not 1-D raises :class:`ParameterError`
+    before any draw.
     """
     phase = Phase(phi)
-    if isinstance(phase.phi, float):
-        return _reports([(params, phase.phi)], config)[0]
-    return _reports([(params, p) for p in phase.phi.tolist()], config)
+    reports = _reports([(params, phase)], config)
+    return reports[0] if isinstance(phase.phi, float) else reports
 
 
-def _reports(points, config: OracleConfig) -> list[MomentReport]:
-    """The reports of (params, phi) pairs sampled with one config, in order.
+def _reports(runs, config: OracleConfig) -> list[MomentReport]:
+    """The reports of ``runs``, (params, :class:`Phase`) pairs sampled with one
+    config, one report per phase, in order.
 
-    n1, n2 and the chain buffers are allocated once, and a draw set of
-    n <= _CHUNK samples is shared by consecutive points of equal draw key
-    (input variances, mu, eta): the draws carry both loss amplitudes.  Each
-    run of consecutive points with equal params is refused or passed once,
-    before any draw, and gets its closed forms from one
-    :func:`~sqzmzi.photostats.photon_stats` call and its linearized mean
-    path from one :func:`_propagate` call over its phases.
+    n1, n2, the chain buffers and the batch layout are made once, and a draw
+    set of n <= _CHUNK samples is shared by consecutive phases of equal draw
+    key (input variances, mu, eta): the draws carry both loss amplitudes.
+    Each distinct params is refused or passed once, before any draw, and each
+    run gets its closed forms from one :func:`~sqzmzi.photostats.photon_stats`
+    call and its linearized mean path from one :func:`_propagate` call over
+    its phases.
     """
-    runs = [list(run) for _, run in itertools.groupby(points, key=lambda point: point[0])]
-    for params in dict.fromkeys(run[0][0] for run in runs):
+    for params in dict.fromkeys(params for params, _ in runs):
         # the batch errors square moments up to the floor
         floor = photostats._moment_ingredients(params)[-1]
         _require_normal(params, (f"{N_BATCHES} floor^2", N_BATCHES * floor * floor))
     n = config.n_samples
-    n_batches = min(N_BATCHES, n // 2)
-    edges = np.linspace(0, n, n_batches + 1).astype(int).tolist()
-    batches = list(zip(edges[:-1], edges[1:]))
+    edges = np.linspace(0, n, N_BATCHES + 1).astype(int).tolist()
+    spans = list(zip(edges[:-1], edges[1:]))
     # the chain buffers, flat, and long enough to hold one batch of n1 and one
     # of n2 at a time once the chain is idle
     try:
-        chain = np.empty(max(_CHAIN_ROWS * min(n, _BLOCK), 2 * max(b - a for a, b in batches)))
-        scratch = np.empty(n), np.empty(n), chain, batches
+        chain = np.empty(max(_CHAIN_ROWS * min(n, _BLOCK), 2 * max(b - a for a, b in spans)))
+        n1, n2 = np.empty(n), np.empty(n)
     except MemoryError:
         raise ParameterError(
             f"n_samples = {n} is too large: its sample buffers cannot be allocated"
         ) from None
+    buf = chain[: _CHAIN_ROWS * min(n, _BLOCK)].reshape(_CHAIN_ROWS, -1)
+    # _moments_of centres its arguments in place, so the batches go through it
+    # as copies, stacked by length in the idle chain buffers (n1's in the
+    # first half, n2's in the second): each stack is its batch numbers, their
+    # spans of the sample and a view in each half.  A stack holds at most half
+    # the batches, so only the full-sample call has the full sample's size
+    half = chain.size // 2
+    stacks = []
+    for length in sorted({b - a for a, b in spans}):
+        rows = [i for i, (a, b) in enumerate(spans) if b - a == length]
+        height = min(half // length, N_BATCHES // 2)
+        for first in range(0, len(rows), height):
+            stack = rows[first : first + height]
+            s1 = chain[: len(stack) * length].reshape(-1, length)
+            s2 = chain[half : half + s1.size].reshape(-1, length)
+            stacks.append((stack, [spans[i] for i in stack], s1, s2))
+    scratch = n1, n2, buf, stacks
     reports = []
     drawn = draws = None
     linearized = config.linearized_mode
-    for run in runs:
-        phase = Phase([phi for _, phi in run])
-        closed = photostats.photon_stats(run[0][0], phase).as_dict()
-        means = _mean_path(run[0][0], phase) if linearized else None
-        for i, (params, phi) in enumerate(run):
-            key = (_input_variances(params), params.mu, params.eta)
+    for params, phase in runs:
+        closed = photostats.photon_stats(params, phase).as_dict()
+        means = _mean_path(params, phase) if linearized else None
+        key = (_input_variances(params), params.mu, params.eta)
+        for i, phi in enumerate(np.atleast_1d(phase.phi).tolist()):
             if n > _CHUNK:
                 streams = _spawn_streams(config.seed)
                 sizes = (min(_CHUNK, n - a) for a in range(0, n, _CHUNK))
@@ -406,14 +420,14 @@ def _reports(points, config: OracleConfig) -> list[MomentReport]:
 
 
 def _mean_path(params: InterferometerParams, phase: Phase) -> tuple:
-    """(<g1s>, <g2c>) at every phase of the grid ``phase``: the same chain on
+    """(<g1s>, <g2c>) at every phase of ``phase``, as arrays: the same chain on
     one-element zero inputs, broadcast over the phases.  Every channel is
     passed, so every loss step runs and leaves the signed zeros it always
     left at the fringes (phi = 0, pi)."""
     zero = np.zeros(1)
     zero.flags.writeable = False
     zeros = dict.fromkeys(CHANNELS, zero)
-    buf = np.empty((_CHAIN_ROWS, phase.phi.size))
+    buf = np.empty((_CHAIN_ROWS, np.size(phase.phi)))
     _, mg1s, mg2c, _ = _propagate(params, phase, zeros, buf, measured_only=True)
     return mg1s, mg2c
 
@@ -428,18 +442,15 @@ def _report(
     mean: tuple[float, float] | None,
 ) -> MomentReport:
     """The report of one phase: ``chunks`` yields its scaled draws, ``scratch``
-    holds n1, n2, the flat chain buffers it works in and the batch bounds,
-    ``closed`` holds the closed forms there and, in linearized mode, ``mean``
-    the mean fields (<g1s>, <g2c>)."""
-    n = config.n_samples
+    holds n1, n2, the chain buffers it works in and the batch stacks (see
+    :func:`_reports`), ``closed`` holds the closed forms there and, in
+    linearized mode, ``mean`` the mean fields (<g1s>, <g2c>)."""
     phase = Phase(phi)
     if config.linearized_mode:
         mg1s, mg2c = mean
         half1, half2 = 0.5 * mg1s * mg1s, 0.5 * mg2c * mg2c
 
-    n1, n2, chain, batches = scratch
-    width = min(n, _BLOCK)
-    buf = chain[: _CHAIN_ROWS * width].reshape(_CHAIN_ROWS, width)
+    n1, n2, buf, stacks = scratch
     done = 0
     for fields in chunks:
         for a in range(0, fields["a1c"].size, _BLOCK):
@@ -461,31 +472,18 @@ def _report(
                     np.multiply(gc, 0.5, out=out)
             done += m
 
-    # _moments_of centres its arguments in place, so the batches go through it
-    # as copies, stacked by length in the idle chain buffers (n1's in the
-    # first half, n2's in the second), and the full sample goes last, as a
-    # one-row stack.  A stack holds at most half the batches, so only the
-    # full-sample call has the full sample's size
-    table = np.empty((len(photostats.MOMENT_FIELDS), len(batches)))
-    half = chain.size // 2
-    for length in sorted({b - a for a, b in batches}):
-        rows = [i for i, (a, b) in enumerate(batches) if b - a == length]
-        height = min(half // length, len(batches) // 2)
-        for first in range(0, len(rows), height):
-            stack = rows[first : first + height]
-            size = len(stack) * length
-            s1 = chain[:size].reshape(len(stack), length)
-            s2 = chain[half : half + size].reshape(len(stack), length)
-            for row, i in enumerate(stack):
-                a, b = batches[i]
-                s1[row] = n1[a:b]
-                s2[row] = n2[a:b]
-            batch_moments = _moments_of(s1, s2)
-            table[:, stack] = [batch_moments[name] for name in photostats.MOMENT_FIELDS]
+    # the batch stacks, each copied in, then the full sample as a one-row stack
+    table = np.empty((len(photostats.MOMENT_FIELDS), N_BATCHES))
+    for rows, spans, s1, s2 in stacks:
+        for row, (a, b) in enumerate(spans):
+            s1[row] = n1[a:b]
+            s2[row] = n2[a:b]
+        batch_moments = _moments_of(s1, s2)
+        table[:, rows] = [batch_moments[name] for name in photostats.MOMENT_FIELDS]
     moments = {name: row for name, (row,) in _moments_of(n1[None], n2[None]).items()}
 
     stds = np.std(table, axis=1, ddof=1).tolist()
-    ses = {name: std / math.sqrt(len(batches)) for name, std in zip(photostats.MOMENT_FIELDS, stds)}
+    ses = {name: std / math.sqrt(N_BATCHES) for name, std in zip(photostats.MOMENT_FIELDS, stds)}
 
     closed_dict = closed.as_dict()
     z = {}
@@ -542,16 +540,16 @@ def linearization_error(
         raise ParameterError(f"alpha_grid entries must be > 0, got {_shown(bad[0])}")
     if list(alpha_grid) != sorted(alpha_grid):
         raise ParameterError("alpha_grid must be ascending")
-    phi = Phase(phi).phi
-    if not isinstance(phi, float):
-        raise ParameterError(f"phi must be one phase, got a grid of {phi.size}")
+    phase = Phase(phi)
+    if not isinstance(phase.phi, float):
+        raise ParameterError(f"phi must be one phase, got a grid of {phase.phi.size}")
     excess = technical_noise_factor(params)
-    points = [
-        (replace(params, n_photons=alpha_sq, g2=1.0 + (excess - 1.0) / alpha_sq), phi)
+    runs = [
+        (replace(params, n_photons=alpha_sq, g2=1.0 + (excess - 1.0) / alpha_sq), phase)
         for alpha_sq in alpha_grid
     ]
     out = []
-    for alpha_sq, report in zip(alpha_grid, _reports(points, config)):
+    for alpha_sq, report in zip(alpha_grid, _reports(runs, config)):
         closed = report.closed_form.as_dict()
         emp = report.empirical.as_dict()
         dev = {}

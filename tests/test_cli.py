@@ -198,7 +198,8 @@ USAGE_MESSAGES = {
     ("report", "--mu", "1e-300", "--eta", "1e-10"): "eps^2 overflows",
     ("report", "--r1", "174", "--n-photons", "1e211"): "dphi_min^2",
     ("report", "--implied-gain-db", "-10000"): "gain_db = -10000.0 is too small",
-    ("validate", "--r2", "160", "--points", "2", "--oracle-samples", "10"): "32 floor^2 = inf",
+    ("validate", "--r2", "160", "--points", "2", "--oracle-samples", "64"): "32 floor^2 = inf",
+    ("validate", "--oracle-samples", "63"): "n_samples must be an integer >= 64",
     ("validate", "--oracle-samples", str(10**21)): "n_samples must be at most 2^53",
     ("validate", "--oracle-samples", str(2**53 + 1)): "n_samples must be at most 2^53",
     ("validate", "--points", "2", "--oracle-samples", str(2**53)): "n_samples = 9007199254740992 is too large",
@@ -219,7 +220,7 @@ USAGE_MESSAGES = {
         ["sweep", "--preset", "no-such-preset"],
         ["validate", "--oracle-samples", "1"],
         ["validate", "--oracle-samples", "3"],
-        ["validate", "--z-threshold", "0", "--points", "2", "--oracle-samples", "10"],
+        ["validate", "--z-threshold", "0", "--points", "2", "--oracle-samples", "64"],
         ["report", "--r1-db", "7.2", "--implied-gain-db", "20"],
         ["sweep", "--phi-start", "nan"],
         # parameter sets whose evaluation leaves the float range
@@ -229,7 +230,7 @@ USAGE_MESSAGES = {
         ["report", "--mu", "1e-300", "--eta", "1e-10"],
         ["report", "--r1", "174", "--n-photons", "1e211"],
         ["report", "--implied-gain-db", "-10000"],
-        ["validate", "--r2", "160", "--points", "2", "--oracle-samples", "10"],
+        ["validate", "--r2", "160", "--points", "2", "--oracle-samples", "64"],
         ["report", "--r1-db", "1e308"],
         ["report", "--r2-db", "-1e308"],
         # refused before the oracle allocates anything
@@ -237,6 +238,8 @@ USAGE_MESSAGES = {
         ["validate", "--oracle-samples", str(2**53 + 1)],
         # accepted, but its sample buffers exceed any address space
         ["validate", "--points", "2", "--oracle-samples", str(2**53)],
+        # fewer samples than 32 batches of 2
+        ["validate", "--oracle-samples", "63"],
     ],
 )
 def test_usage_errors_exit_2(runner, args):

@@ -140,9 +140,9 @@ _NUMBER_TAKERS = {
     "small_deviation_dphi_squared": lambda x: sensitivity.small_deviation_dphi_squared(_PARAMS, x),
     "sweep": lambda x: sensitivity.sweep(_PARAMS, [0.0, x], [Strategy.optimal()]),
     "phase_uncertainty": lambda x: sensitivity.phase_uncertainty(Strategy.optimal(), _PARAMS, x),
-    "oracle.run": lambda x: oracle.run(_PARAMS, x, oracle.OracleConfig(8)),
+    "oracle.run": lambda x: oracle.run(_PARAMS, x, oracle.OracleConfig(64)),
     "linearization_error": lambda x: oracle.linearization_error(
-        _PARAMS, 1.0, oracle.OracleConfig(8), (x,)
+        _PARAMS, 1.0, oracle.OracleConfig(64), (x,)
     ),
 }
 

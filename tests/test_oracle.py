@@ -72,11 +72,11 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         OracleConfig(n_samples=100, seed=2**64)
     assert OracleConfig(n_samples=100, seed=2**64 - 1).seed == 2**64 - 1
-    # batch standard errors need 2 batches of 2 samples
-    for n in (2, 3):
-        with pytest.raises(ParameterError, match="n_samples must be an integer >= 4"):
+    # batch standard errors need 32 batches of 2 samples
+    for n in (2, 3, 4, 5, 63):
+        with pytest.raises(ParameterError, match="n_samples must be an integer >= 64"):
             OracleConfig(n_samples=n)
-    assert OracleConfig(n_samples=4).n_samples == 4
+    assert OracleConfig(n_samples=64).n_samples == 64
     assert OracleConfig(n_samples=2**53).n_samples == 2**53
 
 
@@ -294,7 +294,7 @@ def test_linearization_error_linearized_mode_is_flat(solid_params):
 
 
 def test_linearization_error_validates_grid(solid_params, spawn_calls):
-    config = OracleConfig(n_samples=10)
+    config = OracleConfig(n_samples=64)
     with pytest.raises(ParameterError):
         linearization_error(solid_params, 1.0, config, ())
     with pytest.raises(ParameterError):
@@ -442,7 +442,7 @@ def test_points_of_equal_input_noise_but_other_loss_draw_again(
     for linearized in (False, True):
         config = OracleConfig(n_samples=3000, seed=37, linearized_mode=linearized)
         spawn_calls.clear()
-        reports = oracle._reports([(p, 1.3) for p in params], config)
+        reports = oracle._reports([(p, Phase(1.3)) for p in params], config)
         assert spawn_calls == [37, 37]
         assert list(map(repr, reports)) == [repr(run(p, 1.3, config)) for p in params]
 
@@ -504,7 +504,7 @@ def test_stacked_moments_are_the_moments_of_each_row(height, length, seed, offse
         assert stack2[row].tobytes() == c2.tobytes()
 
 
-@pytest.mark.parametrize("n", [4, 5, 64, 4096, 2**16, 50_000, 2**18 + 1])
+@pytest.mark.parametrize("n", [64, 65, 4096, 2**16, 50_000, 2**18 + 1])
 def test_only_the_full_sample_moments_have_the_full_sample_size(solid_params, monkeypatch, n):
     # perfbench's tracer tells the full-sample _moments_of call from the batch
     # stacks by size alone (n1.size == n), so no stack of batches may reach n,
@@ -528,8 +528,8 @@ def test_closed_forms_and_mean_path_once_per_run_of_equal_params(
     solid_params, dashed_params, monkeypatch, linearized
 ):
     # every point is still checked against its own closed forms, but each run
-    # of consecutive points with equal params evaluates them, and takes its
-    # mean path, in one call over the run's phases
+    # a caller hands over evaluates them, and takes its mean path, in one
+    # call over the run's phases
     closed_calls, mean_calls = [], []
     photon_stats = oracle.photostats.photon_stats
 
@@ -545,11 +545,10 @@ def test_closed_forms_and_mean_path_once_per_run_of_equal_params(
     monkeypatch.setattr(oracle.photostats, "photon_stats", counting_stats)
     monkeypatch.setattr(oracle, "_propagate", counting_propagate)
     config = OracleConfig(n_samples=1000, seed=38, linearized_mode=linearized)
-    points = [
-        (solid_params, 0.3), (solid_params, 1.0), (dashed_params, 1.0),
-        (dashed_params, 2.0), (dashed_params, 2.5), (solid_params, 2.5),
+    runs = [
+        (solid_params, [0.3, 1.0]), (dashed_params, [1.0, 2.0, 2.5]), (solid_params, [2.5]),
     ]
-    reports = oracle._reports(points, config)
+    reports = oracle._reports([(p, Phase(phis)) for p, phis in runs], config)
     assert closed_calls == [2, 3, 1]
     assert mean_calls == ([2, 3, 1] if linearized else [])
     closed_calls.clear()
@@ -558,7 +557,9 @@ def test_closed_forms_and_mean_path_once_per_run_of_equal_params(
     assert closed_calls == [12]
     assert mean_calls == ([12] if linearized else [])
     monkeypatch.undo()
-    assert list(map(repr, reports)) == [repr(run(p, phi, config)) for p, phi in points]
+    assert list(map(repr, reports)) == [
+        repr(run(p, phi, config)) for p, phis in runs for phi in phis
+    ]
     assert list(map(repr, grid)) == [repr(run(solid_params, phi, config)) for phi in midpoint_grid(12)]
 
 
@@ -625,7 +626,7 @@ def _report_repr(report) -> str:
     return repr((report.empirical, report.standard_errors, report.z_scores))
 
 
-@pytest.mark.parametrize("n", [5, 8193, 50_000, _CHUNK + 1])
+@pytest.mark.parametrize("n", [64, 65, 8193, 50_000, _CHUNK + 1])
 @pytest.mark.parametrize("linearized", [False, True], ids=["exact", "linearized"])
 def test_grid_run_matches_runs_at_each_phase(dashed_params, linearized, n):
     config = OracleConfig(n_samples=n, seed=33, linearized_mode=linearized)

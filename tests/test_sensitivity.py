@@ -155,7 +155,7 @@ def test_phase_must_be_finite(solid_params, monkeypatch):
         *(partial(fn, solid_params) for fn in per_phase),
         lambda phi: photostats.weighted_variance(solid_params, phi, 0.5),
         lambda phi: photostats.weighted_variance(solid_params, 0.5, phi),
-        lambda phi: oracle.run(solid_params, phi, oracle.OracleConfig(n_samples=4)),
+        lambda phi: oracle.run(solid_params, phi, oracle.OracleConfig(n_samples=64)),
     )
     for bad in (math.nan, math.inf, -math.inf):
         for phi in (bad, [0.5, bad, 1.0], np.array([0.5, bad, 1.0])):
@@ -165,7 +165,7 @@ def test_phase_must_be_finite(solid_params, monkeypatch):
     with pytest.raises(ParameterError, match="1-D"):
         phase_uncertainty(Strategy.single(), solid_params, [[0.5, 1.0]])
     with pytest.raises(ParameterError, match="1-D"):
-        oracle.run(solid_params, [[0.5, 1.0]], oracle.OracleConfig(n_samples=4))
+        oracle.run(solid_params, [[0.5, 1.0]], oracle.OracleConfig(n_samples=64))
     assert spawned == []
 
 
@@ -178,7 +178,7 @@ def test_overflowing_squeeze_factor_names_r1(monkeypatch):
     entry_points = (
         partial(phase_uncertainty, Strategy.single(), params),
         partial(quadratures.detector_field_stats, params),
-        lambda phi: oracle.run(params, phi, oracle.OracleConfig(n_samples=4)),
+        lambda phi: oracle.run(params, phi, oracle.OracleConfig(n_samples=64)),
     )
     for entry in entry_points:
         with pytest.raises(ParameterError, match="r1 = 360.0 is too large"):
@@ -198,7 +198,7 @@ def test_scale_edges_name_their_knob(monkeypatch, overrides, knob):
     entry_points = (
         *(partial(phase_uncertainty, s, params) for s in ALL_STRATEGIES + (Strategy.suboptimal(0.5),)),
         partial(photostats.photon_stats, params),
-        lambda phi: oracle.run(params, phi, oracle.OracleConfig(n_samples=4)),
+        lambda phi: oracle.run(params, phi, oracle.OracleConfig(n_samples=64)),
     )
     for entry in entry_points:
         with pytest.raises(ParameterError, match=f"{knob} = {overrides[knob]!r}.* out of the normal float range"):
