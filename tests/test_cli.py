@@ -48,7 +48,7 @@ DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
 
 # sha256 and exit code of oracle validations (5 points over [0, 2 pi]) for the
 # same four parameter sets, in both detection modes, at 4, 5, 7 and 2000
-# samples per point
+# samples per point; the first three are usage errors, below 32 batches of 2
 VALIDATE_DIGESTS = json.loads((GOLDEN / "validate-digests.json").read_text())
 
 
