@@ -106,8 +106,12 @@ class OracleConfig:
         # run() places the batch edges with np.linspace in float64, exact up to 2^53
         if n > 2**53:
             raise ParameterError(f"n_samples must be at most 2^53, got {_shown(n)}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ParameterError(f"seed must be an integer in [0, 2^64), got {_shown(self.seed)}")
+        # a bool is an int to Python, but no seed (nor, below 64, a sample count)
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise ParameterError(f"seed must be an integer in [0, 2^64), got {_shown(seed)}")
+        if not isinstance(self.linearized_mode, bool):
+            raise ParameterError(f"linearized_mode must be a bool, got {_shown(self.linearized_mode)}")
 
 
 @dataclass

@@ -78,6 +78,18 @@ def test_config_validation():
             OracleConfig(n_samples=n)
     assert OracleConfig(n_samples=64).n_samples == 64
     assert OracleConfig(n_samples=2**53).n_samples == 2**53
+    # a bool is an int to Python, but neither a count nor a seed, and a
+    # mode is a bool, not anything truthy
+    for field, kwargs in [
+        ("n_samples", {"n_samples": True}),
+        ("seed", {"seed": True}),
+        ("seed", {"seed": False}),
+        ("linearized_mode", {"linearized_mode": "no"}),
+        ("linearized_mode", {"linearized_mode": 1}),
+        ("linearized_mode", {"linearized_mode": np.True_}),
+    ]:
+        with pytest.raises(ParameterError, match=f"^{field} must be"):
+            OracleConfig(**{"n_samples": 100, **kwargs})
 
 
 @pytest.mark.parametrize("n", [2**53 + 1, 10**21])
