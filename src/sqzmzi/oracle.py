@@ -38,19 +38,21 @@ into the sample arrays n1 and n2, allocated once per call.  The steps are
 elementwise, so neither the blocks, nor the in-place writes, nor scaling the
 vacuums at draw time change an output bit.
 
-What does not depend on the draws runs once per run of consecutive points
-with equal params, not once per phase: the refusal of a point whose scale or
-batch errors leave the float range (before any draw), the closed forms (one
-:func:`~sqzmzi.photostats.photon_stats` call over the run's phases) and, in
-linearized mode, the mean path (one :func:`_propagate` call on one-element
-zero inputs, broadcast over those phases).  Every point is still checked
-against its own closed forms, which carry the bits of an evaluation at that
-phase alone.  One routine takes every sample moment of a phase, on stacks
-of equal-length blocks: the 32 batch moments in a few calls, each on a stack
-of batches copied into the idle chain buffers, and the full-sample moments
-in one call on a one-row stack.  Each row gets the bits of plain numpy on
-that row alone.  Nothing is kept after a call returns and nothing is shared
-between calls, so calls from several threads at once are independent.
+A call samples the runs its caller hands it, one params over a phase or a
+phase grid each (:func:`run` hands one, :func:`linearization_error` one per
+brightness).  Each distinct params is refused before any draw where its
+scale or batch errors leave the float range.  Each run gets its closed forms
+from one :func:`~sqzmzi.photostats.photon_stats` call over its phases and,
+in linearized mode, its mean path from one :func:`_propagate` call on
+one-element zero inputs, broadcast over them; every point still carries the
+bits of an evaluation at its phase alone.  Every sample, of n >= 64, is cut
+into N_BATCHES = 32 batches of at least 2, laid out once per call as stacks
+of equal-length batches in views of the idle chain buffers.  One routine
+takes every sample moment of a phase, the batch moments a stack at a time
+and the full-sample moments on a one-row stack, each row with the bits of
+plain numpy on that row alone.  Nothing is kept after a call returns and
+nothing is shared between calls, so calls from several threads at once are
+independent.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ class OracleConfig:
         # run() places the batch edges with np.linspace in float64, exact up to 2^53
         if n > 2**53:
             raise ParameterError(f"n_samples must be at most 2^53, got {_shown(n)}")
-        # a bool is an int to Python, but no seed (nor, below 64, a sample count)
+        # a bool is an int to Python, but no seed
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
             raise ParameterError(f"seed must be an integer in [0, 2^64), got {_shown(seed)}")
@@ -354,13 +356,13 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
     """The reports of ``runs``, (params, :class:`Phase`) pairs sampled with one
     config, one report per phase, in order.
 
-    n1, n2, the chain buffers and the batch layout are made once, and a draw
-    set of n <= _CHUNK samples is shared by consecutive phases of equal draw
-    key (input variances, mu, eta): the draws carry both loss amplitudes.
-    Each distinct params is refused or passed once, before any draw, and each
-    run gets its closed forms from one :func:`~sqzmzi.photostats.photon_stats`
-    call and its linearized mean path from one :func:`_propagate` call over
-    its phases.
+    n1, n2, the chain buffers and the batch layout (32 batches, whatever n)
+    are made once, and a draw set of n <= _CHUNK samples is shared by
+    consecutive phases of equal draw key (input variances, mu, eta): the
+    draws carry both loss amplitudes.  Each distinct params is refused or
+    passed once, before any draw, and each run gets its closed forms from one
+    :func:`~sqzmzi.photostats.photon_stats` call and its linearized mean path
+    from one :func:`_propagate` call over its phases.
     """
     for params in dict.fromkeys(params for params, _ in runs):
         # the batch errors square moments up to the floor

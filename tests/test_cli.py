@@ -86,6 +86,22 @@ def test_validate_matches_golden_digest(runner, name):
     assert hashlib.sha256(result.output.encode()).hexdigest() == golden["sha256"]
 
 
+@pytest.mark.parametrize(
+    "param_args",
+    [*(["--preset", p] for p in PRESET_NAMES),
+     ["--r1-db", "8", "--r2", "0.8", "--mu", "0.93", "--eta", "0.7", "--n-photons", "3e6", "--A", "4"]],
+    ids=[*PRESET_NAMES, "lossy"],
+)
+def test_validate_passes_at_the_minimum_sample_count(runner, param_args):
+    # 64 samples are still 32 batches of 2, so each z-score rests on 32
+    # batch means and a correct linearized model passes
+    result = runner.invoke(
+        main,
+        ["validate", *param_args, "--points", "12", "--oracle-samples", "64", "--mode", "linearized"],
+    )
+    assert result.exit_code == 0, result.output
+
+
 def test_sweep_csv_values_round_trip(runner):
     result = runner.invoke(
         main,
