@@ -31,11 +31,15 @@ scaled by their loss amplitudes sqrt(1 - mu) and sqrt(1 - eta) when drawn, so
 the draws depend on (input variances, mu, eta) but not on phi: when n <= _CHUNK
 the call draws one read-only set and its points share it, drawing again only
 where a point's (input variances, mu, eta) differs from the previous one's;
-larger runs draw _CHUNK samples at a time at every point.  The draws go
-through the chain in blocks of _BLOCK samples: each step writes into one of
-_CHAIN_ROWS block-sized buffers, and each block's photon numbers go straight
-into the sample arrays n1 and n2, allocated once per call.  The steps are
-elementwise, so neither the blocks, nor the in-place writes, nor scaling the
+larger runs draw _CHUNK samples at a time at every point.  A shared set goes
+through the input beamsplitter once, in place over its a1c, z2c, a1s and z2s
+(see :func:`_split_draws`), since no phase moves it; only the c pair depends
+on alpha, so it stays raw where a later run of a brightness scan shares the
+set at another alpha.  The draws go through the rest of the chain in blocks
+of _BLOCK samples: each step writes into one of _CHAIN_ROWS block-sized
+buffers, and each block's photon numbers go straight into the sample arrays
+n1 and n2, allocated once per call.  The steps are elementwise, so neither
+the blocks, nor the in-place writes, nor splitting the inputs or scaling the
 vacuums at draw time change an output bit.
 
 A call samples the runs its caller hands it, one params over a phase or a
@@ -57,6 +61,7 @@ independent.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from sys import float_info
@@ -178,13 +183,34 @@ def _mix(x, a: float, y, b: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarr
     return np.add(out, tmp, out=out)
 
 
-def _beamsplit(x, y, plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _beamsplit(
+    x, y, plus: np.ndarray, minus: np.ndarray, tmp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """(x + y)/sqrt2 into plus and (x - y)/sqrt2 into minus, each a sum (or
-    difference) followed by a product; minus may be x or y, plus neither."""
+    difference) followed by a product; plus and minus may be x and y, tmp is
+    none of the four."""
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    np.multiply(np.add(x, y, out=plus), inv_sqrt2, out=plus)
+    np.add(x, y, out=tmp)
     np.multiply(np.subtract(x, y, out=minus), inv_sqrt2, out=minus)
+    np.multiply(tmp, inv_sqrt2, out=plus)
     return plus, minus
+
+
+def _split_inputs(alpha: float, fields: dict, out: dict, tmp: np.ndarray) -> dict:
+    """The symmetric input beamsplitter on each input pair ``fields`` holds:
+    b1c and b2c from a1c and z2c (z2c displaced by the laser's sqrt2 alpha),
+    b1s and b2s from a1s and z2s, each written into ``out``'s array of its
+    name, which may be the input it replaces (b1c a1c, b2c z2c, b1s a1s, b2s
+    z2s); ``tmp`` is another array.  Neither output depends on phi."""
+    split = {}
+    if "a1c" in fields:
+        a2c = np.add(fields["z2c"], math.sqrt(2.0) * alpha, out=out["b2c"])
+        split["b1c"], split["b2c"] = _beamsplit(fields["a1c"], a2c, out["b1c"], a2c, tmp)
+    if "a1s" in fields:
+        split["b1s"], split["b2s"] = _beamsplit(
+            fields["a1s"], fields["z2s"], out["b1s"], out["b2s"], tmp
+        )
+    return split
 
 
 def _propagate(
@@ -198,7 +224,10 @@ def _propagate(
 
     ``fields`` maps channel name to a sample array, its loss vacuums (m*, n*)
     already scaled by their loss amplitudes (see :func:`_scaled_draws`); a
-    loss vacuum it does not hold is not admixed, as at a zero amplitude, and
+    loss vacuum it does not hold is not admixed, as at a zero amplitude.  It
+    holds each input pair raw (a1c and z2c, a1s and z2s) or already through
+    the input beamsplitter (b1c and b2c, b1s and b2s, see
+    :func:`_split_inputs`), with the same bits out either way, and
     ``buf`` is a sequence of _CHAIN_ROWS scratch arrays of the same length:
     every step writes into them, and the quadratures returned are among them.
     ``phi`` is one phase, or a :class:`Phase` over a grid as long as ``buf``'s
@@ -210,26 +239,22 @@ def _propagate(
     chain here is deliberately stepwise and elementary; it shares no algebra
     with the closed-form modules it is meant to check.
     """
-    alpha = params.alpha
     p, q, r, u, v, tmp = buf
 
-    a1c, a1s = fields["a1c"], fields["a1s"]
-    a2c = np.add(fields["z2c"], math.sqrt(2.0) * alpha, out=p)
-    a2s = fields["z2s"]
+    # the input beamsplitter on each pair still raw, into q, p, r and u
+    rows = {"b1c": q, "b2c": p, "b1s": r, "b2s": u}
+    fields = {**fields, **_split_inputs(params.alpha, fields, rows, tmp)}
+    b1c, b2c, b1s, b2s = (fields[name] for name in ("b1c", "b2c", "b1s", "b2s"))
 
-    # symmetric input beamsplitter
-    b1c, b2c = _beamsplit(a1c, a2c, q, a2c)
-    b1s, b2s = _beamsplit(a1s, a2s, r, u)
-
-    # opposite arm phases rotate each (c, s) pair by +/- phi/2; the second
-    # rotation of a pair writes over its inputs, which frees r for c2c and u
-    # and tmp for the measured pair
+    # opposite arm phases rotate each (c, s) pair by +/- phi/2 into v, q, r
+    # and p, the rows that held b1c, b1s and b2c once they are read, which
+    # leaves u and tmp for the measured pair
     phase = Phase(phi)
     ch, sh = phase.cos_half, phase.sin_half
     c1c = _mix(b1c, ch, b1s, -sh, v, tmp)
-    c1s = _mix(b1c, sh, b1s, ch, b1c, b1s)
+    c1s = _mix(b1c, sh, b1s, ch, q, tmp)
     c2c = _mix(b2c, ch, b2s, sh, r, tmp)
-    c2s = _mix(b2c, -sh, b2s, ch, b2c, b2s)
+    c2s = _mix(b2c, -sh, b2s, ch, p, tmp)
 
     # internal loss admixes one (pre-scaled) vacuum per arm.  A loss step
     # runs only where ``fields`` holds its vacuum: a lossless arm's is not
@@ -249,7 +274,8 @@ def _propagate(
     # squeezed (the other two) by its phase-sensitive amplifier, then one
     # (pre-scaled) external-loss vacuum per detector.  The measured pair goes
     # to u and tmp, leaving d1c..d2s intact for the other pair, whose sums
-    # (differences) write over d2c (d2s)
+    # (differences) write over d2c (d2s).  At unit gain x * 1.0 and x / 1.0
+    # are x, so the amplifier step is skipped
     g, te = math.exp(params.r2), math.sqrt(params.eta)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     ports = [
@@ -263,7 +289,8 @@ def _propagate(
         ]
     for combine, x, y, amplify, vacuum, out in ports:
         np.multiply(combine(x, y, out=out), inv_sqrt2, out=out)
-        amplify(out, g, out=out)
+        if g != 1.0:
+            amplify(out, g, out=out)
         if vacuum in fields:
             out *= te
             out += fields[vacuum]
@@ -285,8 +312,9 @@ def _scaled_draws(
     VACUUM for the rest) and then, for the loss vacuums, by the amplitude
     sqrt(1 - mu) (internal, m*) or sqrt(1 - eta) (external, n*) with which
     they enter the chain.  Neither depends on phi, so a draw set serves every
-    phase of the same (inputs, mu, eta); the two products round as admixing
-    the vacuum in the chain did.  A vacuum of zero amplitude is not drawn,
+    phase of the same (inputs, mu, eta), and :func:`_split_draws` may put it
+    through the input beamsplitter in place; the two products round as
+    admixing the vacuum in the chain did.  A vacuum of zero amplitude is not drawn,
     nor, with ``measured_only``, n1c and n2s, which the measured pair never
     reads: each channel has its own stream, so no other draw moves."""
     variances = inputs + (VACUUM,) * (len(CHANNELS) - len(inputs))
@@ -359,7 +387,8 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
     n1, n2, the chain buffers and the batch layout (32 batches, whatever n)
     are made once, and a draw set of n <= _CHUNK samples is shared by
     consecutive phases of equal draw key (input variances, mu, eta): the
-    draws carry both loss amplitudes.  Each distinct params is refused or
+    draws carry both loss amplitudes, and the input beamsplitter is applied
+    to them once (see :func:`_split_draws`).  Each distinct params is refused or
     passed once, before any draw, and each run gets its closed forms from one
     :func:`~sqzmzi.photostats.photon_stats` call and its linearized mean path
     from one :func:`_propagate` call over its phases.
@@ -400,10 +429,11 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
     reports = []
     drawn = draws = None
     linearized = config.linearized_mode
-    for params, phase in runs:
+    keys = [(_input_variances(params), params.mu, params.eta) for params, _ in runs]
+    for j, (params, phase) in enumerate(runs):
         closed = photostats.photon_stats(params, phase).as_dict()
         means = _mean_path(params, phase) if linearized else None
-        key = (_input_variances(params), params.mu, params.eta)
+        key = keys[j]
         for i, phi in enumerate(np.atleast_1d(phase.phi).tolist()):
             if n > _CHUNK:
                 streams = _spawn_streams(config.seed)
@@ -413,6 +443,12 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
                 if key != drawn:
                     chunks = draws = None  # drop the old set before drawing
                     draws = _scaled_draws(*key, n, _spawn_streams(config.seed), linearized)
+                    # only the c pair's split depends on alpha: it stays raw
+                    # where a later run shares the set at another alpha
+                    later = zip(keys[j + 1 :], runs[j + 1 :])
+                    sharing = itertools.takewhile(lambda run: run[0] == key, later)
+                    keep_c = any(other.alpha != params.alpha for _, (other, _) in sharing)
+                    draws = _split_draws(params.alpha, draws, buf[0], keep_c)
                     for values in draws.values():
                         values.flags.writeable = False
                     drawn = key
@@ -423,6 +459,23 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
             mean = None if means is None else (float(means[0][i]), float(means[1][i]))
             reports.append(_report(params, phi, config, chunks, scratch, point_closed, mean))
     return reports
+
+
+def _split_draws(alpha: float, draws: dict, tmp: np.ndarray, keep_c: bool) -> dict:
+    """``draws`` with the input beamsplitter applied in place, _BLOCK samples
+    at a time with ``tmp`` (a block-sized array) as scratch: b1c over a1c, b2c
+    over z2c, b1s over a1s and b2s over z2s, so the phases that share the set
+    enter :func:`_propagate` at the arm rotations.  With ``keep_c`` the c pair
+    stays raw.  Every output bit stays as on the raw draws."""
+    names = {"a1s": "b1s", "z2s": "b2s"}
+    if not keep_c:
+        names.update(a1c="b1c", z2c="b2c")
+    size = draws["a1s"].size
+    for a in range(0, size, _BLOCK):
+        block = {ch: draws[ch][a : a + _BLOCK] for ch in names}
+        out = {names[ch]: values for ch, values in block.items()}
+        _split_inputs(alpha, block, out, tmp[: min(_BLOCK, size - a)])
+    return {names.get(ch, ch): values for ch, values in draws.items()}
 
 
 def _mean_path(params: InterferometerParams, phase: Phase) -> tuple:
@@ -459,9 +512,10 @@ def _report(
     n1, n2, buf, stacks = scratch
     done = 0
     for fields in chunks:
-        for a in range(0, fields["a1c"].size, _BLOCK):
+        size = next(iter(fields.values())).size
+        for a in range(0, size, _BLOCK):
             block = {ch: values[a : a + _BLOCK] for ch, values in fields.items()}
-            m = block["a1c"].size
+            m = min(_BLOCK, size - a)
             g1c, g1s, g2c, g2s = _propagate(
                 params, phase, block, buf[:, :m], measured_only=config.linearized_mode
             )

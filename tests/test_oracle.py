@@ -21,6 +21,7 @@ from sqzmzi.model import InterferometerParams, ParameterError, Phase, db_to_sque
 from sqzmzi.oracle import (
     _CHAIN_ROWS,
     _CHUNK,
+    N_BATCHES,
     OracleConfig,
     _moments_of,
     _propagate,
@@ -398,9 +399,46 @@ def test_undrawn_vacuums_move_no_bit(mu, eta, phi, linearized):
 
 
 INPUTS = ("a1c", "a1s", "z2c", "z2s")
+SPLIT_INPUTS = ("b1c", "b1s", "b2c", "b2s")
 INTERNAL = ("m1c", "m1s", "m2c", "m2s")
 EXTERNAL = ("n1c", "n1s", "n2c", "n2s")
 MEASURED_EXTERNAL = ("n1s", "n2c")
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.9, 1e-3])
+@pytest.mark.parametrize("eta", [1.0, 0.9, 1e-3])
+@pytest.mark.parametrize("r2", [0.0, 0.7])
+@pytest.mark.parametrize("linearized", [False, True], ids=["exact", "linearized"])
+def test_split_inputs_move_no_bit(mu, eta, r2, linearized):
+    # a shared draw set goes through the input beamsplitter once, in place,
+    # whole or (where a later run shares it at another alpha) its s pair
+    # alone; every phase must then get the bits of the chain on the raw
+    # draws, signed zeros included
+    params = InterferometerParams.with_technical_noise(
+        2.0, r1=1.0, r2=r2, mu=mu, eta=eta, n_photons=1e6
+    )
+    n = oracle._BLOCK + 5
+    raw = _scaled_draws(_input_variances(params), mu, eta, n, _spawn_streams(40), linearized)
+    for values in raw.values():
+        values[::97] = -0.0
+        values[1::97] = 0.0
+        values.flags.writeable = False
+    for keep_c in (False, True):
+        copies = {ch: values.copy() for ch, values in raw.items()}
+        split = oracle._split_draws(params.alpha, copies, np.empty(oracle._BLOCK), keep_c)
+        inputs = ("a1c", "b1s", "z2c", "b2s") if keep_c else SPLIT_INPUTS
+        assert set(split) == set(inputs) | set(raw) - set(INPUTS)
+        # in place: every array of the split set is one of the draws
+        assert {id(values) for values in split.values()} == set(map(id, copies.values()))
+        for phi in (0.0, 1.3, math.pi):
+            expected, got = (
+                _propagate(params, phi, fields, np.empty((_CHAIN_ROWS, n)), measured_only=linearized)
+                for fields in (raw, split)
+            )
+            for g, h in zip(got, expected):
+                assert (g is None) == (h is None)
+                if g is not None:
+                    assert g.tobytes() == h.tobytes(), (keep_c, phi)
 
 
 @pytest.mark.parametrize("n", [3000, _CHUNK + 1])
@@ -550,7 +588,7 @@ def test_closed_forms_and_mean_path_once_per_run_of_equal_params(
         return photon_stats(params, phi)
 
     def counting_propagate(params, phi, fields, buf, measured_only=False):
-        if fields["a1c"].size == 1:
+        if next(iter(fields.values())).size == 1:
             mean_calls.append(np.size(Phase(phi).phi))
         return _propagate(params, phi, fields, buf, measured_only=measured_only)
 
@@ -705,6 +743,22 @@ def test_run_allocates_blocks_not_whole_sample_temporaries(solid_params, lineari
     assert three - one < 0.25 * 2**20, f"extra peak {(three - one) / 2**20:.2f} MiB"
 
 
+@pytest.mark.parametrize("set_name", ["lossless", "lossy"])
+def test_split_draws_allocate_no_sample_array(solid_params, set_name):
+    # the input beamsplitter runs in place over the shared draws, so a 12-phase
+    # run holds no sample-length array beyond its drawn channels, n1, n2 and
+    # the chain buffer: the rest of its peak stays under one more such array
+    params = {"lossless": solid_params, "lossy": BLOCKS_SETS["lossy"]}[set_name]
+    n = 50_000
+    key = _input_variances(params), params.mu, params.eta
+    drawn = len(_scaled_draws(*key, N_BATCHES * 2, _spawn_streams(0), True))
+    chain = _CHAIN_ROWS * oracle._BLOCK
+    budget = 8 * ((drawn + 2) * n + chain)
+    config = OracleConfig(n_samples=n, seed=42, linearized_mode=True)
+    peak = _traced_peak(lambda: run(params, midpoint_grid(12), config))
+    assert peak - budget < 8 * n, f"{(peak - budget) / 2**10:.0f} KiB over the budget"
+
+
 def test_validate_keeps_nothing_allocated(solid_params):
     # the draws (24 MiB at 2^18 samples), n1, n2 and the chain buffers belong to
     # the call and are freed when it returns
@@ -734,8 +788,9 @@ def test_kept_draws_are_read_only(solid_params, monkeypatch):
         config = OracleConfig(n_samples=1000, seed=26, linearized_mode=linearized)
         run(solid_params, [0.3, 1.0], config)
         # in linearized mode one mean path for the grid, on every channel,
-        # then one block per phase, on the four channels the lossless set draws
-        blocks = [set(INPUTS)] * 2
+        # then one block per phase, on the four channels the lossless set
+        # draws, through the input beamsplitter
+        blocks = [set(SPLIT_INPUTS)] * 2
         assert [set(fields) for fields in received] == (
             [set(oracle.CHANNELS)] + blocks if linearized else blocks
         )
