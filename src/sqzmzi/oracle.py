@@ -314,9 +314,9 @@ def _scaled_draws(
     they enter the chain.  Neither depends on phi, so a draw set serves every
     phase of the same (inputs, mu, eta), and :func:`_split_draws` may put it
     through the input beamsplitter in place; the two products round as
-    admixing the vacuum in the chain did.  A vacuum of zero amplitude is not drawn,
-    nor, with ``measured_only``, n1c and n2s, which the measured pair never
-    reads: each channel has its own stream, so no other draw moves."""
+    admixing the vacuum in the chain did.  A vacuum of zero amplitude is not
+    drawn, nor, with ``measured_only``, n1c and n2s, which the measured pair
+    never reads: each channel has its own stream, so no other draw moves."""
     variances = inputs + (VACUUM,) * (len(CHANNELS) - len(inputs))
     amplitudes = {"m": math.sqrt(1.0 - mu), "n": math.sqrt(1.0 - eta)}
     unread = ("n1c", "n2s") if measured_only else ()
@@ -388,10 +388,10 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
     are made once, and a draw set of n <= _CHUNK samples is shared by
     consecutive phases of equal draw key (input variances, mu, eta): the
     draws carry both loss amplitudes, and the input beamsplitter is applied
-    to them once (see :func:`_split_draws`).  Each distinct params is refused or
-    passed once, before any draw, and each run gets its closed forms from one
-    :func:`~sqzmzi.photostats.photon_stats` call and its linearized mean path
-    from one :func:`_propagate` call over its phases.
+    to them once (see :func:`_split_draws`).  Each distinct params is refused
+    or passed once, before any draw, and each run gets its closed forms from
+    one :func:`~sqzmzi.photostats.photon_stats` call and its linearized mean
+    path from one :func:`_propagate` call over its phases.
     """
     for params in dict.fromkeys(params for params, _ in runs):
         # the batch errors square moments up to the floor
