@@ -31,16 +31,16 @@ scaled by their loss amplitudes sqrt(1 - mu) and sqrt(1 - eta) when drawn, so
 the draws depend on (input variances, mu, eta) but not on phi: when n <= _CHUNK
 the call draws one read-only set and its points share it, drawing again only
 where a point's (input variances, mu, eta) differs from the previous one's;
-larger runs draw _CHUNK samples at a time at every point.  A shared set goes
-through the input beamsplitter once, in place over its a1c, z2c, a1s and z2s
-(see :func:`_split_draws`), since no phase moves it; only the c pair depends
-on alpha, so it stays raw where a later run of a brightness scan shares the
-set at another alpha.  The draws go through the rest of the chain in blocks
-of _BLOCK samples: each step writes into one of _CHAIN_ROWS block-sized
-buffers, and each block's photon numbers go straight into the sample arrays
-n1 and n2, allocated once per call.  The steps are elementwise, so neither
-the blocks, nor the in-place writes, nor splitting the inputs or scaling the
-vacuums at draw time change an output bit.
+larger runs draw _CHUNK samples at a time at every point.  Where every run
+of the call has one alpha, as in :func:`run`, a shared set goes through the
+input beamsplitter once, in place over its a1c, z2c, a1s and z2s (see
+:func:`_split_draws`), since no phase moves it; a brightness scan's runs
+differ in alpha, so their shared set stays raw.  The draws go through the
+rest of the chain in blocks of _BLOCK samples: each step writes into one of
+_CHAIN_ROWS block-sized buffers, and each block's photon numbers go straight
+into the sample arrays n1 and n2, allocated once per call.  The steps are
+elementwise, so neither the blocks, nor the in-place writes, nor splitting
+the inputs or scaling the vacuums at draw time change an output bit.
 
 A call samples the runs its caller hands it, one params over a phase or a
 phase grid each (:func:`run` hands one, :func:`linearization_error` one per
@@ -61,7 +61,6 @@ independent.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from sys import float_info
@@ -196,21 +195,17 @@ def _beamsplit(
     return plus, minus
 
 
-def _split_inputs(alpha: float, fields: dict, out: dict, tmp: np.ndarray) -> dict:
-    """The symmetric input beamsplitter on each input pair ``fields`` holds:
-    b1c and b2c from a1c and z2c (z2c displaced by the laser's sqrt2 alpha),
-    b1s and b2s from a1s and z2s, each written into ``out``'s array of its
-    name, which may be the input it replaces (b1c a1c, b2c z2c, b1s a1s, b2s
-    z2s); ``tmp`` is another array.  Neither output depends on phi."""
-    split = {}
-    if "a1c" in fields:
-        a2c = np.add(fields["z2c"], math.sqrt(2.0) * alpha, out=out["b2c"])
-        split["b1c"], split["b2c"] = _beamsplit(fields["a1c"], a2c, out["b1c"], a2c, tmp)
-    if "a1s" in fields:
-        split["b1s"], split["b2s"] = _beamsplit(
-            fields["a1s"], fields["z2s"], out["b1s"], out["b2s"], tmp
-        )
-    return split
+def _split_inputs(alpha: float, fields: dict, out, tmp: np.ndarray) -> dict:
+    """The symmetric input beamsplitter, as a dict: b1c and b2c from a1c and
+    z2c (z2c displaced by the laser's sqrt2 alpha), b1s and b2s from a1s and
+    z2s, written into ``out``'s four arrays in that order; each may be the
+    input it replaces (b1c a1c, b2c z2c, b1s a1s, b2s z2s), and ``tmp`` is
+    another array.  No output depends on phi."""
+    o1c, o2c, o1s, o2s = out
+    a2c = np.add(fields["z2c"], math.sqrt(2.0) * alpha, out=o2c)
+    b1c, b2c = _beamsplit(fields["a1c"], a2c, o1c, a2c, tmp)
+    b1s, b2s = _beamsplit(fields["a1s"], fields["z2s"], o1s, o2s, tmp)
+    return {"b1c": b1c, "b2c": b2c, "b1s": b1s, "b2s": b2s}
 
 
 def _propagate(
@@ -225,11 +220,11 @@ def _propagate(
     ``fields`` maps channel name to a sample array, its loss vacuums (m*, n*)
     already scaled by their loss amplitudes (see :func:`_scaled_draws`); a
     loss vacuum it does not hold is not admixed, as at a zero amplitude.  It
-    holds each input pair raw (a1c and z2c, a1s and z2s) or already through
-    the input beamsplitter (b1c and b2c, b1s and b2s, see
-    :func:`_split_inputs`), with the same bits out either way, and
-    ``buf`` is a sequence of _CHAIN_ROWS scratch arrays of the same length:
-    every step writes into them, and the quadratures returned are among them.
+    holds the raw inputs (a1c, a1s, z2c and z2s) or their outputs of the
+    input beamsplitter (b1c, b1s, b2c and b2s, see :func:`_split_inputs`),
+    with the same bits out either way.  ``buf`` is a sequence of _CHAIN_ROWS
+    scratch arrays of the same length: every step writes into them, and the
+    quadratures returned are among them.
     ``phi`` is one phase, or a :class:`Phase` over a grid as long as ``buf``'s
     rows when every field holds one element: each element of the result is
     then that field value taken through the chain at its own phase, with the
@@ -241,10 +236,10 @@ def _propagate(
     """
     p, q, r, u, v, tmp = buf
 
-    # the input beamsplitter on each pair still raw, into q, p, r and u
-    rows = {"b1c": q, "b2c": p, "b1s": r, "b2s": u}
-    fields = {**fields, **_split_inputs(params.alpha, fields, rows, tmp)}
-    b1c, b2c, b1s, b2s = (fields[name] for name in ("b1c", "b2c", "b1s", "b2s"))
+    if "a1c" in fields:
+        # raw inputs: the input beamsplitter into q, p, r and u
+        fields = {**fields, **_split_inputs(params.alpha, fields, (q, p, r, u), tmp)}
+    b1c, b2c, b1s, b2s = fields["b1c"], fields["b2c"], fields["b1s"], fields["b2s"]
 
     # opposite arm phases rotate each (c, s) pair by +/- phi/2 into v, q, r
     # and p, the rows that held b1c, b1s and b2c once they are read, which
@@ -316,18 +311,28 @@ def _scaled_draws(
     through the input beamsplitter in place; the two products round as
     admixing the vacuum in the chain did.  A vacuum of zero amplitude is not
     drawn, nor, with ``measured_only``, n1c and n2s, which the measured pair
-    never reads: each channel has its own stream, so no other draw moves."""
+    never reads: each channel has its own stream, so no other draw moves.
+    The channels drawn are the rows of one array, each drawn and scaled
+    _BLOCK samples at a time (a stream's draws in pieces are its draws in
+    one): a set is one allocation, which glibc's malloc, once it has freed a
+    block that large, serves from its heap again rather than from freshly
+    mapped pages."""
     variances = inputs + (VACUUM,) * (len(CHANNELS) - len(inputs))
     amplitudes = {"m": math.sqrt(1.0 - mu), "n": math.sqrt(1.0 - eta)}
     unread = ("n1c", "n2s") if measured_only else ()
+    drawn = [
+        (ch, variance)
+        for ch, variance in zip(CHANNELS, variances)
+        if amplitudes.get(ch[0]) != 0.0 and ch not in unread
+    ]
     fields = {}
-    for ch, variance in zip(CHANNELS, variances):
-        if amplitudes.get(ch[0]) == 0.0 or ch in unread:
-            continue
-        x = fields[ch] = streams[ch].standard_normal(m)
-        x *= math.sqrt(variance)
-        if ch[0] in amplitudes:
-            x *= amplitudes[ch[0]]
+    for (ch, variance), x in zip(drawn, np.empty((len(drawn), m))):
+        for a in range(0, m, _BLOCK):
+            normals = streams[ch].standard_normal(min(_BLOCK, m - a))
+            piece = np.multiply(normals, math.sqrt(variance), out=x[a : a + _BLOCK])
+            if ch[0] in amplitudes:
+                piece *= amplitudes[ch[0]]
+        fields[ch] = x
     return fields
 
 
@@ -387,11 +392,14 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
     n1, n2, the chain buffers and the batch layout (32 batches, whatever n)
     are made once, and a draw set of n <= _CHUNK samples is shared by
     consecutive phases of equal draw key (input variances, mu, eta): the
-    draws carry both loss amplitudes, and the input beamsplitter is applied
-    to them once (see :func:`_split_draws`).  Each distinct params is refused
-    or passed once, before any draw, and each run gets its closed forms from
-    one :func:`~sqzmzi.photostats.photon_stats` call and its linearized mean
-    path from one :func:`_propagate` call over its phases.
+    draws carry both loss amplitudes and, where every run has one alpha, have
+    been through the input beamsplitter (see :func:`_split_draws`).  Where
+    n <= _CHUNK the idle chain buffers hold half the batches of n1 and of n2
+    at once, so that each batch length takes one :func:`_moments_of` call.
+    Each distinct params is refused or passed once, before any draw, and
+    each run gets its closed forms from one
+    :func:`~sqzmzi.photostats.photon_stats` call and its linearized mean path
+    from one :func:`_propagate` call over its phases.
     """
     for params in dict.fromkeys(params for params, _ in runs):
         # the batch errors square moments up to the floor
@@ -400,10 +408,14 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
     n = config.n_samples
     edges = np.linspace(0, n, N_BATCHES + 1).astype(int).tolist()
     spans = list(zip(edges[:-1], edges[1:]))
-    # the chain buffers, flat, and long enough to hold one batch of n1 and one
-    # of n2 at a time once the chain is idle
+    # the chain buffers, flat; once the chain is idle they hold one batch of
+    # n1 and one of n2 at a time and, where n <= _CHUNK (the call then holds
+    # 4n samples of draws or more), half the batches of each, n + 32 samples
+    # at most
+    longest = max(b - a for a, b in spans)
+    held = N_BATCHES // 2 if n <= _CHUNK else 1
     try:
-        chain = np.empty(max(_CHAIN_ROWS * min(n, _BLOCK), 2 * max(b - a for a, b in spans)))
+        chain = np.empty(max(_CHAIN_ROWS * min(n, _BLOCK), 2 * held * longest))
         n1, n2 = np.empty(n), np.empty(n)
     except MemoryError:
         raise ParameterError(
@@ -429,11 +441,13 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
     reports = []
     drawn = draws = None
     linearized = config.linearized_mode
-    keys = [(_input_variances(params), params.mu, params.eta) for params, _ in runs]
-    for j, (params, phase) in enumerate(runs):
+    # the input beamsplitter depends on alpha, so a shared set goes through it
+    # once only where every run has the same alpha (one run, in practice)
+    split = len({params.alpha for params, _ in runs}) == 1
+    for params, phase in runs:
         closed = photostats.photon_stats(params, phase).as_dict()
         means = _mean_path(params, phase) if linearized else None
-        key = keys[j]
+        key = (_input_variances(params), params.mu, params.eta)
         for i, phi in enumerate(np.atleast_1d(phase.phi).tolist()):
             if n > _CHUNK:
                 streams = _spawn_streams(config.seed)
@@ -443,12 +457,8 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
                 if key != drawn:
                     chunks = draws = None  # drop the old set before drawing
                     draws = _scaled_draws(*key, n, _spawn_streams(config.seed), linearized)
-                    # only the c pair's split depends on alpha: it stays raw
-                    # where a later run shares the set at another alpha
-                    later = zip(keys[j + 1 :], runs[j + 1 :])
-                    sharing = itertools.takewhile(lambda run: run[0] == key, later)
-                    keep_c = any(other.alpha != params.alpha for _, (other, _) in sharing)
-                    draws = _split_draws(params.alpha, draws, buf[0], keep_c)
+                    if split:
+                        draws = _split_draws(params.alpha, draws, buf[0])
                     for values in draws.values():
                         values.flags.writeable = False
                     drawn = key
@@ -461,19 +471,17 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
     return reports
 
 
-def _split_draws(alpha: float, draws: dict, tmp: np.ndarray, keep_c: bool) -> dict:
+def _split_draws(alpha: float, draws: dict, tmp: np.ndarray) -> dict:
     """``draws`` with the input beamsplitter applied in place, _BLOCK samples
     at a time with ``tmp`` (a block-sized array) as scratch: b1c over a1c, b2c
     over z2c, b1s over a1s and b2s over z2s, so the phases that share the set
-    enter :func:`_propagate` at the arm rotations.  With ``keep_c`` the c pair
-    stays raw.  Every output bit stays as on the raw draws."""
-    names = {"a1s": "b1s", "z2s": "b2s"}
-    if not keep_c:
-        names.update(a1c="b1c", z2c="b2c")
-    size = draws["a1s"].size
+    enter :func:`_propagate` at the arm rotations.  Every output bit stays as
+    on the raw draws."""
+    names = {"a1c": "b1c", "z2c": "b2c", "a1s": "b1s", "z2s": "b2s"}
+    size = draws["a1c"].size
     for a in range(0, size, _BLOCK):
         block = {ch: draws[ch][a : a + _BLOCK] for ch in names}
-        out = {names[ch]: values for ch, values in block.items()}
+        out = block["a1c"], block["z2c"], block["a1s"], block["z2s"]
         _split_inputs(alpha, block, out, tmp[: min(_BLOCK, size - a)])
     return {names.get(ch, ch): values for ch, values in draws.items()}
 

@@ -1,6 +1,7 @@
 """Monte-Carlo oracle: reproducibility, agreement with the closed forms, and
 the diagnostics around the linearized photocounting model."""
 
+import itertools
 import json
 import math
 import re
@@ -409,10 +410,9 @@ MEASURED_EXTERNAL = ("n1s", "n2c")
 @pytest.mark.parametrize("r2", [0.0, 0.7])
 @pytest.mark.parametrize("linearized", [False, True], ids=["exact", "linearized"])
 def test_split_inputs_move_no_bit(mu, eta, r2, linearized):
-    # a shared draw set goes through the input beamsplitter once, in place,
-    # whole or (where a later run shares it at another alpha) its s pair
-    # alone; every phase must then get the bits of the chain on the raw
-    # draws, signed zeros included
+    # a shared draw set goes through the input beamsplitter once, in place;
+    # every phase must then get the bits of the chain on the raw draws,
+    # signed zeros included
     params = InterferometerParams.with_technical_noise(
         2.0, r1=1.0, r2=r2, mu=mu, eta=eta, n_photons=1e6
     )
@@ -422,22 +422,20 @@ def test_split_inputs_move_no_bit(mu, eta, r2, linearized):
         values[::97] = -0.0
         values[1::97] = 0.0
         values.flags.writeable = False
-    for keep_c in (False, True):
-        copies = {ch: values.copy() for ch, values in raw.items()}
-        split = oracle._split_draws(params.alpha, copies, np.empty(oracle._BLOCK), keep_c)
-        inputs = ("a1c", "b1s", "z2c", "b2s") if keep_c else SPLIT_INPUTS
-        assert set(split) == set(inputs) | set(raw) - set(INPUTS)
-        # in place: every array of the split set is one of the draws
-        assert {id(values) for values in split.values()} == set(map(id, copies.values()))
-        for phi in (0.0, 1.3, math.pi):
-            expected, got = (
-                _propagate(params, phi, fields, np.empty((_CHAIN_ROWS, n)), measured_only=linearized)
-                for fields in (raw, split)
-            )
-            for g, h in zip(got, expected):
-                assert (g is None) == (h is None)
-                if g is not None:
-                    assert g.tobytes() == h.tobytes(), (keep_c, phi)
+    copies = {ch: values.copy() for ch, values in raw.items()}
+    split = oracle._split_draws(params.alpha, copies, np.empty(oracle._BLOCK))
+    assert set(split) == set(SPLIT_INPUTS) | set(raw) - set(INPUTS)
+    # in place: every array of the split set is one of the draws
+    assert {id(values) for values in split.values()} == set(map(id, copies.values()))
+    for phi in (0.0, 1.3, math.pi):
+        expected, got = (
+            _propagate(params, phi, fields, np.empty((_CHAIN_ROWS, n)), measured_only=linearized)
+            for fields in (raw, split)
+        )
+        for g, h in zip(got, expected):
+            assert (g is None) == (h is None)
+            if g is not None:
+                assert g.tobytes() == h.tobytes(), phi
 
 
 @pytest.mark.parametrize("n", [3000, _CHUNK + 1])
@@ -456,7 +454,8 @@ def test_split_inputs_move_no_bit(mu, eta, r2, linearized):
 )
 def test_a_run_draws_only_the_channels_it_reads(monkeypatch, mu, eta, linearized, drawn, n):
     # a grid of n <= _CHUNK samples draws one set, n from each channel it
-    # reads; a longer run draws every phase in chunks
+    # reads, in pieces of _BLOCK at most; a longer run draws every phase in
+    # chunks
     draws = []
 
     class Recording:
@@ -477,7 +476,11 @@ def test_a_run_draws_only_the_channels_it_reads(monkeypatch, mu, eta, linearized
     grid = [0.3, 2.5]
     run(params, grid, OracleConfig(n_samples=n, seed=39, linearized_mode=linearized))
     sizes = [n] if n <= _CHUNK else [_CHUNK, n - _CHUNK] * len(grid)
-    assert draws == [(ch, m) for m in sizes for ch in drawn]
+    assert max(size for _, size in draws) <= oracle._BLOCK
+    pieces = itertools.groupby(draws, key=lambda draw: draw[0])
+    assert [(ch, sum(size for _, size in group)) for ch, group in pieces] == [
+        (ch, m) for m in sizes for ch in drawn
+    ]
 
 
 @pytest.mark.parametrize("knob, other", [("eta", 0.6), ("mu", 0.6)])
@@ -617,8 +620,8 @@ def test_closed_forms_and_mean_path_once_per_run_of_equal_params(
 )
 def test_batches_longer_than_half_the_chain_buffers_match_golden(monkeypatch, case):
     # with 64-sample blocks the chain buffers hold 384 samples, so the idle
-    # buffers must grow to hold one batch of n1 and one of n2 (256 and 1563
-    # samples); blocking changes no bit
+    # buffers must grow to hold the batch stacks of n1 and n2 (batches of 256
+    # and 1563 samples); blocking changes no bit
     monkeypatch.setattr(oracle, "_BLOCK", 64)
     assert _blocks_repr(case) == BLOCKS_GOLDEN[case]
 
@@ -747,10 +750,12 @@ def test_split_draws_allocate_no_sample_array(solid_params, set_name, drawn):
     # the input beamsplitter runs in place over the shared draws, so a 12-phase
     # run holds no sample-length array beyond its drawn channels (linearized:
     # the inputs, plus the internal vacuums and n1s, n2c where lossy), n1, n2
-    # and the chain buffer: the rest of its peak stays under one more such array
+    # and the chain buffer (its block rows, or half the batches of n1 and n2,
+    # n + 32 samples at most): the rest of its peak stays under one more such
+    # array
     params = {"lossless": solid_params, "lossy": BLOCKS_SETS["lossy"]}[set_name]
     n = 50_000
-    budget = 8 * ((drawn + 2) * n + _CHAIN_ROWS * oracle._BLOCK)
+    budget = 8 * ((drawn + 2) * n + max(_CHAIN_ROWS * oracle._BLOCK, n + oracle.N_BATCHES))
     config = OracleConfig(n_samples=n, seed=42, linearized_mode=True)
     peak = _traced_peak(lambda: run(params, midpoint_grid(12), config))
     assert peak - budget < 8 * n, f"{(peak - budget) / 2**10:.0f} KiB over the budget"
@@ -795,6 +800,21 @@ def test_kept_draws_are_read_only(solid_params, monkeypatch):
             for values in fields.values():
                 with pytest.raises(ValueError, match="read-only"):
                     values[0] = 1.0
+
+
+def test_brightness_scan_keeps_its_draws_raw(solid_params, monkeypatch):
+    # the scan's runs share one draw set at three alphas, so it must not go
+    # through the input beamsplitter at any one of them
+    received = []
+
+    def recording(params, phi, fields, buf, measured_only=False):
+        received.append(set(fields))
+        return _propagate(params, phi, fields, buf, measured_only=measured_only)
+
+    monkeypatch.setattr(oracle, "_propagate", recording)
+    config = OracleConfig(n_samples=1000, seed=26)
+    linearization_error(solid_params, 1.3, config, (1e2, 1e4, 1e6))
+    assert received == [set(INPUTS)] * 3
 
 
 def _linearization_repr(case: str) -> str:
