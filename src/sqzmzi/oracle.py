@@ -313,10 +313,10 @@ def _scaled_draws(
     drawn, nor, with ``measured_only``, n1c and n2s, which the measured pair
     never reads: each channel has its own stream, so no other draw moves.
     The channels drawn are the rows of one array, each drawn and scaled
-    _BLOCK samples at a time (a stream's draws in pieces are its draws in
-    one): a set is one allocation, which glibc's malloc, once it has freed a
-    block that large, serves from its heap again rather than from freshly
-    mapped pages."""
+    _BLOCK samples at a time, so no sample-length temporary is made (a
+    stream's draws in pieces are its draws in one).  A set is then one
+    allocation, which glibc's malloc, once it has freed a block that large,
+    serves from its heap again rather than from freshly mapped pages."""
     variances = inputs + (VACUUM,) * (len(CHANNELS) - len(inputs))
     amplitudes = {"m": math.sqrt(1.0 - mu), "n": math.sqrt(1.0 - eta)}
     unread = ("n1c", "n2s") if measured_only else ()
