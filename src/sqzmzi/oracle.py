@@ -23,7 +23,9 @@ channel left out leaves its own stream unused and no other draw moves, and
 at mu = 1 (eta = 1) its admixing step could only have flipped the sign of an
 exactly zero sample.  Results for a given (params, phi, config) are
 bit-identical across runs and machines, independent of batching, of the
-other phases of a grid and of the calls made before.
+other phases of a grid and of the calls made before: every step is an
+elementwise numpy ufunc or a pairwise np.add.reduce, and none calls BLAS,
+whose kernels differ by CPU.
 
 A call of :func:`run` over a phase grid (or of :func:`linearization_error`
 over a brightness grid) owns its draws and buffers.  The loss vacuums are
@@ -51,12 +53,13 @@ in linearized mode, its mean path from one :func:`_propagate` call on
 one-element zero inputs, broadcast over them; every point still carries the
 bits of an evaluation at its phase alone.  Every sample, of n >= 64, is cut
 into N_BATCHES = 32 batches of at least 2, laid out once per call as stacks
-of equal-length batches in views of the idle chain buffers.  One routine
-takes every sample moment of a phase, the batch moments a stack at a time
-and the full-sample moments on a one-row stack, each row with the bits of
-plain numpy on that row alone.  Nothing is kept after a call returns and
-nothing is shared between calls, so calls from several threads at once are
-independent.
+of equal-length batches in views of the idle chain buffers.  A phase's
+batches are copied into the stacks and take their moments a stack at a
+time, each row with the bits of numpy's pairwise sums on that row alone;
+the full sample's moments are then pooled exactly from the batches' (see
+:func:`_pooled`), with no further pass over the sample.  Nothing is kept
+after a call returns and nothing is shared between calls, so calls from
+several threads at once are independent.
 """
 
 from __future__ import annotations
@@ -338,20 +341,47 @@ def _scaled_draws(
 
 def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict:
     """The ten photocounting moments (ddof = 1) of each row of a stack of
-    equal-length sample blocks, as lists in row order; centres n1 and n2 in
-    place.  Each row gets the bits of plain numpy on that row alone: its sums
-    are the pairwise sums of ndarray.mean (without its Python-level wrapper),
-    and its products the 1-D dot products."""
+    equal-length sample blocks, as lists in row order; leaves each row of n1
+    and n2 holding its squared deviations from its mean.  Every sum is the
+    pairwise sum of np.add.reduce along the row, so each row gets the bits
+    of that row alone, whatever stack holds it and whatever the CPU."""
     size = n1.shape[-1]
     denom = size - 1
     mean1 = np.add.reduce(n1, axis=-1) / size
     mean2 = np.add.reduce(n2, axis=-1) / size
     n1 -= mean1[:, None]
     n2 -= mean2[:, None]
-    row1, col1, col2 = n1[:, None, :], n1[:, :, None], n2[:, :, None]
-    var1 = (row1 @ col1)[:, 0, 0] / denom
-    var2 = (n2[:, None, :] @ col2)[:, 0, 0] / denom
-    cov12 = (row1 @ col2)[:, 0, 0] / denom
+    cov12 = np.add.reduce(n1 * n2, axis=-1) / denom
+    var1 = np.add.reduce(np.multiply(n1, n1, out=n1), axis=-1) / denom
+    var2 = np.add.reduce(np.multiply(n2, n2, out=n2), axis=-1) / denom
+    return _ten_moments(mean1, mean2, var1, var2, cov12)
+
+
+def _pooled(table: np.ndarray, sizes: np.ndarray) -> dict:
+    """The ten moments (ddof = 1) of a whole sample, as floats, pooled from
+    its batches': ``table`` holds their moments, one row per moment in
+    MOMENT_FIELDS order and one column per batch, and ``sizes`` their sample
+    counts.  The means are the batch means weighted by count; each centred
+    sum of products is the batches' own, (count - 1) times their (co)variance,
+    plus count times the product of their means' deviations from the whole
+    sample's.  Every sum is a pairwise np.add.reduce over the batches."""
+    moments = dict(zip(photostats.MOMENT_FIELDS, table))
+    m1, m2 = moments["mean_n1"], moments["mean_n2"]
+    n = np.add.reduce(sizes)
+    mean1 = np.add.reduce(sizes * m1) / n
+    mean2 = np.add.reduce(sizes * m2) / n
+    d1, d2 = m1 - mean1, m2 - mean2
+
+    def centred(name, x, y):
+        return np.add.reduce((sizes - 1.0) * moments[name] + sizes * x * y) / (n - 1.0)
+
+    var1, var2 = centred("var_n1", d1, d1), centred("var_n2", d2, d2)
+    return _ten_moments(mean1, mean2, var1, var2, centred("cov_n1n2", d1, d2))
+
+
+def _ten_moments(mean1, mean2, var1, var2, cov12) -> dict:
+    """The ten moments in MOMENT_FIELDS order, from the means, variances and
+    covariance of n1 and n2 (arrays give lists, scalars floats)."""
     moments = {
         "mean_n1": mean1,
         "mean_n2": mean2,
@@ -422,11 +452,11 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
             f"n_samples = {n} is too large: its sample buffers cannot be allocated"
         ) from None
     buf = chain[: _CHAIN_ROWS * min(n, _BLOCK)].reshape(_CHAIN_ROWS, -1)
-    # _moments_of centres its arguments in place, so the batches go through it
-    # as copies, stacked by length in the idle chain buffers (n1's in the
-    # first half, n2's in the second): each stack is its batch numbers, their
-    # spans of the sample and a view in each half.  A stack holds at most half
-    # the batches, so only the full-sample call has the full sample's size
+    # _moments_of overwrites its arguments, so the batches go through it as
+    # copies, stacked by length in the idle chain buffers (n1's in the first
+    # half, n2's in the second): each stack is its batch numbers, their spans
+    # of the sample and a view in each half.  A stack holds at most half the
+    # batches, so no _moments_of call has the full sample's size
     half = chain.size // 2
     stacks = []
     for length in sorted({b - a for a, b in spans}):
@@ -540,15 +570,18 @@ def _report(
                     np.multiply(gc, 0.5, out=out)
             done += m
 
-    # the batch stacks, each copied in, then the full sample as a one-row stack
+    # the batch stacks, each copied in; the full sample's moments are pooled
+    # from the batches'
     table = np.empty((len(photostats.MOMENT_FIELDS), N_BATCHES))
+    sizes = np.empty(N_BATCHES)
     for rows, spans, s1, s2 in stacks:
         for row, (a, b) in enumerate(spans):
             s1[row] = n1[a:b]
             s2[row] = n2[a:b]
         batch_moments = _moments_of(s1, s2)
         table[:, rows] = [batch_moments[name] for name in photostats.MOMENT_FIELDS]
-    moments = {name: row for name, (row,) in _moments_of(n1[None], n2[None]).items()}
+        sizes[rows] = s1.shape[-1]
+    moments = _pooled(table, sizes)
 
     stds = np.std(table, axis=1, ddof=1).tolist()
     ses = {name: std / math.sqrt(N_BATCHES) for name, std in zip(photostats.MOMENT_FIELDS, stds)}

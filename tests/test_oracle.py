@@ -4,7 +4,10 @@ the diagnostics around the linearized photocounting model."""
 import itertools
 import json
 import math
+import os
+import platform
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -513,8 +516,8 @@ def test_moments_of_means_are_ndarray_means(size):
         moments = _moments_of(n1[None].copy(), n2[None].copy())
         assert moments["mean_n1"][0].hex() == mean1.hex()
         assert moments["mean_n2"][0].hex() == mean2.hex()
-        assert moments["var_n1"] == [float(c1 @ c1) / (size - 1)]
-        assert moments["cov_n1n2"] == [float(c1 @ c2) / (size - 1)]
+        assert moments["var_n1"] == [float(np.add.reduce(c1 * c1)) / (size - 1)]
+        assert moments["cov_n1n2"] == [float(np.add.reduce(c1 * c2)) / (size - 1)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -525,8 +528,9 @@ def test_moments_of_means_are_ndarray_means(size):
     offset=st.sampled_from([0.0, 1e9, -3.5]),
 )
 def test_stacked_moments_are_the_moments_of_each_row(height, length, seed, offset):
-    # a stack of equal-length batches gives each row the bits of plain numpy
-    # on that row alone, and centres each row in place
+    # a stack of equal-length batches gives each row the bits of numpy's
+    # pairwise sums on that row alone, and leaves each row's squared
+    # deviations from its mean in place
     rng = np.random.default_rng(seed)
     n1 = offset + rng.standard_normal((height, length))
     n2 = rng.standard_normal((height, length))
@@ -537,7 +541,9 @@ def test_stacked_moments_are_the_moments_of_each_row(height, length, seed, offse
     for row in range(height):
         mean1, mean2 = float(n1[row].mean()), float(n2[row].mean())
         c1, c2 = n1[row] - mean1, n2[row] - mean2
-        var1, var2, cov12 = (float(x @ y) / (length - 1) for x, y in ((c1, c1), (c2, c2), (c1, c2)))
+        var1, var2, cov12 = (
+            float(np.add.reduce(x * y)) / (length - 1) for x, y in ((c1, c1), (c2, c2), (c1, c2))
+        )
         alone = {
             "mean_n1": mean1,
             "mean_n2": mean2,
@@ -552,15 +558,58 @@ def test_stacked_moments_are_the_moments_of_each_row(height, length, seed, offse
         }
         for name, value in alone.items():
             assert stacked[name][row].hex() == value.hex(), (name, row)
-        assert stack1[row].tobytes() == c1.tobytes()
-        assert stack2[row].tobytes() == c2.tobytes()
+        assert stack1[row].tobytes() == (c1 * c1).tobytes()
+        assert stack2[row].tobytes() == (c2 * c2).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from([64, 50_000, 2**18 + 1]), st.integers(64, 20_000)),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.sampled_from([0.0, 1e9, -3.5]),
+    zeros=st.sampled_from(["none", "mixed", "negative"]),
+)
+def test_pooled_moments_are_the_whole_sample_moments(n, seed, offset, zeros):
+    # the full sample's moments, pooled from its 32 batches' as a report
+    # pools them, against a direct two-pass over the whole sample: the means,
+    # then the centred products (ddof = 1)
+    rng = np.random.default_rng(seed)
+    n1 = offset + rng.standard_normal(n)
+    n2 = rng.standard_normal(n)
+    if zeros == "mixed":
+        n2[::3] = -0.0
+        n2[1::3] = 0.0
+    elif zeros == "negative":
+        n2[:] = -0.0
+    edges = np.linspace(0, n, oracle.N_BATCHES + 1).astype(int)
+    sizes = np.diff(edges)
+    table = np.empty((len(MOMENT_FIELDS), oracle.N_BATCHES))
+    for length in set(sizes.tolist()):
+        rows = np.flatnonzero(sizes == length)
+        stacks = (np.stack([x[edges[i] : edges[i + 1]] for i in rows]) for x in (n1, n2))
+        batches = _moments_of(*stacks)
+        table[:, rows] = [batches[name] for name in MOMENT_FIELDS]
+    pooled = oracle._pooled(table, sizes.astype(float))
+    mean1, mean2 = n1.mean(), n2.mean()
+    c1, c2 = n1 - mean1, n2 - mean2
+    var1, var2, cov12 = ((x * y).sum() / (n - 1) for x, y in ((c1, c1), (c2, c2), (c1, c2)))
+    direct = oracle._ten_moments(mean1, mean2, var1, var2, cov12)
+    # a batch mean rounds at the scale of its samples, the root of their
+    # second moment about zero, and a centred sum carries that rounding times
+    # the spread; at offset 0 both scales are the largest second moment
+    rms = math.sqrt(max(mean1 * mean1 + var1, mean2 * mean2 + var2))
+    spread = math.sqrt(max(var1, var2))
+    for name in MOMENT_FIELDS:
+        scale = rms if name.startswith("mean") else rms * spread
+        assert abs(pooled[name] - direct[name]) <= 1e-12 * scale, (name, pooled[name], direct[name])
 
 
 @pytest.mark.parametrize("n", [64, 65, 4096, 2**16, 50_000, 2**18 + 1])
 def test_only_the_full_sample_moments_have_the_full_sample_size(solid_params, monkeypatch, n):
-    # perfbench's tracer tells the full-sample _moments_of call from the batch
-    # stacks by size alone (n1.size == n), so no stack of batches may reach n,
-    # not even where n splits into batches of one length
+    # the full sample's moments are pooled from its batches', so no
+    # _moments_of call sees the full sample: perfbench's tracer would take a
+    # call of n1.size == n for a full-sample one, so no stack of batches may
+    # reach n either, not even where n splits into batches of one length
     shapes = []
 
     def recording(n1, n2):
@@ -569,10 +618,10 @@ def test_only_the_full_sample_moments_have_the_full_sample_size(solid_params, mo
 
     monkeypatch.setattr(oracle, "_moments_of", recording)
     run(solid_params, [0.5, 2.0], OracleConfig(n_samples=n, seed=5, linearized_mode=True))
-    full = [i for i, shape in enumerate(shapes) if math.prod(shape) == n]
-    # one one-row call per phase, after that phase's batch stacks
-    assert [shapes[i] for i in full] == [(1, n), (1, n)]
-    assert full == [len(shapes) // 2 - 1, len(shapes) - 1]
+    # the same batch stacks at each phase, 32 batches in all
+    assert shapes[: len(shapes) // 2] == shapes[len(shapes) // 2 :]
+    assert sum(rows for rows, _ in shapes) == 2 * oracle.N_BATCHES
+    assert all(math.prod(shape) < n for shape in shapes)
 
 
 @pytest.mark.parametrize("linearized", [False, True], ids=["exact", "linearized"])
@@ -815,6 +864,54 @@ def test_brightness_scan_keeps_its_draws_raw(solid_params, monkeypatch):
     config = OracleConfig(n_samples=1000, seed=26)
     linearization_error(solid_params, 1.3, config, (1e2, 1e4, 1e6))
     assert received == [set(INPUTS)] * 3
+
+
+# a few oracle calls on the lossy set of BLOCKS_SETS, printed as reprs
+_KERNEL_PROBE = """
+import math
+from sqzmzi import oracle
+from sqzmzi.model import InterferometerParams, db_to_squeeze_factor
+params = InterferometerParams.with_technical_noise(
+    4.0, r1=db_to_squeeze_factor(8.0), r2=0.8, mu=0.93, eta=0.7, n_photons=3e6
+)
+for linearized in (False, True):
+    config = oracle.OracleConfig(n_samples=5000, seed=31, linearized_mode=linearized)
+    print(repr(oracle.run(params, [0.0, 1.3, math.pi], config)))
+    print(repr(oracle.linearization_error(params, 1.3, config, (1e2, 1e4, 1e6))))
+"""
+
+
+def _numpy_blas_is_openblas_on_x86_64() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return False
+    return platform.machine().lower() in ("x86_64", "amd64") and "openblas" in blas.lower()
+
+
+@pytest.mark.skipif(
+    not _numpy_blas_is_openblas_on_x86_64(), reason="needs numpy on OpenBLAS on x86-64"
+)
+def test_reports_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernels by CPU, and OPENBLAS_CORETYPE overrides the
+    # pick; the oracle makes no BLAS call, so its bits are the same under an
+    # SSE-only kernel as under the one this machine picks
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _KERNEL_PROBE],
+            env={**env, **kernel},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+        for kernel in ({}, {"OPENBLAS_CORETYPE": "Nehalem"})
+    ]
+    assert outputs[0].count("MomentReport(") == 6
+    assert outputs[0] == outputs[1]
 
 
 def _linearization_repr(case: str) -> str:
