@@ -467,7 +467,7 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
             s1 = chain[: len(stack) * length].reshape(-1, length)
             s2 = chain[half : half + s1.size].reshape(-1, length)
             stacks.append((stack, [spans[i] for i in stack], s1, s2))
-    scratch = n1, n2, buf, stacks
+    scratch = n1, n2, buf, stacks, np.diff(edges).astype(float)
     reports = []
     drawn = draws = None
     linearized = config.linearized_mode
@@ -539,15 +539,15 @@ def _report(
     mean: tuple[float, float] | None,
 ) -> MomentReport:
     """The report of one phase: ``chunks`` yields its scaled draws, ``scratch``
-    holds n1, n2, the chain buffers it works in and the batch stacks (see
-    :func:`_reports`), ``closed`` holds the closed forms there and, in
+    holds n1, n2, the chain buffers it works in, the batch stacks and the
+    batch sizes (see :func:`_reports`), ``closed`` holds the closed forms there and, in
     linearized mode, ``mean`` the mean fields (<g1s>, <g2c>)."""
     phase = Phase(phi)
     if config.linearized_mode:
         mg1s, mg2c = mean
         half1, half2 = 0.5 * mg1s * mg1s, 0.5 * mg2c * mg2c
 
-    n1, n2, buf, stacks = scratch
+    n1, n2, buf, stacks, sizes = scratch
     done = 0
     for fields in chunks:
         size = next(iter(fields.values())).size
@@ -573,14 +573,12 @@ def _report(
     # the batch stacks, each copied in; the full sample's moments are pooled
     # from the batches'
     table = np.empty((len(photostats.MOMENT_FIELDS), N_BATCHES))
-    sizes = np.empty(N_BATCHES)
     for rows, spans, s1, s2 in stacks:
         for row, (a, b) in enumerate(spans):
             s1[row] = n1[a:b]
             s2[row] = n2[a:b]
         batch_moments = _moments_of(s1, s2)
         table[:, rows] = [batch_moments[name] for name in photostats.MOMENT_FIELDS]
-        sizes[rows] = s1.shape[-1]
     moments = _pooled(table, sizes)
 
     stds = np.std(table, axis=1, ddof=1).tolist()
