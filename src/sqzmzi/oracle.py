@@ -540,8 +540,8 @@ def _report(
 ) -> MomentReport:
     """The report of one phase: ``chunks`` yields its scaled draws, ``scratch``
     holds n1, n2, the chain buffers it works in, the batch stacks and the
-    batch sizes (see :func:`_reports`), ``closed`` holds the closed forms there and, in
-    linearized mode, ``mean`` the mean fields (<g1s>, <g2c>)."""
+    batch sizes (see :func:`_reports`), ``closed`` holds the closed forms
+    there and, in linearized mode, ``mean`` the mean fields (<g1s>, <g2c>)."""
     phase = Phase(phi)
     if config.linearized_mode:
         mg1s, mg2c = mean
