@@ -352,8 +352,8 @@ def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict:
     n1 -= mean1[:, None]
     n2 -= mean2[:, None]
     cov12 = np.add.reduce(n1 * n2, axis=-1) / denom
-    var1 = np.add.reduce(np.multiply(n1, n1, out=n1), axis=-1) / denom
-    var2 = np.add.reduce(np.multiply(n2, n2, out=n2), axis=-1) / denom
+    var1 = np.add.reduce(np.square(n1, out=n1), axis=-1) / denom
+    var2 = np.add.reduce(np.square(n2, out=n2), axis=-1) / denom
     return _ten_moments(mean1, mean2, var1, var2, cov12)
 
 
