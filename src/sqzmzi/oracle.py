@@ -23,9 +23,8 @@ channel left out leaves its own stream unused and no other draw moves, and
 at mu = 1 (eta = 1) its admixing step could only have flipped the sign of an
 exactly zero sample.  Results for a given (params, phi, config) are
 bit-identical across runs and machines, independent of batching, of the
-other phases of a grid and of the calls made before: every step is an
-elementwise numpy ufunc or a pairwise np.add.reduce, and none calls BLAS,
-whose kernels differ by CPU.
+other phases of a grid and of the calls made before: every sum is a
+pairwise np.add.reduce, and no step calls BLAS, whose kernels differ by CPU.
 
 A call of :func:`run` over a phase grid (or of :func:`linearization_error`
 over a brightness grid) owns its draws and buffers.  The loss vacuums are
