@@ -29,7 +29,6 @@ from .photostats import (
 )
 from .quadratures import (
     QuadratureStats,
-    core_noise_covariance,
     core_output_means,
     detector_field_stats,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "inefficiency",
     "validate",
     "QuadratureStats",
-    "core_noise_covariance",
     "core_output_means",
     "detector_field_stats",
     "PhotonStats",

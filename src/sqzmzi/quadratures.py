@@ -10,6 +10,11 @@ vacuum enters the other port with its squeezed axis along s.
 Internal losses of both arms enter only through the symmetric/antisymmetric
 vacuum combinations m_+/- = (m_1 +/- m_2)/sqrt(2), which are again independent
 vacua; the external loss ports n_1, n_2 stay separate.
+
+The moments are closed forms written out entry by entry, one route only: it
+is the runtime cross-check of the photocount moments, and the tests hold it
+to a sampling-free pass of the oracle's stepwise chain, one input channel at
+a time.
 """
 
 from __future__ import annotations
@@ -27,11 +32,6 @@ PSD_TOL = 1e-10
 # never enters the measured linearized observables) and every loss port
 VACUUM = 0.5
 
-# noise sources feeding the interferometer core, in the column order used by
-# the coefficient matrix of core_noise_covariance
-CORE_SOURCES = ("a1c", "a1s", "z2c", "z2s", "m_plus_c", "m_plus_s", "m_minus_c", "m_minus_s")
-
-CORE_LABELS = ("e1c", "e1s", "e2c", "e2s")
 DETECTOR_LABELS = ("g1s", "g2c")
 DETECTOR_LABELS_EXTENDED = ("g1c", "g1s", "g2c", "g2s")
 
@@ -130,46 +130,8 @@ def core_output_means(params: InterferometerParams, phi):
     return amp * phase.sin_half, amp * phase.cos_half
 
 
-def _core_coefficients(mu: float, phase: Phase) -> np.ndarray:
-    """Coefficients of the core output fluctuations over CORE_SOURCES.
-
-    Rows are (de1c, de1s, de2c, de2s).  Obtained by pushing the input noise
-    operators through beamsplitter -> +/- phi/2 rotations -> loss -> beamsplitter;
-    the two arm phases collapse into cos/sin(phi/2) couplings between the
-    squeezer and bright-port noise.
-    """
-    c, s = phase.cos_half, phase.sin_half
-    t = math.sqrt(mu)
-    l = math.sqrt(1.0 - mu)
-    # columns: a1c, a1s, z2c, z2s, m+c, m+s, m-c, m-s
-    return np.array(
-        [
-            [t * c, 0.0, 0.0, -t * s, l, 0.0, 0.0, 0.0],
-            [0.0, t * c, t * s, 0.0, 0.0, l, 0.0, 0.0],
-            [0.0, -t * s, t * c, 0.0, 0.0, 0.0, l, 0.0],
-            [t * s, 0.0, 0.0, t * c, 0.0, 0.0, 0.0, l],
-        ]
-    )
-
-
-def core_noise_covariance(params: InterferometerParams, phi: float) -> QuadratureStats:
-    """Covariance of the four fluctuation quadratures (e1c, e1s, e2c, e2s).
-
-    Built as B diag(v) B^T from the source coefficient matrix, so positive
-    semidefiniteness is structural.  Means are zero by construction (the
-    fluctuations are defined about the signal)."""
-    phase = Phase(phi)
-    if not isinstance(phase.phi, float):
-        raise ParameterError(f"phi must be one phase, got a grid of {phase.phi.size}")
-    b = _core_coefficients(params.mu, phase)
-    v = np.array(_input_variances(params) + (VACUUM,) * 5)
-    cov = (b * v) @ b.T
-    return QuadratureStats(labels=CORE_LABELS, mean=np.zeros(4), cov=cov)
-
-
 def _core_variances(params: InterferometerParams, phase: Phase) -> dict:
-    """Closed forms, entry by entry, for the core second moments (independent
-    of the matrix route above; the two are compared in tests)."""
+    """Closed forms, entry by entry, for the core second moments."""
     var_a1c, var_a1s, var_z2c = _input_variances(params)
     c, s = phase.cos_half, phase.sin_half
     # squared by multiplication, which rounds alike on a float and a grid

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from sqzmzi import InterferometerParams, db_to_squeeze_factor
+from sqzmzi import InterferometerParams, db_to_squeeze_factor, oracle
+from sqzmzi.model import Phase
+from sqzmzi.quadratures import VACUUM, _input_variances
 
 # sandboxed CI boxes stall unpredictably; timing assertions stay explicit
 settings.register_profile("package", deadline=None)
@@ -58,6 +62,37 @@ def mean_slope(params: InterferometerParams, phi: float) -> float:
     restated from the paper so the slope checks do not read it from sqzmzi."""
     gain2 = params.mu * params.eta * math.exp(2.0 * params.r2)
     return 0.5 * gain2 * params.n_photons * math.sin(phi)
+
+
+def chain_state(params: InterferometerParams, phi: float):
+    """(mean, cov, columns) of the detected quadratures (g1c, g1s, g2c, g2s)
+    at one phase, from one sampling-free pass of the oracle's own chain.
+
+    The chain is linear, so each of the 12 input channels, sent alone at its
+    standard deviation (the loss vacuums times their loss amplitudes), gives
+    one column of L, and cov = L L^T.  The columns go in with alpha = 0, so
+    they carry no cancellation against the mean; the means are the oracle's
+    mean path, and the orthogonal pair (g1c, g2s) has none."""
+    n = len(oracle.CHANNELS)
+    variances = _input_variances(params) + (VACUUM,) * (n - 3)
+    amplitudes = {"m": math.sqrt(1.0 - params.mu), "n": math.sqrt(1.0 - params.eta)}
+    inputs = {}
+    for j, (ch, variance) in enumerate(zip(oracle.CHANNELS, variances)):
+        inputs[ch] = np.zeros(n)
+        inputs[ch][j] = math.sqrt(variance) * amplitudes.get(ch[0], 1.0)
+    fields = {ch: x for ch, x in inputs.items() if ch[0] in amplitudes}
+    fields.update(oracle._split_inputs(0.0, inputs, np.empty((4, n)), np.empty(n)))
+    columns = np.array(oracle._propagate(params, phi, fields, np.empty((oracle._CHAIN_ROWS, n))))
+    mg1s, mg2c = oracle._mean_path(params, Phase(phi))
+    mean = np.array([0.0, mg1s[0], mg2c[0], 0.0])
+    return mean, columns @ columns.T, columns
+
+
+def core_state(params: InterferometerParams, phi: float):
+    """:func:`chain_state` without the amplifiers and the external loss: at
+    r2 = 0 and eta = 1 the detected quadratures are the recombining
+    beamsplitter's outputs (e1c, e1s, e2c, e2s)."""
+    return chain_state(replace(params, r2=0.0, eta=1.0), phi)
 
 
 def midpoint_grid(n: int, span: float = 2.0 * math.pi) -> list[float]:

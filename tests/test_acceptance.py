@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from scipy.optimize import brentq, minimize_scalar
 
-from conftest import R1_10DB, interferometer_params, mean_slope, midpoint_grid, phases
+from conftest import R1_10DB, core_state, interferometer_params, mean_slope, midpoint_grid, phases
 from sqzmzi.model import InterferometerParams, Strategy
 from sqzmzi.oracle import OracleConfig, linearization_error, run
 from sqzmzi.photostats import (
@@ -21,7 +21,7 @@ from sqzmzi.photostats import (
     transfer_gain,
     weighted_variance,
 )
-from sqzmzi.quadratures import core_noise_covariance, detector_field_stats
+from sqzmzi.quadratures import detector_field_stats
 from sqzmzi.sensitivity import (
     dphi_min,
     fwhm,
@@ -224,8 +224,8 @@ def test_criterion_8_algebraic_identities(params, phi):
     assert stats.cov_n1n2**2 <= stats.var_n1 * stats.var_n2 * (1.0 + 1e-10) + 1e-300
     assert stats.cov_npm**2 <= stats.var_nplus * stats.var_nminus * (1.0 + 1e-10) + 1e-300
 
-    core = core_noise_covariance(params, phi)
-    eig_core = np.linalg.eigvalsh(core.cov)
+    _, core, _ = core_state(params, phi)
+    eig_core = np.linalg.eigvalsh(core)
     assert eig_core.min() >= -1e-10 * max(eig_core.max(), 1.0)
     detected = detector_field_stats(params, phi, extended=True)
     eig_det = np.linalg.eigvalsh(detected.cov)

@@ -7,27 +7,26 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import interferometer_params, midpoint_grid, phases
+from conftest import chain_state, core_state, interferometer_params, midpoint_grid, phases
 from sqzmzi import (
     InterferometerParams,
     ParameterError,
     QuadratureStats,
-    core_noise_covariance,
     core_output_means,
     db_to_squeeze_factor,
     detector_field_stats,
 )
-from sqzmzi.model import Phase
-from sqzmzi.quadratures import (
-    CORE_LABELS,
-    CORE_SOURCES,
-    VACUUM,
-    _core_coefficients,
-    _input_variances,
-)
+from sqzmzi.oracle import CHANNELS
+from sqzmzi.quadratures import _input_variances
 
 R1_10DB = db_to_squeeze_factor(10.0)
+
+# chain_state's rows, the detected quadratures; core_state's are the core's
+G1C, G1S, G2C, G2S = range(4)
+E1C, E1S, E2C, E2S = range(4)
+Z2S = CHANNELS.index("z2s")
 
 
 def test_input_noise_from_params():
@@ -67,54 +66,28 @@ def test_core_output_means_scale_with_loss():
 def test_vacuum_inputs_give_vacuum_core_noise():
     params = InterferometerParams(mu=0.7, n_photons=10.0)  # r1 = 0, A = 1
     for phi in midpoint_grid(9):
-        stats = core_noise_covariance(params, phi)
-        assert np.allclose(stats.cov, 0.5 * np.eye(4), atol=1e-14)
+        _, cov, _ = core_state(params, phi)
+        assert np.allclose(cov, 0.5 * np.eye(4), atol=1e-14)
 
 
 def test_core_noise_at_zero_phase_decouples_ports():
     params = InterferometerParams.with_technical_noise(3.0, r1=1.0, mu=0.8, n_photons=1e4)
     var_a1c, var_a1s, var_z2c = _input_variances(params)
-    stats = core_noise_covariance(params, 0.0)
+    _, cov, _ = core_state(params, 0.0)
     mu = params.mu
-    assert math.isclose(stats.variance("e1s"), mu * var_a1s + (1 - mu) * 0.5, rel_tol=1e-12)
-    assert math.isclose(stats.variance("e1c"), mu * var_a1c + (1 - mu) * 0.5, rel_tol=1e-12)
-    assert math.isclose(stats.variance("e2c"), mu * var_z2c + (1 - mu) * 0.5, rel_tol=1e-12)
-    assert stats.covariance("e1s", "e2c") == 0.0
+    assert math.isclose(cov[E1S, E1S], mu * var_a1s + (1 - mu) * 0.5, rel_tol=1e-12)
+    assert math.isclose(cov[E1C, E1C], mu * var_a1c + (1 - mu) * 0.5, rel_tol=1e-12)
+    assert math.isclose(cov[E2C, E2C], mu * var_z2c + (1 - mu) * 0.5, rel_tol=1e-12)
+    assert cov[E1S, E2C] == 0.0
 
 
 def test_core_noise_cross_covariance_at_quadrature_point(solid_params):
     # at phi = pi/2 the squeezer and laser noises mix maximally:
     # Cov(e1s, e2c) = mu (A - e^{-2 r1})/4
-    stats = core_noise_covariance(solid_params, math.pi / 2.0)
-    assert math.isclose(stats.covariance("e1s", "e2c"), 0.9 / 4.0, rel_tol=1e-9)
+    _, cov, _ = core_state(solid_params, math.pi / 2.0)
+    assert math.isclose(cov[E1S, E2C], 0.9 / 4.0, rel_tol=1e-9)
     # Var(e1s) = e^{-2 r1}/2 cos^2 + A/2 sin^2 = 0.5 (0.05 + 0.5)
-    assert math.isclose(stats.variance("e1s"), 0.275, rel_tol=1e-9)
-
-
-def test_core_noise_covariance_against_direct_sampling(solid_params):
-    """Brute-force Monte Carlo of the fluctuation formulas themselves."""
-    phi = math.pi / 2.0
-    var_a1c, var_a1s, var_z2c = _input_variances(solid_params)
-    mu = solid_params.mu
-    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    rng = np.random.default_rng(20260819)
-    n = 400_000
-    a1c = rng.standard_normal(n) * math.sqrt(var_a1c)
-    a1s = rng.standard_normal(n) * math.sqrt(var_a1s)
-    z2c = rng.standard_normal(n) * math.sqrt(var_z2c)
-    z2s = rng.standard_normal(n) * math.sqrt(VACUUM)
-    mp_c, mp_s, mm_c, mm_s = (rng.standard_normal(n) * math.sqrt(0.5) for _ in range(4))
-    root_mu, leak = math.sqrt(mu), math.sqrt(1.0 - mu)
-    de1c = root_mu * (a1c * c - z2s * s) + leak * mp_c
-    de1s = root_mu * (a1s * c + z2c * s) + leak * mp_s
-    de2c = root_mu * (-a1s * s + z2c * c) + leak * mm_c
-    de2s = root_mu * (a1c * s + z2s * c) + leak * mm_s
-    empirical = np.cov(np.vstack([de1c, de1s, de2c, de2s]), ddof=1)
-    stats = core_noise_covariance(solid_params, phi)
-    for i in range(4):
-        for j in range(4):
-            se = math.sqrt((stats.cov[i, i] * stats.cov[j, j] + stats.cov[i, j] ** 2) / n)
-            assert abs(empirical[i, j] - stats.cov[i, j]) < 5.0 * se
+    assert math.isclose(cov[E1S, E1S], 0.275, rel_tol=1e-9)
 
 
 def test_detector_variance_normalized_example(solid_params):
@@ -176,16 +149,14 @@ def test_ideal_chain_preserves_vacuum_everywhere():
 def test_bright_port_phase_noise_never_reaches_the_measured_pair():
     # the z2s column couples nothing into e1s and e2c, the quadratures that
     # are amplified and measured, so no strategy depends on its variance
-    z2s = CORE_SOURCES.index("z2s")
-    e1c, e1s, e2c = (CORE_LABELS.index(label) for label in ("e1c", "e1s", "e2c"))
     for mu in (1.0, 0.9, 0.5, 0.01):
         for phi in midpoint_grid(7):
-            b = _core_coefficients(mu, Phase(phi))
-            assert b[e1s, z2s] == 0.0
-            assert b[e2c, z2s] == 0.0
+            _, _, columns = core_state(InterferometerParams(r1=0.8, mu=mu), phi)
+            assert columns[E1S, Z2S] == 0.0
+            assert columns[E2C, Z2S] == 0.0
             # but it does reach the orthogonal pair
             if math.sin(phi / 2.0) != 0.0:
-                assert b[e1c, z2s] != 0.0
+                assert columns[E1C, Z2S] != 0.0
 
 
 def amplification_loss_map(params: InterferometerParams) -> tuple[np.ndarray, np.ndarray]:
@@ -203,9 +174,9 @@ def amplification_loss_map(params: InterferometerParams) -> tuple[np.ndarray, np
 
 def _compose_through_output_stage(params, phi):
     """Push the core covariance through the amplification/loss map."""
-    core = core_noise_covariance(params, phi)
+    _, core, _ = core_state(params, phi)
     m_core, m_ports = amplification_loss_map(params)
-    cov = m_core @ core.cov @ m_core.T + m_ports @ (0.5 * np.eye(4)) @ m_ports.T
+    cov = m_core @ core @ m_core.T + m_ports @ (0.5 * np.eye(4)) @ m_ports.T
     return cov
 
 
@@ -232,18 +203,50 @@ def test_composition_consistency_property(params, phi):
     assert np.allclose(direct.cov, composed, rtol=0.0, atol=1e-12 * scale)
 
 
+def _assert_matches_chain(params, phi):
+    """detector_field_stats(extended=True) against chain_state, in mean and in
+    covariance, each to 1e-12 of max(1, its largest |entry|)."""
+    mean, cov, _ = chain_state(params, phi)
+    direct = detector_field_stats(params, phi, extended=True)
+    for closed, chain in ((direct.mean, mean), (direct.cov, cov)):
+        scale = max(1.0, float(np.max(np.abs(chain))))
+        assert np.allclose(closed, chain, rtol=0.0, atol=1e-12 * scale), (closed, chain)
+    return cov, direct.cov
+
+
+@settings(max_examples=300)
+@given(interferometer_params(), st.floats(min_value=-10.0, max_value=10.0))
+def test_detector_state_matches_the_chain_reference(params, phi):
+    _assert_matches_chain(params, phi)
+
+
+@pytest.mark.parametrize("phi", [0.0, math.pi, 2.0 * math.pi, -math.pi])
+@pytest.mark.parametrize("loss", [1.0, 1e-3])
+@pytest.mark.parametrize("r2", [0.0, 3.0])
+def test_chain_reference_at_the_edges(phi, loss, r2):
+    params = InterferometerParams.with_technical_noise(
+        3.0, r1=R1_10DB, r2=r2, mu=loss, eta=loss, n_photons=1e6
+    )
+    chain, closed = _assert_matches_chain(params, phi)
+    # the closed forms' exact zeros hold in the chain too: amplification keeps
+    # c and s apart on each port, and z2s never reaches the measured pair
+    for cov in (chain, closed):
+        assert cov[G1C, G1S] == cov[G1S, G1C] == 0.0
+        assert cov[G2C, G2S] == cov[G2S, G2C] == 0.0
+    _, _, columns = chain_state(params, phi)
+    assert columns[G1S, Z2S] == 0.0
+    assert columns[G2C, Z2S] == 0.0
+
+
 def test_covariances_positive_semidefinite_on_dense_grid():
     params = InterferometerParams.with_technical_noise(
         5.0, r1=1.8, r2=1.2, mu=0.55, eta=0.35, n_photons=1e8
     )
     for i in range(100):
         phi = -2.0 * math.pi + i * (4.0 * math.pi / 99.0)
-        for stats in (
-            core_noise_covariance(params, phi),
-            detector_field_stats(params, phi, extended=True),
-        ):
-            scale = max(1.0, float(np.max(np.abs(stats.cov))))
-            assert float(np.linalg.eigvalsh(stats.cov).min()) >= -1e-10 * scale
+        for cov in (core_state(params, phi)[1], detector_field_stats(params, phi, extended=True).cov):
+            scale = max(1.0, float(np.max(np.abs(cov))))
+            assert float(np.linalg.eigvalsh(cov).min()) >= -1e-10 * scale
 
 
 def test_quadrature_stats_validation():
@@ -262,12 +265,7 @@ def test_quadrature_stats_validation():
         QuadratureStats(("a", "b"), np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-def test_core_noise_covariance_refuses_a_grid_by_name():
-    with pytest.raises(ParameterError, match="phi must be one phase, got a grid of 2"):
-        core_noise_covariance(InterferometerParams(), [1.0, 2.0])
-
-
 def test_quadrature_stats_arrays_are_read_only():
-    stats = core_noise_covariance(InterferometerParams(), 0.3)
+    stats = detector_field_stats(InterferometerParams(), 0.3)
     with pytest.raises(ValueError):
         stats.cov[0, 0] = 99.0

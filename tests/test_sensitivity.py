@@ -146,7 +146,6 @@ def test_phase_must_be_finite(solid_params, monkeypatch):
         photostats.photon_stats,
         quadratures.core_output_means,
         quadratures.detector_field_stats,
-        quadratures.core_noise_covariance,
     )
     entry_points = (
         partial(phase_uncertainty, Strategy.single(), solid_params),
