@@ -580,7 +580,13 @@ def _report(
         table[:, rows] = [batch_moments[name] for name in photostats.MOMENT_FIELDS]
     moments = _pooled(table, sizes)
 
-    stds = np.std(table, axis=1, ddof=1).tolist()
+    # np.std squares the batch moments, and a variance's are squares already:
+    # each row is scaled by a power of two near its largest |value| first, and
+    # back after, so a spread near the float range's ends neither underflows
+    # to 0 nor overflows; the scaling is exact and moves no other bit
+    _, exponents = np.frexp(abs(table).max(axis=1))
+    scaled = np.ldexp(table, -exponents[:, None])
+    stds = np.ldexp(np.std(scaled, axis=1, ddof=1), exponents).tolist()
     ses = {name: std / math.sqrt(N_BATCHES) for name, std in zip(photostats.MOMENT_FIELDS, stds)}
 
     closed_dict = closed.as_dict()

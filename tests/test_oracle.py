@@ -184,6 +184,16 @@ def test_degenerate_moments_report_zero_z(solid_params):
     assert math.isfinite(report.max_abs_z())
 
 
+@pytest.mark.parametrize("phi", [1e-100, -1e-100, 1e-170, -1e-170])
+def test_batch_errors_next_to_a_dark_fringe_stay_finite(solid_params, phi):
+    # the linearized var_n1 is about phi^2 there (2.5e-196 at 1e-100), and
+    # squaring its batch values for their spread underflowed to a standard
+    # error of 0, which made a z of inf out of correct code
+    for params in (solid_params, *BLOCKS_SETS.values()):
+        report = run(params, phi, OracleConfig(n_samples=64, linearized_mode=True))
+        assert all(map(math.isfinite, report.z_scores.values())), report.z_scores
+
+
 @pytest.mark.parametrize(
     "overrides, knob",
     [
