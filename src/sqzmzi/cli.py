@@ -85,8 +85,10 @@ def _grid(phi_start: float, phi_end: float, points: int) -> list[float]:
         raise ParameterError("phi_start and phi_end must be finite")
     if phi_end <= phi_start:
         raise ParameterError(f"phi_end must exceed phi_start, got [{phi_start}, {phi_end}]")
+    if not math.isfinite(phi_end - phi_start):
+        raise ParameterError(f"phi_end - phi_start overflows, got [{phi_start}, {phi_end}]")
     if points < 2:
-        raise ParameterError(f"a sweep needs at least 2 grid points, got {points}")
+        raise ParameterError(f"the phase grid needs at least 2 points, got {points}")
     step = (phi_end - phi_start) / (points - 1)
     return [phi_start + i * step for i in range(points)]
 

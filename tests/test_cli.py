@@ -207,6 +207,10 @@ def test_sweep_suboptimal_strategy(runner):
 
 # the message of a usage error that no other test reads
 USAGE_MESSAGES = {
+    ("sweep", "--points", "1"): "the phase grid needs at least 2 points, got 1",
+    ("validate", "--points", "1"): "the phase grid needs at least 2 points, got 1",
+    ("sweep", "--phi-start", "-1e308", "--phi-end", "1e308"): "phi_end - phi_start overflows",
+    ("validate", "--phi-start", "-1e308", "--phi-end", "1e308"): "phi_end - phi_start overflows",
     ("sweep", "--phi-start", "nan"): "must be finite",
     ("sweep", "--r1", "360", "--points", "3"): "r1 = 360.0 is too large",
     ("sweep", "--r2", "360", "--points", "3"): "r2 = 360.0",
@@ -256,6 +260,10 @@ USAGE_MESSAGES = {
         ["validate", "--points", "2", "--oracle-samples", str(2**53)],
         # fewer samples than 32 batches of 2
         ["validate", "--oracle-samples", "63"],
+        ["validate", "--points", "1"],
+        # both ends finite, but not the span between them
+        ["sweep", "--phi-start", "-1e308", "--phi-end", "1e308"],
+        ["validate", "--phi-start", "-1e308", "--phi-end", "1e308"],
     ],
 )
 def test_usage_errors_exit_2(runner, args):
