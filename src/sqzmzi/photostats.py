@@ -150,7 +150,9 @@ def _moment_ingredients(params: InterferometerParams) -> tuple:
     second moments, their factors, and the floor G^4 N (A + e^{-2 r1} + eps^2 + 1)
     of every moment check, which bounds every second moment.  No check scales
     one by more than 4, so :class:`ParameterError` is raised unless G^4, G^2 N,
-    G^4 N and 4 floor are normal floats (e^{-2 r1} <= 1 only adds to A >= 1)."""
+    G^4 N, 4 floor and 4 (A + e^{-2 r1} + eps^2 + 1) are normal floats: the
+    factors reach the last before G^4 N, which may be < 1, scales them
+    (e^{-2 r1} <= 1 only adds to A >= 1)."""
     try:
         g2 = transfer_gain(params) ** 2
     except OverflowError:
@@ -161,7 +163,8 @@ def _moment_ingredients(params: InterferometerParams) -> tuple:
     mean, scale = g2 * params.n_photons, g2 * g2 * params.n_photons
     floor = scale * (excess + squeezed + eps2 + 1.0)
     _require_normal(params, ("G^4", g2 * g2), ("G^2 N", mean), ("G^4 N", scale),
-                    ("4 G^4 N (A + e^(-2 r1) + eps^2 + 1)", 4.0 * floor))
+                    ("4 G^4 N (A + e^(-2 r1) + eps^2 + 1)", 4.0 * floor),
+                    ("4 (A + e^(-2 r1) + eps^2 + 1)", 4.0 * (excess + squeezed + eps2 + 1.0)))
     return mean, scale, excess, squeezed, eps2, floor
 
 

@@ -352,6 +352,9 @@ def _widths(out) -> list[float]:
 @example(InterferometerParams(n_photons=5e307), 0.1, math.pi - 0.1)
 # A = N(g2 - 1) + 1 overflows, which made both width approximations 0.0
 @example(InterferometerParams(n_photons=1e200, g2=1e200), 1.0, 2.0)
+# G^4 N < 1, but (A + eps^2)(cos phi - cos phi_apr)^2 overflows before it
+# scales the weighted variance
+@example(InterferometerParams(eta=1e-5, n_photons=1e8, g2=1e300), 0.0, 2.0)
 def test_wide_domain_gives_checked_values_or_parameter_errors(params, phi, phi2):
     # every entry point that takes params gives finite, cross-checked values
     # or a ParameterError: never a ConsistencyError, a raw arithmetic error
