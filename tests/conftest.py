@@ -76,10 +76,8 @@ def chain_state(params: InterferometerParams, phi: float):
     n = len(oracle.CHANNELS)
     variances = _input_variances(params) + (VACUUM,) * (n - 3)
     amplitudes = {"m": math.sqrt(1.0 - params.mu), "n": math.sqrt(1.0 - params.eta)}
-    inputs = {}
-    for j, (ch, variance) in enumerate(zip(oracle.CHANNELS, variances)):
-        inputs[ch] = np.zeros(n)
-        inputs[ch][j] = math.sqrt(variance) * amplitudes.get(ch[0], 1.0)
+    stds = [math.sqrt(v) * amplitudes.get(ch[0], 1.0) for ch, v in zip(oracle.CHANNELS, variances)]
+    inputs = dict(zip(oracle.CHANNELS, np.diag(stds)))
     fields = {ch: x for ch, x in inputs.items() if ch[0] in amplitudes}
     fields.update(oracle._split_inputs(0.0, inputs, np.empty((4, n)), np.empty(n)))
     columns = np.array(oracle._propagate(params, phi, fields, np.empty((oracle._CHAIN_ROWS, n))))

@@ -205,13 +205,14 @@ def test_composition_consistency_property(params, phi):
 
 def _assert_matches_chain(params, phi):
     """detector_field_stats(extended=True) against chain_state, in mean and in
-    covariance, each to 1e-12 of max(1, its largest |entry|)."""
-    mean, cov, _ = chain_state(params, phi)
+    covariance, each to 1e-12 of max(1, its largest |entry|); returns the
+    chain's columns and the two covariances."""
+    mean, cov, columns = chain_state(params, phi)
     direct = detector_field_stats(params, phi, extended=True)
     for closed, chain in ((direct.mean, mean), (direct.cov, cov)):
         scale = max(1.0, float(np.max(np.abs(chain))))
         assert np.allclose(closed, chain, rtol=0.0, atol=1e-12 * scale), (closed, chain)
-    return cov, direct.cov
+    return columns, cov, direct.cov
 
 
 @settings(max_examples=300)
@@ -227,13 +228,12 @@ def test_chain_reference_at_the_edges(phi, loss, r2):
     params = InterferometerParams.with_technical_noise(
         3.0, r1=R1_10DB, r2=r2, mu=loss, eta=loss, n_photons=1e6
     )
-    chain, closed = _assert_matches_chain(params, phi)
+    columns, *covs = _assert_matches_chain(params, phi)
     # the closed forms' exact zeros hold in the chain too: amplification keeps
     # c and s apart on each port, and z2s never reaches the measured pair
-    for cov in (chain, closed):
+    for cov in covs:
         assert cov[G1C, G1S] == cov[G1S, G1C] == 0.0
         assert cov[G2C, G2S] == cov[G2S, G2C] == 0.0
-    _, _, columns = chain_state(params, phi)
     assert columns[G1S, Z2S] == 0.0
     assert columns[G2C, Z2S] == 0.0
 
