@@ -23,9 +23,9 @@ from sqzmzi.quadratures import _input_variances
 
 R1_10DB = db_to_squeeze_factor(10.0)
 
-# chain_state's rows, the detected quadratures; core_state's are the core's
-G1C, G1S, G2C, G2S = range(4)
-E1C, E1S, E2C, E2S = range(4)
+# chain_state's rows, the detected quadratures, which core_state's r2 = 0 and
+# eta = 1 make the core's
+G1C, G1S, G2C, G2S = E1C, E1S, E2C, E2S = range(4)
 Z2S = CHANNELS.index("z2s")
 
 
