@@ -3,16 +3,20 @@
 Every input noise quadrature is sampled as an independent Gaussian and pushed
 through the exact linear optical chain, step by step: input beamsplitter, arm
 phases +/- phi/2, internal loss, recombining beamsplitter, phase-sensitive
-amplification, external loss.  Photon numbers are then formed per sample and
-their moments estimated empirically.
+amplification, external loss.  The chain is linear, so the samples carry the
+fluctuations dg alone; the laser's displacement goes through the same chain
+once, as the mean path, and the means <g> enter after it.  Photon numbers
+are then formed per sample and their moments estimated empirically.
 
 Two detection models are available.  Exact mode uses the full quadratic form
 N = (g_c^2 + g_s^2 - 1)/2 per detector (the -1/2 subtracts the vacuum and
-makes <N> the true photon number).  Linearized mode keeps only
-the term linear in the fluctuation, N = <g>^2/2 + <g> dg, which is the regime
-the closed forms describe; in it the empirical moments must match them within
-sampling error at any brightness, and the chain builds only the measured pair
-(g1s, g2c) those photon numbers read.
+makes <N> the true photon number), with g = <g> + dg.  Linearized mode keeps
+only the term linear in the fluctuation, N = <g>^2/2 + <g> dg, which is the
+regime the closed forms describe; in it the empirical moments must match them
+within sampling error at any brightness, and the chain builds only the
+measured pair (g1s, g2c) those photon numbers read.  In either mode the
+constant <g>^2/2 stays out of the samples and is added to their pooled
+means, so the variances resolve at any brightness (see :func:`_report`).
 
 Reproducibility contract: one PCG64 stream per input channel, spawned from
 SeedSequence(seed) in the fixed CHANNELS order, samples drawn in batch order.
@@ -27,38 +31,37 @@ other phases of a grid and of the calls made before: every sum is a
 pairwise np.add.reduce, and no step calls BLAS, whose kernels differ by CPU.
 
 A call of :func:`run` over a phase grid (or of :func:`linearization_error`
-over a brightness grid) owns its draws and buffers.  The loss vacuums are
-scaled by their loss amplitudes sqrt(1 - mu) and sqrt(1 - eta) when drawn, so
-the draws depend on (input variances, mu, eta) but not on phi: when n <= _CHUNK
-the call draws one read-only set and its points share it, drawing again only
+over a brightness grid) owns its draws and buffers.  Each draw set is scaled
+and put through the input beamsplitter when drawn: the loss vacuums by their
+loss amplitudes sqrt(1 - mu) and sqrt(1 - eta), and a1c, z2c, a1s and z2s
+split in place (see :func:`_scaled_draws`), so a set depends on (input
+variances, mu, eta) but neither on phi nor on alpha.  When n <= _CHUNK the
+call draws one read-only set and its points share it, drawing again only
 where a point's (input variances, mu, eta) differs from the previous one's;
-larger runs draw _CHUNK samples at a time at every point.  Where every run
-of the call has one alpha, as in :func:`run`, a shared set goes through the
-input beamsplitter once, in place over its a1c, z2c, a1s and z2s (see
-:func:`_split_draws`), since no phase moves it; a brightness scan's runs
-differ in alpha, so their shared set stays raw.  The draws go through the
-rest of the chain in blocks of _BLOCK samples: each step writes into one of
-_CHAIN_ROWS block-sized buffers, and each block's photon numbers go straight
-into the sample arrays n1 and n2, allocated once per call.  The steps are
-elementwise, so neither the blocks, nor the in-place writes, nor splitting
-the inputs or scaling the vacuums at draw time change an output bit.
+larger runs draw _CHUNK samples at a time at every point.  The draws go
+through the rest of the chain in blocks of _BLOCK samples: each step writes
+into one of _CHAIN_ROWS block-sized buffers, and each block's photon numbers
+go straight into the sample arrays n1 and n2, allocated once per call.  The
+steps are elementwise, so neither the blocks, nor the in-place writes, nor
+splitting the inputs or scaling the vacuums at draw time change an output
+bit.
 
 A call samples the runs its caller hands it, one params over a phase or a
 phase grid each (:func:`run` hands one, :func:`linearization_error` one per
 brightness).  Each distinct params is refused before any draw where its
 scale or batch errors leave the float range.  Each run gets its closed forms
-from one :func:`~sqzmzi.photostats.photon_stats` call over its phases and,
-in linearized mode, its mean path from one :func:`_propagate` call on
-one-element zero inputs, broadcast over them; every point still carries the
-bits of an evaluation at its phase alone.  Every sample, of n >= 64, is cut
-into N_BATCHES = 32 batches of at least 2, laid out once per call as stacks
-of equal-length batches in views of the idle chain buffers.  A phase's
-batches are copied into the stacks and take their moments a stack at a
-time, each row with the bits of numpy's pairwise sums on that row alone;
-the full sample's moments are then pooled exactly from the batches' (see
-:func:`_pooled`), with no further pass over the sample.  Nothing is kept
-after a call returns and nothing is shared between calls, so calls from
-several threads at once are independent.
+from one :func:`~sqzmzi.photostats.photon_stats` call over its phases and
+its mean path from one :func:`_propagate` call on one-element inputs,
+broadcast over them; every point still carries the bits of an evaluation at
+its phase alone.  Every sample, of n >= 64, is cut into N_BATCHES = 32
+batches of at least 2, laid out once per call as stacks of equal-length
+batches in views of the idle chain buffers.  A phase's batches are copied
+into the stacks and take their moments a stack at a time, each row with the
+bits of numpy's pairwise sums on that row alone; the full sample's moments
+are then pooled exactly from the batches' (see :func:`_pooled`), with no
+further pass over the sample.  Nothing is kept after a call returns and
+nothing is shared between calls, so calls from several threads at once are
+independent.
 """
 
 from __future__ import annotations
@@ -89,6 +92,9 @@ CHANNELS = (
     "n2c",
     "n2s",
 )
+
+# the input beamsplitter's inputs, each with the output written over it
+_SPLIT = {"a1c": "b1c", "z2c": "b2c", "a1s": "b1s", "z2s": "b2s"}
 
 N_BATCHES = 32
 _CHUNK = 1 << 18
@@ -197,17 +203,19 @@ def _beamsplit(
     return plus, minus
 
 
-def _split_inputs(alpha: float, fields: dict, out, tmp: np.ndarray) -> dict:
-    """The symmetric input beamsplitter, as a dict: b1c and b2c from a1c and
-    z2c (z2c displaced by the laser's sqrt2 alpha), b1s and b2s from a1s and
-    z2s, written into ``out``'s four arrays in that order; each may be the
-    input it replaces (b1c a1c, b2c z2c, b1s a1s, b2s z2s), and ``tmp`` is
-    another array.  No output depends on phi."""
-    o1c, o2c, o1s, o2s = out
-    a2c = np.add(fields["z2c"], math.sqrt(2.0) * alpha, out=o2c)
-    b1c, b2c = _beamsplit(fields["a1c"], a2c, o1c, a2c, tmp)
-    b1s, b2s = _beamsplit(fields["a1s"], fields["z2s"], o1s, o2s, tmp)
-    return {"b1c": b1c, "b2c": b2c, "b1s": b1s, "b2s": b2s}
+def _split_inputs(fields: dict) -> dict:
+    """``fields`` with the symmetric input beamsplitter applied in place,
+    _BLOCK samples at a time: b1c over a1c and b2c over z2c, b1s over a1s and
+    b2s over z2s; the loss vacuums pass unchanged.  No output depends on phi,
+    and none on the laser, which enters only :func:`_mean_path`."""
+    size = fields["a1c"].size
+    tmp = np.empty(min(size, _BLOCK))
+    for a in range(0, size, _BLOCK):
+        x1c, x2c, x1s, x2s = (fields[ch][a : a + _BLOCK] for ch in _SPLIT)
+        part = tmp[: x1c.size]
+        _beamsplit(x1c, x2c, x1c, x2c, part)
+        _beamsplit(x1s, x2s, x1s, x2s, part)
+    return {_SPLIT.get(ch, ch): values for ch, values in fields.items()}
 
 
 def _propagate(
@@ -217,16 +225,16 @@ def _propagate(
     buf,
     measured_only: bool = False,
 ):
-    """Push the input quadratures through the chain; returns (g1c, g1s, g2c, g2s).
+    """Push the inputs through the chain past the input beamsplitter; returns
+    (g1c, g1s, g2c, g2s).
 
-    ``fields`` maps channel name to a sample array, its loss vacuums (m*, n*)
-    already scaled by their loss amplitudes (see :func:`_scaled_draws`); a
-    loss vacuum it does not hold is not admixed, as at a zero amplitude.  It
-    holds the raw inputs (a1c, a1s, z2c and z2s) or their outputs of the
-    input beamsplitter (b1c, b1s, b2c and b2s, see :func:`_split_inputs`),
-    with the same bits out either way.  ``buf`` is a sequence of _CHAIN_ROWS
-    scratch arrays of the same length: every step writes into them, and the
-    quadratures returned are among them.
+    ``fields`` maps channel name to a sample array: the outputs of the input
+    beamsplitter (b1c, b1s, b2c and b2s, see :func:`_split_inputs`) and the
+    loss vacuums (m*, n*), already scaled by their loss amplitudes (see
+    :func:`_scaled_draws`); a loss vacuum it does not hold is not admixed, as
+    at a zero amplitude.  ``buf`` is a sequence of _CHAIN_ROWS scratch arrays
+    of the same length: every step writes into them, and the quadratures
+    returned are among them.
     ``phi`` is one phase, or a :class:`Phase` over a grid as long as ``buf``'s
     rows when every field holds one element: each element of the result is
     then that field value taken through the chain at its own phase, with the
@@ -237,15 +245,10 @@ def _propagate(
     with the closed-form modules it is meant to check.
     """
     p, q, r, u, v, tmp = buf
-
-    if "a1c" in fields:
-        # raw inputs: the input beamsplitter into q, p, r and u
-        fields = {**fields, **_split_inputs(params.alpha, fields, (q, p, r, u), tmp)}
     b1c, b2c, b1s, b2s = fields["b1c"], fields["b2c"], fields["b1s"], fields["b2s"]
 
     # opposite arm phases rotate each (c, s) pair by +/- phi/2 into v, q, r
-    # and p, the rows that held b1c, b1s and b2c once they are read, which
-    # leaves u and tmp for the measured pair
+    # and p, which leaves u and tmp for the measured pair
     phase = Phase(phi)
     ch, sh = phase.cos_half, phase.sin_half
     c1c = _mix(b1c, ch, b1s, -sh, v, tmp)
@@ -308,10 +311,11 @@ def _scaled_draws(
     its variance (the ``inputs`` of _input_variances for a1c, a1s and z2c,
     VACUUM for the rest) and then, for the loss vacuums, by the amplitude
     sqrt(1 - mu) (internal, m*) or sqrt(1 - eta) (external, n*) with which
-    they enter the chain.  Neither depends on phi, so a draw set serves every
-    phase of the same (inputs, mu, eta), and :func:`_split_draws` may put it
-    through the input beamsplitter in place; the two products round as
-    admixing the vacuum in the chain did.  A vacuum of zero amplitude is not
+    they enter the chain, and put through the input beamsplitter in place
+    (see :func:`_split_inputs`).  These are fluctuations only: the laser's
+    displacement enters the means alone (see :func:`_mean_path`).  None of it
+    depends on phi or alpha, so a draw set serves every phase and brightness
+    of the same (inputs, mu, eta).  A vacuum of zero amplitude is not
     drawn, nor, with ``measured_only``, n1c and n2s, which the measured pair
     never reads: each channel has its own stream, so no other draw moves.
     The channels drawn are the rows of one array, each drawn and scaled
@@ -335,7 +339,7 @@ def _scaled_draws(
             if ch[0] in amplitudes:
                 piece *= amplitudes[ch[0]]
         fields[ch] = x
-    return fields
+    return _split_inputs(fields)
 
 
 def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict:
@@ -356,14 +360,16 @@ def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict:
     return _ten_moments(mean1, mean2, var1, var2, cov12)
 
 
-def _pooled(table: np.ndarray, sizes: np.ndarray) -> dict:
+def _pooled(table: np.ndarray, sizes: np.ndarray, offsets) -> dict:
     """The ten moments (ddof = 1) of a whole sample, as floats, pooled from
     its batches': ``table`` holds their moments, one row per moment in
     MOMENT_FIELDS order and one column per batch, and ``sizes`` their sample
-    counts.  The means are the batch means weighted by count; each centred
-    sum of products is the batches' own, (count - 1) times their (co)variance,
-    plus count times the product of their means' deviations from the whole
-    sample's.  Every sum is a pairwise np.add.reduce over the batches."""
+    counts.  The means are the batch means weighted by count, plus
+    ``offsets``, the constants (of n1, of n2) left out of the samples; each
+    centred sum of products is the batches' own, (count - 1) times their
+    (co)variance, plus count times the product of their means' deviations
+    from the whole sample's.  Every sum is a pairwise np.add.reduce over the
+    batches."""
     moments = dict(zip(photostats.MOMENT_FIELDS, table))
     m1, m2 = moments["mean_n1"], moments["mean_n2"]
     n = np.add.reduce(sizes)
@@ -375,7 +381,8 @@ def _pooled(table: np.ndarray, sizes: np.ndarray) -> dict:
         return np.add.reduce((sizes - 1.0) * moments[name] + sizes * x * y) / (n - 1.0)
 
     var1, var2 = centred("var_n1", d1, d1), centred("var_n2", d2, d2)
-    return _ten_moments(mean1, mean2, var1, var2, centred("cov_n1n2", d1, d2))
+    cov12 = centred("cov_n1n2", d1, d2)
+    return _ten_moments(mean1 + offsets[0], mean2 + offsets[1], var1, var2, cov12)
 
 
 def _ten_moments(mean1, mean2, var1, var2, cov12) -> dict:
@@ -421,8 +428,8 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
     n1, n2, the chain buffers and the batch layout (32 batches, whatever n)
     are made once, and a draw set of n <= _CHUNK samples is shared by
     consecutive phases of equal draw key (input variances, mu, eta): the
-    draws carry both loss amplitudes and, where every run has one alpha, have
-    been through the input beamsplitter (see :func:`_split_draws`).  Where
+    draws carry both loss amplitudes and have been through the input
+    beamsplitter (see :func:`_scaled_draws`).  Where
     n <= _CHUNK the idle chain buffers hold half the batches of n1 and of n2
     at once, so that each batch length takes one :func:`_moments_of` call.
     Each distinct params is refused or passed once, before any draw, and
@@ -470,12 +477,9 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
     reports = []
     drawn = draws = None
     linearized = config.linearized_mode
-    # the input beamsplitter depends on alpha, so a shared set goes through it
-    # once only where every run has the same alpha (one run, in practice)
-    split = len({params.alpha for params, _ in runs}) == 1
     for params, phase in runs:
         closed = photostats.photon_stats(params, phase).as_dict()
-        means = _mean_path(params, phase) if linearized else None
+        means = _mean_path(params, phase)
         key = (_input_variances(params), params.mu, params.eta)
         for i, phi in enumerate(np.atleast_1d(phase.phi).tolist()):
             if n > _CHUNK:
@@ -486,8 +490,6 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
                 if key != drawn:
                     chunks = draws = None  # drop the old set before drawing
                     draws = _scaled_draws(*key, n, _spawn_streams(config.seed), linearized)
-                    if split:
-                        draws = _split_draws(params.alpha, draws, buf[0])
                     for values in draws.values():
                         values.flags.writeable = False
                     drawn = key
@@ -495,36 +497,26 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
             point_closed = photostats.PhotonStats(
                 **{k: float(v[i]) if isinstance(v, np.ndarray) else v for k, v in closed.items()}
             )
-            mean = None if means is None else (float(means[0][i]), float(means[1][i]))
+            mean = float(means[0][i]), float(means[1][i])
             reports.append(_report(params, phi, config, chunks, scratch, point_closed, mean))
     return reports
 
 
-def _split_draws(alpha: float, draws: dict, tmp: np.ndarray) -> dict:
-    """``draws`` with the input beamsplitter applied in place, _BLOCK samples
-    at a time with ``tmp`` (a block-sized array) as scratch: b1c over a1c, b2c
-    over z2c, b1s over a1s and b2s over z2s, so the phases that share the set
-    enter :func:`_propagate` at the arm rotations.  Every output bit stays as
-    on the raw draws."""
-    names = {"a1c": "b1c", "z2c": "b2c", "a1s": "b1s", "z2s": "b2s"}
-    size = draws["a1c"].size
-    for a in range(0, size, _BLOCK):
-        block = {ch: draws[ch][a : a + _BLOCK] for ch in names}
-        out = block["a1c"], block["z2c"], block["a1s"], block["z2s"]
-        _split_inputs(alpha, block, out, tmp[: min(_BLOCK, size - a)])
-    return {names.get(ch, ch): values for ch, values in draws.items()}
-
-
 def _mean_path(params: InterferometerParams, phase: Phase) -> tuple:
     """(<g1s>, <g2c>) at every phase of ``phase``, as arrays: the same chain on
-    one-element zero inputs, broadcast over the phases.  Every channel is
+    one-element inputs, broadcast over the phases, where the laser enters as
+    z2c = sqrt2 alpha and every other channel is zero.  Every channel is
     passed, so every loss step runs and leaves the signed zeros it always
-    left at the fringes (phi = 0, pi)."""
-    zero = np.zeros(1)
-    zero.flags.writeable = False
-    zeros = dict.fromkeys(CHANNELS, zero)
+    left at the fringes (phi = 0, pi).  <g1c> and <g2s> are exact zeros: the
+    beamsplitters send the laser to the pair in opposite signs, which cancel
+    exactly in the other pair."""
+    inputs = np.zeros((len(CHANNELS), 1))
+    inputs[CHANNELS.index("z2c")] = math.sqrt(2.0) * params.alpha
+    fields = _split_inputs(dict(zip(CHANNELS, inputs)))
+    for values in fields.values():
+        values.flags.writeable = False
     buf = np.empty((_CHAIN_ROWS, np.size(phase.phi)))
-    _, mg1s, mg2c, _ = _propagate(params, phase, zeros, buf, measured_only=True)
+    _, mg1s, mg2c, _ = _propagate(params, phase, fields, buf, measured_only=True)
     return mg1s, mg2c
 
 
@@ -535,16 +527,22 @@ def _report(
     chunks,
     scratch,
     closed: photostats.PhotonStats,
-    mean: tuple[float, float] | None,
+    mean: tuple[float, float],
 ) -> MomentReport:
     """The report of one phase: ``chunks`` yields its scaled draws, ``scratch``
     holds n1, n2, the chain buffers it works in, the batch stacks and the
     batch sizes (see :func:`_reports`), ``closed`` holds the closed forms
-    there and, in linearized mode, ``mean`` the mean fields (<g1s>, <g2c>)."""
+    there and ``mean`` the mean fields (<g1s>, <g2c>).  The chain carries the
+    fluctuations dg alone, and the means enter after it.  With g = <g> + dg
+    on the measured quadrature of each detector (<g1c> and <g2s> are 0), a
+    sample holds N - <g>^2/2: <g> dg linearized, and
+    <g> dg + (dg^2 + dg_o^2 - 1)/2 exact, dg_o the other quadrature's.  The
+    constant <g>^2/2 is added to the pooled means alone: near N = 1e30 a
+    sample of N itself holds <g> dg to a few ulps, and the rounding biases
+    every variance by more than the batch spread shows."""
     phase = Phase(phi)
-    if config.linearized_mode:
-        mg1s, mg2c = mean
-        half1, half2 = 0.5 * mg1s * mg1s, 0.5 * mg2c * mg2c
+    mg1s, mg2c = mean
+    half1, half2 = 0.5 * mg1s * mg1s, 0.5 * mg2c * mg2c
 
     n1, n2, buf, stacks, sizes = scratch
     done = 0
@@ -558,15 +556,17 @@ def _report(
             )
             out1, out2 = n1[done : done + m], n2[done : done + m]
             if config.linearized_mode:
-                np.subtract(np.multiply(g1s, mg1s, out=out1), half1, out=out1)
-                np.subtract(np.multiply(g2c, mg2c, out=out2), half2, out=out2)
+                np.multiply(g1s, mg1s, out=out1)
+                np.multiply(g2c, mg2c, out=out2)
             else:
-                for gc, gs, out in ((g1c, g1s, out1), (g2c, g2s, out2)):
-                    gc *= gc
-                    gs *= gs
-                    gc += gs
-                    gc -= 1.0
-                    np.multiply(gc, 0.5, out=out)
+                for bright, other, mg, out in ((g1s, g1c, mg1s, out1), (g2c, g2s, mg2c, out2)):
+                    np.multiply(bright, 2.0 * mg, out=out)
+                    bright *= bright
+                    other *= other
+                    bright += other
+                    bright -= 1.0
+                    out += bright
+                    out *= 0.5
             done += m
 
     # the batch stacks, each copied in; the full sample's moments are pooled
@@ -578,7 +578,7 @@ def _report(
             s2[row] = n2[a:b]
         batch_moments = _moments_of(s1, s2)
         table[:, rows] = [batch_moments[name] for name in photostats.MOMENT_FIELDS]
-    moments = _pooled(table, sizes)
+    moments = _pooled(table, sizes, (half1, half2))
 
     # np.std squares the batch moments, and a variance's are squares already:
     # each row is scaled by a power of two near its largest |value| first, and

@@ -70,16 +70,14 @@ def chain_state(params: InterferometerParams, phi: float):
 
     The chain is linear, so each of the 12 input channels, sent alone at its
     standard deviation (the loss vacuums times their loss amplitudes), gives
-    one column of L, and cov = L L^T.  The columns go in with alpha = 0, so
-    they carry no cancellation against the mean; the means are the oracle's
-    mean path, and the orthogonal pair (g1c, g2s) has none."""
+    one column of L, and cov = L L^T.  The chain carries the fluctuations
+    alone, as the oracle's draws do; the means are the oracle's mean path,
+    and the orthogonal pair (g1c, g2s) has none."""
     n = len(oracle.CHANNELS)
     variances = _input_variances(params) + (VACUUM,) * (n - 3)
     amplitudes = {"m": math.sqrt(1.0 - params.mu), "n": math.sqrt(1.0 - params.eta)}
     stds = [math.sqrt(v) * amplitudes.get(ch[0], 1.0) for ch, v in zip(oracle.CHANNELS, variances)]
-    inputs = dict(zip(oracle.CHANNELS, np.diag(stds)))
-    fields = {ch: x for ch, x in inputs.items() if ch[0] in amplitudes}
-    fields.update(oracle._split_inputs(0.0, inputs, np.empty((4, n)), np.empty(n)))
+    fields = oracle._split_inputs(dict(zip(oracle.CHANNELS, np.diag(stds))))
     columns = np.array(oracle._propagate(params, phi, fields, np.empty((oracle._CHAIN_ROWS, n))))
     mg1s, mg2c = oracle._mean_path(params, Phase(phi))
     mean = np.array([0.0, mg1s[0], mg2c[0], 0.0])

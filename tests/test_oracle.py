@@ -226,7 +226,7 @@ def test_non_finite_samples_report_nan_z(solid_params, monkeypatch):
 
     def draws_with_inf(*args):
         fields = real_draws(*args)
-        fields["z2c"][0] = math.inf
+        fields["b2c"][0] = math.inf
         return fields
 
     monkeypatch.setattr(oracle, "_scaled_draws", draws_with_inf)
@@ -335,13 +335,16 @@ def test_linearization_error_validates_grid(solid_params, spawn_calls):
 
 
 def test_sampled_quadratures_match_closed_form_state(dashed_params):
-    # empirical mean and covariance of (g1c, g1s, g2c, g2s) against the
-    # closed-form Gaussian state of the detected modes
+    # empirical mean and covariance of (g1c, g1s, g2c, g2s), the sampled
+    # fluctuations plus the mean path, against the closed-form Gaussian state
+    # of the detected modes
     n = 100_000
     phi = 1.9
     inputs = _input_variances(dashed_params)
     fields = _scaled_draws(inputs, dashed_params.mu, dashed_params.eta, n, _spawn_streams(17))
     samples = np.stack(_propagate(dashed_params, phi, fields, np.empty((_CHAIN_ROWS, n))))
+    mg1s, mg2c = oracle._mean_path(dashed_params, Phase(phi))
+    samples += np.array([[0.0], mg1s, mg2c, [0.0]])
     stats = detector_field_stats(dashed_params, phi, extended=True)
 
     mean = samples.mean(axis=1)
@@ -356,6 +359,19 @@ def test_sampled_quadratures_match_closed_form_state(dashed_params):
 
 
 LOSSES = (1.0, 0.9, 1e-3)
+INPUTS = ("a1c", "a1s", "z2c", "z2s")
+SPLIT_INPUTS = ("b1c", "b1s", "b2c", "b2s")
+INTERNAL = ("m1c", "m1s", "m2c", "m2s")
+EXTERNAL = ("n1c", "n1s", "n2c", "n2s")
+MEASURED_EXTERNAL = ("n1s", "n2c")
+
+
+def _laser(params: InterferometerParams) -> dict:
+    """The mean path's one-element inputs, through the input beamsplitter:
+    z2c = sqrt2 alpha, every other channel zero."""
+    inputs = np.zeros((len(oracle.CHANNELS), 1))
+    inputs[oracle.CHANNELS.index("z2c")] = math.sqrt(2.0) * params.alpha
+    return oracle._split_inputs(dict(zip(oracle.CHANNELS, inputs)))
 
 
 @pytest.mark.parametrize("phi", [0.0, 1.3, math.pi], ids=["0", "1.3", "pi"])
@@ -363,15 +379,14 @@ LOSSES = (1.0, 0.9, 1e-3)
 @pytest.mark.parametrize("mu", LOSSES)
 def test_measured_pair_alone_is_bit_identical(mu, eta, phi):
     # linearized mode builds only (g1s, g2c); they must carry the full chain's
-    # bits, on the sample path and on the one-element zero-input mean path
+    # bits, on the split sample draws and on the one-element laser input of
+    # the mean path
     params = InterferometerParams.with_technical_noise(
         2.0, r1=1.0, r2=0.6, mu=mu, eta=eta, n_photons=1e6
     )
     n = 1000
     fields = _scaled_draws(_input_variances(params), mu, eta, n, _spawn_streams(35))
-    zero = np.zeros(1)
-    zero.flags.writeable = False
-    for inputs, m in ((fields, n), (dict.fromkeys(oracle.CHANNELS, zero), 1)):
+    for inputs, m in ((fields, n), (_laser(params), 1)):
         full = _propagate(params, phi, inputs, np.empty((_CHAIN_ROWS, m)))
         g1c, g1s, g2c, g2s = _propagate(
             params, phi, inputs, np.empty((_CHAIN_ROWS, m)), measured_only=True
@@ -397,7 +412,7 @@ def test_undrawn_vacuums_move_no_bit(mu, eta, phi, linearized):
     amplitudes = {"m": math.sqrt(1.0 - mu), "n": math.sqrt(1.0 - eta)}
     normals = _spawn_streams(36)
     admixed = dict(fields)
-    for ch in set(oracle.CHANNELS) - set(fields):
+    for ch in set(INTERNAL + EXTERNAL) - set(fields):
         admixed[ch] = normals[ch].standard_normal(n) * math.sqrt(VACUUM) * amplitudes[ch[0]]
         if amplitudes[ch[0]] == 0.0:
             assert np.signbit(admixed[ch]).any() and not admixed[ch].any()
@@ -409,46 +424,6 @@ def test_undrawn_vacuums_move_no_bit(mu, eta, phi, linearized):
         assert (g is None) == (h is None)
         if g is not None:
             assert g.tobytes() == h.tobytes()
-
-
-INPUTS = ("a1c", "a1s", "z2c", "z2s")
-SPLIT_INPUTS = ("b1c", "b1s", "b2c", "b2s")
-INTERNAL = ("m1c", "m1s", "m2c", "m2s")
-EXTERNAL = ("n1c", "n1s", "n2c", "n2s")
-MEASURED_EXTERNAL = ("n1s", "n2c")
-
-
-@pytest.mark.parametrize("mu", [1.0, 0.9, 1e-3])
-@pytest.mark.parametrize("eta", [1.0, 0.9, 1e-3])
-@pytest.mark.parametrize("r2", [0.0, 0.7])
-@pytest.mark.parametrize("linearized", [False, True], ids=["exact", "linearized"])
-def test_split_inputs_move_no_bit(mu, eta, r2, linearized):
-    # a shared draw set goes through the input beamsplitter once, in place;
-    # every phase must then get the bits of the chain on the raw draws,
-    # signed zeros included
-    params = InterferometerParams.with_technical_noise(
-        2.0, r1=1.0, r2=r2, mu=mu, eta=eta, n_photons=1e6
-    )
-    n = oracle._BLOCK + 5
-    raw = _scaled_draws(_input_variances(params), mu, eta, n, _spawn_streams(40), linearized)
-    for values in raw.values():
-        values[::97] = -0.0
-        values[1::97] = 0.0
-        values.flags.writeable = False
-    copies = {ch: values.copy() for ch, values in raw.items()}
-    split = oracle._split_draws(params.alpha, copies, np.empty(oracle._BLOCK))
-    assert set(split) == set(SPLIT_INPUTS) | set(raw) - set(INPUTS)
-    # in place: every array of the split set is one of the draws
-    assert {id(values) for values in split.values()} == set(map(id, copies.values()))
-    for phi in (0.0, 1.3, math.pi):
-        expected, got = (
-            _propagate(params, phi, fields, np.empty((_CHAIN_ROWS, n)), measured_only=linearized)
-            for fields in (raw, split)
-        )
-        for g, h in zip(got, expected):
-            assert (g is None) == (h is None)
-            if g is not None:
-                assert g.tobytes() == h.tobytes(), phi
 
 
 @pytest.mark.parametrize("n", [3000, _CHUNK + 1])
@@ -599,7 +574,7 @@ def test_pooled_moments_are_the_whole_sample_moments(n, seed, offset, zeros):
         stacks = (np.stack([x[edges[i] : edges[i + 1]] for i in rows]) for x in (n1, n2))
         batches = _moments_of(*stacks)
         table[:, rows] = [batches[name] for name in MOMENT_FIELDS]
-    pooled = oracle._pooled(table, sizes.astype(float))
+    pooled = oracle._pooled(table, sizes.astype(float), (0.0, 0.0))
     mean1, mean2 = n1.mean(), n2.mean()
     c1, c2 = n1 - mean1, n2 - mean2
     var1, var2, cov12 = ((x * y).sum() / (n - 1) for x, y in ((c1, c1), (c2, c2), (c1, c2)))
@@ -640,7 +615,7 @@ def test_closed_forms_and_mean_path_once_per_run_of_equal_params(
 ):
     # every point is still checked against its own closed forms, but each run
     # a caller hands over evaluates them, and takes its mean path, in one
-    # call over the run's phases
+    # call over the run's phases, in either mode
     closed_calls, mean_calls = [], []
     photon_stats = oracle.photostats.photon_stats
 
@@ -661,12 +636,12 @@ def test_closed_forms_and_mean_path_once_per_run_of_equal_params(
     ]
     reports = oracle._reports([(p, Phase(phis)) for p, phis in runs], config)
     assert closed_calls == [2, 3, 1]
-    assert mean_calls == ([2, 3, 1] if linearized else [])
+    assert mean_calls == [2, 3, 1]
     closed_calls.clear()
     mean_calls.clear()
     grid = run(solid_params, midpoint_grid(12), config)
     assert closed_calls == [12]
-    assert mean_calls == ([12] if linearized else [])
+    assert mean_calls == [12]
     monkeypatch.undo()
     assert list(map(repr, reports)) == [
         repr(run(p, phi, config)) for p, phis in runs for phi in phis
@@ -835,8 +810,8 @@ def test_validate_keeps_nothing_allocated(solid_params):
 
 
 def test_kept_draws_are_read_only(solid_params, monkeypatch):
-    # the phases of a grid share one draw set, and the mean path's channels
-    # share one zero input, so no phase may write to either
+    # the phases of a grid share one draw set, and the grid shares one mean
+    # path input, so no phase may write to either
     received = []
 
     def recording(params, phi, fields, buf, measured_only=False):
@@ -848,32 +823,15 @@ def test_kept_draws_are_read_only(solid_params, monkeypatch):
         received.clear()
         config = OracleConfig(n_samples=1000, seed=26, linearized_mode=linearized)
         run(solid_params, [0.3, 1.0], config)
-        # in linearized mode one mean path for the grid, on every channel,
-        # then one block per phase, on the four channels the lossless set
-        # draws, through the input beamsplitter
-        blocks = [set(SPLIT_INPUTS)] * 2
-        assert [set(fields) for fields in received] == (
-            [set(oracle.CHANNELS)] + blocks if linearized else blocks
-        )
+        # one mean path for the grid, on every channel, then one block per
+        # phase, on the four channels the lossless set draws, both through
+        # the input beamsplitter
+        laser = set(SPLIT_INPUTS + INTERNAL + EXTERNAL)
+        assert [set(fields) for fields in received] == [laser] + [set(SPLIT_INPUTS)] * 2
         for fields in received:
             for values in fields.values():
                 with pytest.raises(ValueError, match="read-only"):
                     values[0] = 1.0
-
-
-def test_brightness_scan_keeps_its_draws_raw(solid_params, monkeypatch):
-    # the scan's runs share one draw set at three alphas, so it must not go
-    # through the input beamsplitter at any one of them
-    received = []
-
-    def recording(params, phi, fields, buf, measured_only=False):
-        received.append(set(fields))
-        return _propagate(params, phi, fields, buf, measured_only=measured_only)
-
-    monkeypatch.setattr(oracle, "_propagate", recording)
-    config = OracleConfig(n_samples=1000, seed=26)
-    linearization_error(solid_params, 1.3, config, (1e2, 1e4, 1e6))
-    assert received == [set(INPUTS)] * 3
 
 
 # a few oracle calls on the lossy set of BLOCKS_SETS, printed as reprs
