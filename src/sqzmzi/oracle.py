@@ -54,14 +54,13 @@ from one :func:`~sqzmzi.photostats.photon_stats` call over its phases and
 its mean path from one :func:`_propagate` call on one-element inputs,
 broadcast over them; every point still carries the bits of an evaluation at
 its phase alone.  Every sample, of n >= 64, is cut into N_BATCHES = 32
-batches of at least 2, laid out once per call as stacks of equal-length
-batches in views of the idle chain buffers.  A phase's batches are copied
-into the stacks and take their moments a stack at a time, each row with the
-bits of numpy's pairwise sums on that row alone; the full sample's moments
-are then pooled exactly from the batches' (see :func:`_pooled`), with no
-further pass over the sample.  Nothing is kept after a call returns and
-nothing is shared between calls, so calls from several threads at once are
-independent.
+batches of at least 2: contiguous runs of n1 and n2, the n % 32 longer ones
+first.  A phase's batches take their moments in place, on views of n1 and
+n2 stacked at most 16 to a call, each row with the bits of numpy's pairwise
+sums on that row alone; the full sample's moments are then pooled exactly
+from the batches' (see :func:`_pooled`), with no further pass over the
+sample.  Nothing is kept after a call returns and nothing is shared between
+calls, so calls from several threads at once are independent.
 """
 
 from __future__ import annotations
@@ -117,7 +116,7 @@ class OracleConfig:
         # of at least 2 samples
         if not isinstance(n, int) or n < 2 * N_BATCHES:
             raise ParameterError(f"n_samples must be an integer >= {2 * N_BATCHES}, got {_shown(n)}")
-        # run() places the batch edges with np.linspace in float64, exact up to 2^53
+        # _pooled weighs the batches by their sample counts in float64, exact up to 2^53
         if n > 2**53:
             raise ParameterError(f"n_samples must be at most 2^53, got {_shown(n)}")
         # a bool is an int to Python, but no seed
@@ -429,51 +428,40 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
     are made once, and a draw set of n <= _CHUNK samples is shared by
     consecutive phases of equal draw key (input variances, mu, eta): the
     draws carry both loss amplitudes and have been through the input
-    beamsplitter (see :func:`_scaled_draws`).  Where
-    n <= _CHUNK the idle chain buffers hold half the batches of n1 and of n2
-    at once, so that each batch length takes one :func:`_moments_of` call.
-    Each distinct params is refused or passed once, before any draw, and
-    each run gets its closed forms from one
-    :func:`~sqzmzi.photostats.photon_stats` call and its linearized mean path
-    from one :func:`_propagate` call over its phases.
+    beamsplitter (see :func:`_scaled_draws`).  The batches are contiguous
+    runs of the sample, the n % 32 longer ones first, and take their moments
+    in place, in stacks of at most 16 batches of one length, so no
+    :func:`_moments_of` call has the full sample's size.  Each distinct
+    params is refused or passed once, before any draw, and each run gets its
+    closed forms from one :func:`~sqzmzi.photostats.photon_stats` call and
+    its mean path from one :func:`_propagate` call over its phases.
     """
     for params in dict.fromkeys(params for params, _ in runs):
         # the batch errors square moments up to the floor
         floor = photostats._moment_ingredients(params)[-1]
         _require_normal(params, (f"{N_BATCHES} floor^2", N_BATCHES * floor * floor))
     n = config.n_samples
-    edges = np.linspace(0, n, N_BATCHES + 1).astype(int).tolist()
-    spans = list(zip(edges[:-1], edges[1:]))
-    # the chain buffers, flat; once the chain is idle they hold one batch of
-    # n1 and one of n2 at a time and, where n <= _CHUNK (the call then holds
-    # 4n samples of draws or more), half the batches of each, n + 32 samples
-    # at most
-    longest = max(b - a for a, b in spans)
-    held = N_BATCHES // 2 if n <= _CHUNK else 1
     try:
-        chain = np.empty(max(_CHAIN_ROWS * min(n, _BLOCK), 2 * held * longest))
+        buf = np.empty((_CHAIN_ROWS, min(n, _BLOCK)))
         n1, n2 = np.empty(n), np.empty(n)
     except MemoryError:
         raise ParameterError(
             f"n_samples = {n} is too large: its sample buffers cannot be allocated"
         ) from None
-    buf = chain[: _CHAIN_ROWS * min(n, _BLOCK)].reshape(_CHAIN_ROWS, -1)
-    # _moments_of overwrites its arguments, so the batches go through it as
-    # copies, stacked by length in the idle chain buffers (n1's in the first
-    # half, n2's in the second): each stack is its batch numbers, their spans
-    # of the sample and a view in each half.  A stack holds at most half the
-    # batches, so no _moments_of call has the full sample's size
-    half = chain.size // 2
+    # the stacks, as (their batches' columns of the moment table, their span
+    # of the sample, their batch length): `extra` batches of base + 1
+    # samples, then the rest of base
+    base, extra = divmod(n, N_BATCHES)
     stacks = []
-    for length in sorted({b - a for a, b in spans}):
-        rows = [i for i, (a, b) in enumerate(spans) if b - a == length]
-        height = min(half // length, N_BATCHES // 2)
-        for first in range(0, len(rows), height):
-            stack = rows[first : first + height]
-            s1 = chain[: len(stack) * length].reshape(-1, length)
-            s2 = chain[half : half + s1.size].reshape(-1, length)
-            stacks.append((stack, [spans[i] for i in stack], s1, s2))
-    scratch = n1, n2, buf, stacks, np.diff(edges).astype(float)
+    column = start = 0
+    for count, length in ((extra, base + 1), (N_BATCHES - extra, base)):
+        for first in range(0, count, N_BATCHES // 2):
+            height = min(N_BATCHES // 2, count - first)
+            end = start + height * length
+            stacks.append((slice(column, column + height), slice(start, end), length))
+            column, start = column + height, end
+    sizes = np.array([base + 1.0] * extra + [float(base)] * (N_BATCHES - extra))
+    scratch = n1, n2, buf, stacks, sizes
     reports = []
     drawn = draws = None
     linearized = config.linearized_mode
@@ -569,15 +557,12 @@ def _report(
                     out *= 0.5
             done += m
 
-    # the batch stacks, each copied in; the full sample's moments are pooled
-    # from the batches'
+    # the batch stacks, in place; the full sample's moments are pooled from
+    # the batches'
     table = np.empty((len(photostats.MOMENT_FIELDS), N_BATCHES))
-    for rows, spans, s1, s2 in stacks:
-        for row, (a, b) in enumerate(spans):
-            s1[row] = n1[a:b]
-            s2[row] = n2[a:b]
-        batch_moments = _moments_of(s1, s2)
-        table[:, rows] = [batch_moments[name] for name in photostats.MOMENT_FIELDS]
+    for columns, span, length in stacks:
+        batch_moments = _moments_of(n1[span].reshape(-1, length), n2[span].reshape(-1, length))
+        table[:, columns] = [batch_moments[name] for name in photostats.MOMENT_FIELDS]
     moments = _pooled(table, sizes, (half1, half2))
 
     # np.std squares the batch moments, and a variance's are squares already:

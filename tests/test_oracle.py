@@ -653,9 +653,9 @@ def test_closed_forms_and_mean_path_once_per_run_of_equal_params(
     "case", [c for c in BLOCKS_CASES if c.endswith("phi1.3") and ("-n8191-" in c or "-n50000-" in c)]
 )
 def test_batches_longer_than_half_the_chain_buffers_match_golden(monkeypatch, case):
-    # with 64-sample blocks the chain buffers hold 384 samples, so the idle
-    # buffers must grow to hold the batch stacks of n1 and n2 (batches of 256
-    # and 1563 samples); blocking changes no bit
+    # with 64-sample blocks the chain buffers hold 384 samples, and each batch
+    # (of 256 or 1563 samples) spans many blocks of the chain and of the input
+    # beamsplitter; blocking changes no bit
     monkeypatch.setattr(oracle, "_BLOCK", 64)
     assert _blocks_repr(case) == BLOCKS_GOLDEN[case]
 
@@ -781,15 +781,15 @@ def test_run_allocates_blocks_not_whole_sample_temporaries(solid_params, lineari
 
 @pytest.mark.parametrize("set_name, drawn", [("lossless", 4), ("lossy", 10)])
 def test_split_draws_allocate_no_sample_array(solid_params, set_name, drawn):
-    # the input beamsplitter runs in place over the shared draws, so a 12-phase
-    # run holds no sample-length array beyond its drawn channels (linearized:
-    # the inputs, plus the internal vacuums and n1s, n2c where lossy), n1, n2
-    # and the chain buffer (its block rows, or half the batches of n1 and n2,
-    # n + 32 samples at most): the rest of its peak stays under one more such
-    # array
+    # the input beamsplitter runs in place over the draws, and the batches take
+    # their moments in place in n1 and n2, so a 12-phase run holds no
+    # sample-length array beyond its drawn channels (linearized: the inputs,
+    # plus the internal vacuums and n1s, n2c where lossy), n1, n2 and the
+    # chain buffer's block rows: the rest of its peak (a stack's products of
+    # n1 and n2, half the sample at most) stays under one more such array
     params = {"lossless": solid_params, "lossy": BLOCKS_SETS["lossy"]}[set_name]
     n = 50_000
-    budget = 8 * ((drawn + 2) * n + max(_CHAIN_ROWS * oracle._BLOCK, n + oracle.N_BATCHES))
+    budget = 8 * ((drawn + 2) * n + _CHAIN_ROWS * oracle._BLOCK)
     config = OracleConfig(n_samples=n, seed=42, linearized_mode=True)
     peak = _traced_peak(lambda: run(params, midpoint_grid(12), config))
     assert peak - budget < 8 * n, f"{(peak - budget) / 2**10:.0f} KiB over the budget"
