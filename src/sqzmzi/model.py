@@ -158,8 +158,11 @@ def validate(params: InterferometerParams) -> None:
     errors: list[str] = []
     for name in ("r1", "r2", "mu", "eta", "n_photons", "g2"):
         value = getattr(params, name)
+        # a bool is an int to Python, but no knob
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            errors.append(f"{name} must be an int or float, got {_shown(value)}")
         # an int past the float range is no finite float either
-        if not isinstance(value, (int, float)) or not abs(value) <= float_info.max:
+        elif not abs(value) <= float_info.max:
             errors.append(f"{name} must be a finite number, got {_shown(value)}")
     if not errors:
         _check(params.r1 >= 0.0, f"squeeze factor r1 must be >= 0, got {params.r1}", errors)

@@ -15,8 +15,8 @@ only the term linear in the fluctuation, N = <g>^2/2 + <g> dg, which is the
 regime the closed forms describe; in it the empirical moments must match them
 within sampling error at any brightness, and the chain builds only the
 measured pair (g1s, g2c) those photon numbers read.  In either mode the
-constant <g>^2/2 stays out of the samples and is added to their pooled
-means, so the variances resolve at any brightness (see :func:`_report`).
+constant <g>^2/2 stays out of the samples and joins their pooled means, so
+the variances resolve at any brightness (see :func:`_report`).
 
 Reproducibility contract: one PCG64 stream per input channel, spawned from
 SeedSequence(seed) in the fixed CHANNELS order, samples drawn in batch order.
@@ -31,36 +31,25 @@ other phases of a grid and of the calls made before: every sum is a
 pairwise np.add.reduce, and no step calls BLAS, whose kernels differ by CPU.
 
 A call of :func:`run` over a phase grid (or of :func:`linearization_error`
-over a brightness grid) owns its draws and buffers.  Each draw set is scaled
-and put through the input beamsplitter when drawn: the loss vacuums by their
-loss amplitudes sqrt(1 - mu) and sqrt(1 - eta), and a1c, z2c, a1s and z2s
-split in place (see :func:`_scaled_draws`), so a set depends on (input
-variances, mu, eta) but neither on phi nor on alpha.  When n <= _CHUNK the
-call draws one read-only set and its points share it, drawing again only
+over a brightness grid) owns its draws and buffers; nothing is kept after it
+returns and nothing is shared between calls, so calls from several threads
+at once are independent.  A draw set is scaled and put through the input
+beamsplitter when drawn (see :func:`_scaled_draws`), so it depends on
+(input variances, mu, eta) but neither on phi nor on alpha: when n <= _CHUNK
+the call draws one read-only set and its points share it, drawing again only
 where a point's (input variances, mu, eta) differs from the previous one's;
 larger runs draw _CHUNK samples at a time at every point.  The draws go
-through the rest of the chain in blocks of _BLOCK samples: each step writes
-into one of _CHAIN_ROWS block-sized buffers, and each block's photon numbers
-go straight into the sample arrays n1 and n2, allocated once per call.  The
-steps are elementwise, so neither the blocks, nor the in-place writes, nor
-splitting the inputs or scaling the vacuums at draw time change an output
-bit.
-
-A call samples the runs its caller hands it, one params over a phase or a
-phase grid each (:func:`run` hands one, :func:`linearization_error` one per
-brightness).  Each distinct params is refused before any draw where its
-scale or batch errors leave the float range.  Each run gets its closed forms
-from one :func:`~sqzmzi.photostats.photon_stats` call over its phases and
-its mean path from one :func:`_propagate` call on one-element inputs,
-broadcast over them; every point still carries the bits of an evaluation at
-its phase alone.  Every sample, of n >= 64, is cut into N_BATCHES = 32
-batches of at least 2: contiguous runs of n1 and n2, the n % 32 longer ones
-first.  A phase's batches take their moments in place, on views of n1 and
-n2 stacked at most 16 to a call, each row with the bits of numpy's pairwise
-sums on that row alone; the full sample's moments are then pooled exactly
-from the batches' (see :func:`_pooled`), with no further pass over the
-sample.  Nothing is kept after a call returns and nothing is shared between
-calls, so calls from several threads at once are independent.
+through the rest of the chain in blocks of _BLOCK samples, in _CHAIN_ROWS
+block-sized buffers, and each block's photon numbers go straight into the
+sample arrays n1 and n2, allocated once per call.  The steps are
+elementwise, so neither the blocks nor the in-place writes change a bit.
+Each run gets its closed forms from one
+:func:`~sqzmzi.photostats.photon_stats` call over its phases and its mean
+path from one :func:`_propagate` call, broadcast over them; every point
+still carries the bits of an evaluation at its phase alone.  Every sample,
+of n >= 64, is cut into N_BATCHES = 32 contiguous batches of at least 2,
+whose moments are taken in place and pooled exactly into the full sample's
+(see :func:`_reports` and :func:`_pooled`).
 """
 
 from __future__ import annotations
@@ -111,6 +100,12 @@ class OracleConfig:
     linearized_mode: bool = False
 
     def __post_init__(self) -> None:
+        # numpy's integers count too, stored as Python ints; a bool is an int
+        # to Python, but neither a count nor a seed
+        for name in ("n_samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+                object.__setattr__(self, name, int(value))
         n = self.n_samples
         # the batch standard errors cut every sample into N_BATCHES batches
         # of at least 2 samples
@@ -119,7 +114,6 @@ class OracleConfig:
         # _pooled weighs the batches by their sample counts in float64, exact up to 2^53
         if n > 2**53:
             raise ParameterError(f"n_samples must be at most 2^53, got {_shown(n)}")
-        # a bool is an int to Python, but no seed
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
             raise ParameterError(f"seed must be an integer in [0, 2^64), got {_shown(seed)}")
@@ -224,8 +218,7 @@ def _propagate(
     buf,
     measured_only: bool = False,
 ):
-    """Push the inputs through the chain past the input beamsplitter; returns
-    (g1c, g1s, g2c, g2s).
+    """The chain after the input beamsplitter; returns (g1c, g1s, g2c, g2s).
 
     ``fields`` maps channel name to a sample array: the outputs of the input
     beamsplitter (b1c, b1s, b2c and b2s, see :func:`_split_inputs`) and the
@@ -311,17 +304,16 @@ def _scaled_draws(
     VACUUM for the rest) and then, for the loss vacuums, by the amplitude
     sqrt(1 - mu) (internal, m*) or sqrt(1 - eta) (external, n*) with which
     they enter the chain, and put through the input beamsplitter in place
-    (see :func:`_split_inputs`).  These are fluctuations only: the laser's
-    displacement enters the means alone (see :func:`_mean_path`).  None of it
-    depends on phi or alpha, so a draw set serves every phase and brightness
-    of the same (inputs, mu, eta).  A vacuum of zero amplitude is not
-    drawn, nor, with ``measured_only``, n1c and n2s, which the measured pair
-    never reads: each channel has its own stream, so no other draw moves.
-    The channels drawn are the rows of one array, each drawn and scaled
-    _BLOCK samples at a time, so no sample-length temporary is made (a
-    stream's draws in pieces are its draws in one).  A set is then one
-    allocation, which glibc's malloc, once it has freed a block that large,
-    serves from its heap again rather than from freshly mapped pages."""
+    (see :func:`_split_inputs`).  None of it depends on phi or alpha, so a
+    draw set serves every phase and brightness of the same (inputs, mu,
+    eta).  A vacuum of zero amplitude is not drawn, nor, with
+    ``measured_only``, n1c and n2s, which the measured pair never reads:
+    each channel has its own stream, so no other draw moves.  The channels
+    drawn are the rows of one array, each drawn and scaled _BLOCK samples at
+    a time, so no sample-length temporary is made (a stream's draws in
+    pieces are its draws in one).  A set is then one allocation, which
+    glibc's malloc, once it has freed a block that large, serves from its
+    heap again rather than from freshly mapped pages."""
     variances = inputs + (VACUUM,) * (len(CHANNELS) - len(inputs))
     amplitudes = {"m": math.sqrt(1.0 - mu), "n": math.sqrt(1.0 - eta)}
     unread = ("n1c", "n2s") if measured_only else ()
@@ -424,17 +416,13 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
     """The reports of ``runs``, (params, :class:`Phase`) pairs sampled with one
     config, one report per phase, in order.
 
-    n1, n2, the chain buffers and the batch layout (32 batches, whatever n)
-    are made once, and a draw set of n <= _CHUNK samples is shared by
-    consecutive phases of equal draw key (input variances, mu, eta): the
-    draws carry both loss amplitudes and have been through the input
-    beamsplitter (see :func:`_scaled_draws`).  The batches are contiguous
-    runs of the sample, the n % 32 longer ones first, and take their moments
-    in place, in stacks of at most 16 batches of one length, so no
+    n1, n2, the chain buffers and the batch layout are made once, and a draw
+    set of n <= _CHUNK samples is shared by consecutive phases of equal draw
+    key (input variances, mu, eta).  The 32 batches are contiguous runs of
+    the sample, the n % 32 longer ones first, and take their moments in
+    place, in stacks of at most 16 batches of one length, so no
     :func:`_moments_of` call has the full sample's size.  Each distinct
-    params is refused or passed once, before any draw, and each run gets its
-    closed forms from one :func:`~sqzmzi.photostats.photon_stats` call and
-    its mean path from one :func:`_propagate` call over its phases.
+    params is refused or passed once, before any draw.
     """
     for params in dict.fromkeys(params for params, _ in runs):
         # the batch errors square moments up to the floor
@@ -448,9 +436,8 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
         raise ParameterError(
             f"n_samples = {n} is too large: its sample buffers cannot be allocated"
         ) from None
-    # the stacks, as (their batches' columns of the moment table, their span
-    # of the sample, their batch length): `extra` batches of base + 1
-    # samples, then the rest of base
+    # each stack: its columns of the batch table, its span of the sample and
+    # its batch length (``extra`` batches of base + 1 samples, then of base)
     base, extra = divmod(n, N_BATCHES)
     stacks = []
     column = start = 0
@@ -491,18 +478,14 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
 
 
 def _mean_path(params: InterferometerParams, phase: Phase) -> tuple:
-    """(<g1s>, <g2c>) at every phase of ``phase``, as arrays: the same chain on
-    one-element inputs, broadcast over the phases, where the laser enters as
-    z2c = sqrt2 alpha and every other channel is zero.  Every channel is
-    passed, so every loss step runs and leaves the signed zeros it always
-    left at the fringes (phi = 0, pi).  <g1c> and <g2s> are exact zeros: the
-    beamsplitters send the laser to the pair in opposite signs, which cancel
-    exactly in the other pair."""
+    """(<g1s>, <g2c>) at every phase of ``phase``, as arrays: the chain on
+    one-element inputs, z2c = sqrt2 alpha (the laser) and every other channel
+    zero, broadcast over the phases.  Every loss step runs, leaving the
+    signed zeros it always left at the fringes (phi = 0, pi).  <g1c> and
+    <g2s> are exact zeros: the laser reaches the arms as exact opposites."""
     inputs = np.zeros((len(CHANNELS), 1))
     inputs[CHANNELS.index("z2c")] = math.sqrt(2.0) * params.alpha
     fields = _split_inputs(dict(zip(CHANNELS, inputs)))
-    for values in fields.values():
-        values.flags.writeable = False
     buf = np.empty((_CHAIN_ROWS, np.size(phase.phi)))
     _, mg1s, mg2c, _ = _propagate(params, phase, fields, buf, measured_only=True)
     return mg1s, mg2c
@@ -518,20 +501,16 @@ def _report(
     mean: tuple[float, float],
 ) -> MomentReport:
     """The report of one phase: ``chunks`` yields its scaled draws, ``scratch``
-    holds n1, n2, the chain buffers it works in, the batch stacks and the
-    batch sizes (see :func:`_reports`), ``closed`` holds the closed forms
-    there and ``mean`` the mean fields (<g1s>, <g2c>).  The chain carries the
-    fluctuations dg alone, and the means enter after it.  With g = <g> + dg
-    on the measured quadrature of each detector (<g1c> and <g2s> are 0), a
-    sample holds N - <g>^2/2: <g> dg linearized, and
+    holds n1, n2, the chain buffers, the batch stacks and the batch sizes
+    (see :func:`_reports`), ``closed`` the closed forms and ``mean`` the mean
+    fields (<g1s>, <g2c>).  With g = <g> + dg on each detector's measured
+    quadrature, a sample holds N - <g>^2/2: <g> dg linearized, and
     <g> dg + (dg^2 + dg_o^2 - 1)/2 exact, dg_o the other quadrature's.  The
-    constant <g>^2/2 is added to the pooled means alone: near N = 1e30 a
-    sample of N itself holds <g> dg to a few ulps, and the rounding biases
-    every variance by more than the batch spread shows."""
+    constant <g>^2/2 joins the pooled means alone: near N = 1e30 a sample of
+    N itself holds <g> dg to a few ulps, and the rounding biases every
+    variance by more than the batch spread shows."""
     phase = Phase(phi)
     mg1s, mg2c = mean
-    half1, half2 = 0.5 * mg1s * mg1s, 0.5 * mg2c * mg2c
-
     n1, n2, buf, stacks, sizes = scratch
     done = 0
     for fields in chunks:
@@ -563,7 +542,7 @@ def _report(
     for columns, span, length in stacks:
         batch_moments = _moments_of(n1[span].reshape(-1, length), n2[span].reshape(-1, length))
         table[:, columns] = [batch_moments[name] for name in photostats.MOMENT_FIELDS]
-    moments = _pooled(table, sizes, (half1, half2))
+    moments = _pooled(table, sizes, (0.5 * mg1s * mg1s, 0.5 * mg2c * mg2c))
 
     # np.std squares the batch moments, and a variance's are squares already:
     # each row is scaled by a power of two near its largest |value| first, and
@@ -633,10 +612,15 @@ def linearization_error(
     if not isinstance(phase.phi, float):
         raise ParameterError(f"phi must be one phase, got a grid of {phase.phi.size}")
     excess = technical_noise_factor(params)
-    runs = [
-        (replace(params, n_photons=alpha_sq, g2=1.0 + (excess - 1.0) / alpha_sq), phase)
-        for alpha_sq in alpha_grid
-    ]
+    runs = []
+    for alpha_sq in alpha_grid:
+        g2 = 1.0 + (excess - 1.0) / alpha_sq
+        if g2 == math.inf:
+            raise ParameterError(
+                f"alpha_grid entry {_shown(alpha_sq)} is too small for A = {excess!r}: "
+                "g2 = 1 + (A - 1)/N overflows"
+            )
+        runs.append((replace(params, n_photons=alpha_sq, g2=g2), phase))
     out = []
     for alpha_sq, report in zip(alpha_grid, _reports(runs, config)):
         closed = report.closed_form.as_dict()

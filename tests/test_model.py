@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -112,6 +113,15 @@ def test_validation_messages_name_the_violation():
         InterferometerParams(r1=-0.1)
     with pytest.raises(ParameterError, match="finite"):
         InterferometerParams(n_photons=math.nan)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), True, False, "0.5"])
+@pytest.mark.parametrize("name", ["r1", "r2", "mu", "eta", "n_photons", "g2"])
+def test_knobs_are_ints_or_floats(name, value):
+    # a bool is an int to Python, and a float32 converts, but neither is a
+    # knob's value: the refusal names the type, not finiteness
+    with pytest.raises(ParameterError, match=f"^{name} must be an int or float, got "):
+        InterferometerParams(**{name: value})
 
 
 @pytest.mark.parametrize("name", ["r1", "r2", "mu", "eta", "n_photons", "g2"])

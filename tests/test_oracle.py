@@ -96,18 +96,34 @@ def test_config_validation():
             OracleConfig(**{"n_samples": 100, **kwargs})
 
 
+def test_config_stores_numpy_integers_as_ints():
+    # a count or seed read from numpy is an integer like any other, and is
+    # kept as a Python int; numpy's bools are no more counts than Python's
+    config = OracleConfig(np.int64(100), seed=np.uint64(2**64 - 1))
+    assert type(config.n_samples) is int and type(config.seed) is int
+    assert config == OracleConfig(100, seed=2**64 - 1)
+    for field, kwargs in [
+        ("n_samples", {"n_samples": np.int64(63)}),
+        ("n_samples", {"n_samples": np.True_}),
+        ("seed", {"seed": np.int64(-1)}),
+        ("seed", {"seed": np.False_}),
+    ]:
+        with pytest.raises(ParameterError, match=f"^{field} must be"):
+            OracleConfig(**{"n_samples": 100, **kwargs})
+
+
 @pytest.mark.parametrize("n", [2**53 + 1, 10**21])
 def test_config_refuses_a_sample_count_past_exact_batch_edges(n):
-    # run() places its batch edges in float64, exact up to 2^53; the config
-    # refuses a larger count before anything is allocated
+    # _pooled weighs the batches by their sample counts in float64, exact up
+    # to 2^53; the config refuses a larger count before anything is allocated
     with pytest.raises(ParameterError, match="n_samples must be at most 2\\^53"):
         OracleConfig(n_samples=n)
 
 
 def test_run_refuses_sample_buffers_it_cannot_allocate(solid_params):
-    # 2^53 samples pass the config, but their buffers (4 PiB of chain
-    # buffers, 64 PiB each for n1 and n2) exceed any address space, so they
-    # fail at once; never try a count that could actually be allocated
+    # 2^53 samples pass the config, but n1 and n2 (64 PiB each) exceed any
+    # address space, so they fail at once; never try a count that could
+    # actually be allocated
     config = OracleConfig(n_samples=2**53, linearized_mode=True)
     with pytest.raises(ParameterError, match="n_samples = 9007199254740992 is too large"):
         run(solid_params, [0.5, 1.0], config)
@@ -182,6 +198,20 @@ def test_degenerate_moments_report_zero_z(solid_params):
     assert report.z_scores["mean_n1"] == 0.0
     assert report.z_scores["var_n1"] == 0.0
     assert math.isfinite(report.max_abs_z())
+
+
+def test_second_moments_resolve_at_any_brightness():
+    # the chain samples the fluctuations alone and the constant <g>^2/2 joins
+    # the pooled means only, so at N = 1e30, where a sample of N itself holds
+    # <g> dg to a few ulps, every variance and covariance still matches its
+    # closed form within sampling error (the means cannot: see README)
+    params = InterferometerParams.with_technical_noise(
+        1.0, r1=R1_10DB, eta=1.0 / 1.04, n_photons=1e30
+    )
+    config = OracleConfig(n_samples=50_000, linearized_mode=True)
+    second = [name for name in MOMENT_FIELDS if not name.startswith("mean")]
+    for report in run(params, [0.5 + 0.4 * i for i in range(6)], config):
+        assert oracle.within([abs(report.z_scores[name]) for name in second], 8.0), report
 
 
 @pytest.mark.parametrize("phi", [1e-100, -1e-100, 1e-170, -1e-170])
@@ -332,6 +362,63 @@ def test_linearization_error_validates_grid(solid_params, spawn_calls):
         with pytest.raises(ParameterError, match="phi must be one phase"):
             linearization_error(solid_params, phi, config, (1e2, 1e4))
     assert spawn_calls == []
+
+
+def test_linearization_error_names_an_overflowing_brightness(spawn_calls):
+    # g2 = 1 + (A - 1)/N overflows at a tiny N where A > 1: the refusal names
+    # the grid entry, not the g2 the scan derived from it
+    params = InterferometerParams.with_technical_noise(3.0, r1=1.0)
+    config = OracleConfig(n_samples=64)
+    message = r"alpha_grid entry 1e-310 is too small for A = .*: g2 = 1 \+ \(A - 1\)/N overflows"
+    with pytest.raises(ParameterError, match=message):
+        linearization_error(params, 1.0, config, (1e-310, 1e2))
+    assert spawn_calls == []
+
+
+@pytest.mark.parametrize("linearized", [False, True], ids=["exact", "linearized"])
+def test_linearization_points_are_runs_at_each_brightness(solid_params, linearized):
+    # the scan's brightnesses share one draw set, split once; each point must
+    # carry the bits of a run at its brightness alone
+    config = OracleConfig(n_samples=3000, seed=44, linearized_mode=linearized)
+    points = linearization_error(solid_params, 1.3, config, (1e2, 1e4, 1e6))
+    for point in points:
+        report = run(replace(solid_params, n_photons=point.alpha_sq), 1.3, config)
+        closed, emp = report.closed_form.as_dict(), report.empirical.as_dict()
+        nan = dict.fromkeys(MOMENT_FIELDS, math.nan)
+        dev = {k: (emp[k] - closed[k]) / closed[k] for k in MOMENT_FIELDS if closed[k] != 0.0}
+        rse = {
+            k: report.standard_errors[k] / abs(closed[k])
+            for k in MOMENT_FIELDS
+            if closed[k] != 0.0
+        }
+        assert repr(point) == repr(
+            oracle.LinearizationPoint(point.alpha_sq, {**nan, **dev}, {**nan, **rse})
+        )
+
+
+def test_mean_path_leaves_the_orthogonal_pair_exactly_zero(monkeypatch):
+    # exact mode adds <g1s> and <g2c> alone to the fluctuations: the mean
+    # path's g1c and g2s must be exact zeros, at the fringes as between them
+    inputs = []
+
+    def recording(params, phi, fields, buf, measured_only=False):
+        inputs.append(fields)
+        return _propagate(params, phi, fields, buf, measured_only=measured_only)
+
+    monkeypatch.setattr(oracle, "_propagate", recording)
+    phase = Phase(np.linspace(-2.0 * math.pi, 2.0 * math.pi, 9))
+    rng = np.random.default_rng(45)
+    for _ in range(2000):
+        r1, r2 = rng.uniform(0.0, 2.0, 2)
+        mu, eta = np.where(rng.random(2) < 0.25, 1.0, rng.uniform(0.05, 1.0, 2))
+        params = InterferometerParams(
+            r1=float(r1), r2=float(r2), mu=float(mu), eta=float(eta),
+            n_photons=float(10.0 ** rng.uniform(0.0, 30.0)),
+        )
+        mg1s, mg2c = oracle._mean_path(params, phase)
+        g1c, g1s, g2c, g2s = _propagate(params, phase, inputs.pop(), np.empty((_CHAIN_ROWS, 9)))
+        assert not g1c.any() and not g2s.any()
+        assert g1s.tobytes() == mg1s.tobytes() and g2c.tobytes() == mg2c.tobytes()
 
 
 def test_sampled_quadratures_match_closed_form_state(dashed_params):
@@ -810,8 +897,7 @@ def test_validate_keeps_nothing_allocated(solid_params):
 
 
 def test_kept_draws_are_read_only(solid_params, monkeypatch):
-    # the phases of a grid share one draw set, and the grid shares one mean
-    # path input, so no phase may write to either
+    # the phases of a grid share one draw set, so no phase may write to it
     received = []
 
     def recording(params, phi, fields, buf, measured_only=False):
@@ -828,7 +914,7 @@ def test_kept_draws_are_read_only(solid_params, monkeypatch):
         # the input beamsplitter
         laser = set(SPLIT_INPUTS + INTERNAL + EXTERNAL)
         assert [set(fields) for fields in received] == [laser] + [set(SPLIT_INPUTS)] * 2
-        for fields in received:
+        for fields in received[1:]:
             for values in fields.values():
                 with pytest.raises(ValueError, match="read-only"):
                     values[0] = 1.0
