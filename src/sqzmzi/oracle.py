@@ -351,13 +351,13 @@ def _moments_of(n1: np.ndarray, n2: np.ndarray) -> dict:
     return _ten_moments(mean1, mean2, var1, var2, cov12)
 
 
-def _pooled(table: np.ndarray, sizes: np.ndarray, offsets) -> dict:
-    """The ten moments (ddof = 1) of a whole sample, as floats, pooled from
-    its batches': ``table`` holds their moments, one row per moment in
+def _pooled(table: np.ndarray, sizes: np.ndarray) -> tuple:
+    """The means, variances and covariance (ddof = 1) of n1 and n2 over a
+    whole sample, in :func:`_ten_moments`' argument order, pooled from its
+    batches': ``table`` holds their moments, one row per moment in
     MOMENT_FIELDS order and one column per batch, and ``sizes`` their sample
-    counts.  The means are the batch means weighted by count, plus
-    ``offsets``, the constants (of n1, of n2) left out of the samples; each
-    centred sum of products is the batches' own, (count - 1) times their
+    counts.  The means are the batch means weighted by count; each centred
+    sum of products is the batches' own, (count - 1) times their
     (co)variance, plus count times the product of their means' deviations
     from the whole sample's.  Every sum is a pairwise np.add.reduce over the
     batches."""
@@ -372,8 +372,7 @@ def _pooled(table: np.ndarray, sizes: np.ndarray, offsets) -> dict:
         return np.add.reduce((sizes - 1.0) * moments[name] + sizes * x * y) / (n - 1.0)
 
     var1, var2 = centred("var_n1", d1, d1), centred("var_n2", d2, d2)
-    cov12 = centred("cov_n1n2", d1, d2)
-    return _ten_moments(mean1 + offsets[0], mean2 + offsets[1], var1, var2, cov12)
+    return mean1, mean2, var1, var2, centred("cov_n1n2", d1, d2)
 
 
 def _ten_moments(mean1, mean2, var1, var2, cov12) -> dict:
@@ -537,12 +536,13 @@ def _report(
             done += m
 
     # the batch stacks, in place; the full sample's moments are pooled from
-    # the batches'
+    # the batches', and the constant <g>^2/2 joins the means
     table = np.empty((len(photostats.MOMENT_FIELDS), N_BATCHES))
     for columns, span, length in stacks:
         batch_moments = _moments_of(n1[span].reshape(-1, length), n2[span].reshape(-1, length))
         table[:, columns] = [batch_moments[name] for name in photostats.MOMENT_FIELDS]
-    moments = _pooled(table, sizes, (0.5 * mg1s * mg1s, 0.5 * mg2c * mg2c))
+    mean1, mean2, *second = _pooled(table, sizes)
+    moments = _ten_moments(mean1 + 0.5 * mg1s * mg1s, mean2 + 0.5 * mg2c * mg2c, *second)
 
     # np.std squares the batch moments, and a variance's are squares already:
     # each row is scaled by a power of two near its largest |value| first, and
