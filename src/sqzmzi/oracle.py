@@ -446,8 +446,8 @@ def _reports(runs, config: OracleConfig) -> list[MomentReport]:
             end = start + height * length
             stacks.append((slice(column, column + height), slice(start, end), length))
             column, start = column + height, end
-    sizes = np.array([base + 1.0] * extra + [float(base)] * (N_BATCHES - extra))
-    scratch = n1, n2, buf, stacks, sizes
+    counts = np.array([base + 1.0] * extra + [float(base)] * (N_BATCHES - extra))
+    scratch = n1, n2, buf, stacks, counts
     reports = []
     drawn = draws = None
     linearized = config.linearized_mode
