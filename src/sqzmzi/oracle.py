@@ -500,7 +500,7 @@ def _report(
     mean: tuple[float, float],
 ) -> MomentReport:
     """The report of one phase: ``chunks`` yields its scaled draws, ``scratch``
-    holds n1, n2, the chain buffers, the batch stacks and the batch sizes
+    holds n1, n2, the chain buffers, the batch stacks and the batch counts
     (see :func:`_reports`), ``closed`` the closed forms and ``mean`` the mean
     fields (<g1s>, <g2c>).  With g = <g> + dg on each detector's measured
     quadrature, a sample holds N - <g>^2/2: <g> dg linearized, and
@@ -510,7 +510,7 @@ def _report(
     variance by more than the batch spread shows."""
     phase = Phase(phi)
     mg1s, mg2c = mean
-    n1, n2, buf, stacks, sizes = scratch
+    n1, n2, buf, stacks, counts = scratch
     done = 0
     for fields in chunks:
         size = next(iter(fields.values())).size
@@ -541,7 +541,7 @@ def _report(
     for columns, span, length in stacks:
         batch_moments = _moments_of(n1[span].reshape(-1, length), n2[span].reshape(-1, length))
         table[:, columns] = [batch_moments[name] for name in photostats.MOMENT_FIELDS]
-    mean1, mean2, *second = _pooled(table, sizes)
+    mean1, mean2, *second = _pooled(table, counts)
     moments = _ten_moments(mean1 + 0.5 * mg1s * mg1s, mean2 + 0.5 * mg2c * mg2c, *second)
 
     # np.std squares the batch moments, and a variance's are squares already:
