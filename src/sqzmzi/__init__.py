@@ -27,11 +27,7 @@ from .photostats import (
     transfer_gain,
     weighted_variance,
 )
-from .quadratures import (
-    QuadratureStats,
-    core_output_means,
-    detector_field_stats,
-)
+from .quadratures import QuadratureStats, detector_field_stats
 from .sensitivity import (
     SensitivityResult,
     apriori_tolerance,
@@ -61,7 +57,6 @@ __all__ = [
     "inefficiency",
     "validate",
     "QuadratureStats",
-    "core_output_means",
     "detector_field_stats",
     "PhotonStats",
     "photon_second_moments",

@@ -145,6 +145,11 @@ class InterferometerParams:
         if not 0.0 < n_photons <= float_info.max:
             raise ParameterError(f"n_photons must be > 0, got {_shown(n_photons)}")
         g2 = 1.0 + (technical_noise - 1.0) / n_photons
+        if g2 == math.inf:
+            raise ParameterError(
+                f"n_photons = {_shown(n_photons)} is too small for A = {_shown(technical_noise)}: "
+                "g2 = 1 + (A - 1)/N overflows"
+            )
         return cls(r1=r1, r2=r2, mu=mu, eta=eta, n_photons=n_photons, g2=g2)
 
     @property

@@ -11,10 +11,11 @@ Internal losses of both arms enter only through the symmetric/antisymmetric
 vacuum combinations m_+/- = (m_1 +/- m_2)/sqrt(2), which are again independent
 vacua; the external loss ports n_1, n_2 stay separate.
 
-The moments are closed forms written out entry by entry, one route only: it
-is the runtime cross-check of the photocount moments, and the tests hold it
-to a sampling-free pass of the oracle's stepwise chain, one input channel at
-a time.
+The moments are closed forms written out entry by entry, each detected entry
+in one step from the input variances, with no intermediate core state.  That
+is the one route: it is the runtime cross-check of the photocount moments,
+and the tests hold it to a sampling-free pass of the oracle's stepwise chain,
+one input channel at a time.
 """
 
 from __future__ import annotations
@@ -102,52 +103,29 @@ def _stack(entries: list, shape: tuple[int, ...]) -> np.ndarray:
     return flat.T.reshape(flat.shape[1:] + shape)
 
 
+def _grown(x: float, refusal: str) -> float:
+    """e^(2 x), or a ParameterError with ``refusal`` formatted with x where
+    that overflows: math.exp raises for a large finite 2 x, but gives inf once
+    2 x has overflowed itself."""
+    try:
+        grown = math.exp(2.0 * x)
+    except OverflowError:
+        grown = math.inf
+    if grown == math.inf:
+        raise ParameterError(refusal.format(_shown(x)))
+    return grown
+
+
 def _input_variances(params: InterferometerParams) -> tuple[float, float, float]:
     """Variances (var_a1c, var_a1s, var_z2c) of the parameter-dependent input
     noise quadratures: the anti-squeezed e^{+2 r1}/2 and squeezed e^{-2 r1}/2
     quadratures of the squeezer output, and the amplitude (excess) noise A/2
     of the bright input.  Every other input, the phase quadrature z2s of the
     bright input and every loss port, is at the VACUUM level."""
-    try:
-        var_a1c = 0.5 * math.exp(2.0 * params.r1)
-    except OverflowError:
-        raise ParameterError(
-            f"squeeze factor r1 = {_shown(params.r1)} is too large: the anti-squeezed "
-            "variance e^(2 r1)/2 overflows"
-        ) from None
+    var_a1c = 0.5 * _grown(
+        params.r1, "squeeze factor r1 = {} is too large: the anti-squeezed variance e^(2 r1)/2 overflows"
+    )
     return var_a1c, 0.5 * math.exp(-2.0 * params.r1), 0.5 * technical_noise_factor(params)
-
-
-def core_output_means(params: InterferometerParams, phi):
-    """Mean signal quadratures at the recombining beamsplitter outputs.
-
-    Returns (<e1s>, <e2c>) = sqrt(2 mu) alpha (sin(phi/2), cos(phi/2)), floats
-    at one phase and arrays over a 1-D array of phases; the orthogonal
-    quadratures e1c, e2s have zero mean.
-    """
-    phase = Phase(phi)
-    amp = math.sqrt(2.0 * params.mu) * params.alpha
-    return amp * phase.sin_half, amp * phase.cos_half
-
-
-def _core_variances(params: InterferometerParams, phase: Phase) -> dict:
-    """Closed forms, entry by entry, for the core second moments."""
-    var_a1c, var_a1s, var_z2c = _input_variances(params)
-    c, s = phase.cos_half, phase.sin_half
-    # squared by multiplication, which rounds alike on a float and a grid
-    c2 = c * c
-    s2 = s * s
-    sc = s * c
-    mu = params.mu
-    leak = (1.0 - mu) * VACUUM
-    return {
-        "var_e1c": mu * (var_a1c * c2 + VACUUM * s2) + leak,
-        "var_e1s": mu * (var_a1s * c2 + var_z2c * s2) + leak,
-        "var_e2c": mu * (var_a1s * s2 + var_z2c * c2) + leak,
-        "var_e2s": mu * (var_a1c * s2 + VACUUM * c2) + leak,
-        "cov_e1s_e2c": mu * sc * (var_z2c - var_a1s),
-        "cov_e1c_e2s": mu * sc * (var_a1c - VACUUM),
-    }
 
 
 def detector_field_stats(params: InterferometerParams, phi, extended: bool = False) -> QuadratureStats:
@@ -160,30 +138,35 @@ def detector_field_stats(params: InterferometerParams, phi, extended: bool = Fal
     of the detected modes.
     """
     phase = Phase(phi)
-    core = _core_variances(params, phase)
-    m1s, m2c = core_output_means(params, phase)
-    eta = params.eta
-    try:
-        amp2 = eta * math.exp(2.0 * params.r2)
-    except OverflowError:
-        raise ParameterError(f"amplifier gain r2 = {_shown(params.r2)} is too large: e^(2 r2) overflows") from None
-    deamp2 = eta * math.exp(-2.0 * params.r2)
-    leak = (1.0 - eta) * VACUUM
+    var_a1c, var_a1s, var_z2c = _input_variances(params)
+    mu, eta = params.mu, params.eta
+    amp2 = eta * _grown(params.r2, "amplifier gain r2 = {} is too large: e^(2 r2) overflows")
     gain = math.sqrt(eta) * math.exp(params.r2)
+    signal = math.sqrt(2.0 * mu) * params.alpha
+    c, s = phase.cos_half, phase.sin_half
+    # squared by multiplication, which rounds alike on a float and a grid
+    c2 = c * c
+    s2 = s * s
+    sc = s * c
+    # the vacuum each loss step admits: mu's before the amplifiers, eta's after;
+    # every entry is bracketed stage by stage, core first, which fixes its bits
+    core_leak = (1.0 - mu) * VACUUM
+    leak = (1.0 - eta) * VACUUM
 
-    var_g1s = amp2 * core["var_e1s"] + leak
-    var_g2c = amp2 * core["var_e2c"] + leak
-    cov_sig = amp2 * core["cov_e1s_e2c"]
-    mean_g1s = gain * m1s
-    mean_g2c = gain * m2c
+    var_g1s = amp2 * (mu * (var_a1s * c2 + var_z2c * s2) + core_leak) + leak
+    var_g2c = amp2 * (mu * (var_a1s * s2 + var_z2c * c2) + core_leak) + leak
+    cov_sig = amp2 * (mu * sc * (var_z2c - var_a1s))
+    mean_g1s = gain * (signal * s)
+    mean_g2c = gain * (signal * c)
 
     if not extended:
         cov = _stack([var_g1s, cov_sig, cov_sig, var_g2c], (2, 2))
         return QuadratureStats(DETECTOR_LABELS, _stack([mean_g1s, mean_g2c], (2,)), cov)
 
-    var_g1c = deamp2 * core["var_e1c"] + leak
-    var_g2s = deamp2 * core["var_e2s"] + leak
-    cov_orth = deamp2 * core["cov_e1c_e2s"]
+    deamp2 = eta * math.exp(-2.0 * params.r2)
+    var_g1c = deamp2 * (mu * (var_a1c * c2 + VACUUM * s2) + core_leak) + leak
+    var_g2s = deamp2 * (mu * (var_a1c * s2 + VACUUM * c2) + core_leak) + leak
+    cov_orth = deamp2 * (mu * sc * (var_a1c - VACUUM))
     # amplification keeps c and s uncorrelated, so the only nonzero cross terms
     # pair like quadratures of opposite ports
     zero = np.zeros_like(var_g1c)

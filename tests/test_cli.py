@@ -225,6 +225,8 @@ USAGE_MESSAGES = {
     ("validate", "--points", "2", "--oracle-samples", str(2**53)): "n_samples = 9007199254740992 is too large",
     ("report", "--r1-db", "1e308"): "its squeeze factor overflows",
     ("report", "--r2-db", "-1e308"): "its squeeze factor overflows",
+    ("validate", "--r1", "1e308", "--points", "2", "--oracle-samples", "64"): "r1 = 1e+308 is too large",
+    ("report", "--A", "3", "--n-photons", "1e-310"): "n_photons = 1e-310 is too small for A = 3.0",
 }
 
 
@@ -253,6 +255,8 @@ USAGE_MESSAGES = {
         ["validate", "--r2", "160", "--points", "2", "--oracle-samples", "64"],
         ["report", "--r1-db", "1e308"],
         ["report", "--r2-db", "-1e308"],
+        ["validate", "--r1", "1e308", "--points", "2", "--oracle-samples", "64"],
+        ["report", "--A", "3", "--n-photons", "1e-310"],
         # refused before the oracle allocates anything
         ["validate", "--oracle-samples", str(10**21)],
         ["validate", "--oracle-samples", str(2**53 + 1)],

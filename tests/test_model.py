@@ -96,6 +96,11 @@ def test_with_technical_noise_rejects_sub_coherent():
         InterferometerParams.with_technical_noise(10**400)
     with pytest.raises(ParameterError, match="n_photons must be > 0"):
         InterferometerParams.with_technical_noise(2.0, n_photons=10**400)
+    # g2 = 1 + (A - 1)/N overflows at a subnormal N: the refusal names the
+    # knobs the caller gave, not the g2 it never passed
+    message = r"n_photons = 1e-310 is too small for A = 3.0: g2 = 1 \+ \(A - 1\)/N overflows"
+    with pytest.raises(ParameterError, match=message):
+        InterferometerParams.with_technical_noise(3.0, n_photons=1e-310)
 
 
 def test_validation_messages_name_the_violation():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from sqzmzi import (
     InterferometerParams,
     ParameterError,
     QuadratureStats,
-    core_output_means,
     db_to_squeeze_factor,
     detector_field_stats,
 )
@@ -41,25 +41,36 @@ def test_input_noise_from_params():
     message = r"n_photons = 1e\+300 and g2 = 1e\+300 .* A = N\(g2 - 1\) \+ 1 overflows"
     with pytest.raises(ParameterError, match=message):
         _input_variances(InterferometerParams(n_photons=1e300, g2=1e300))
+    # past r1 = float_info.max/2 the doubled r1 is inf itself, where math.exp
+    # returns inf instead of raising
+    with pytest.raises(ParameterError, match=r"r1 = 1e\+308 is too large"):
+        _input_variances(InterferometerParams(r1=1e308))
+
+
+def _core_means(params: InterferometerParams, phi: float) -> tuple[float, float]:
+    """The core means (<e1s>, <e2c>): the detected means without the amplifiers
+    and the external loss, at r2 = 0 and eta = 1."""
+    stats = detector_field_stats(replace(params, r2=0.0, eta=1.0), phi)
+    return stats.mean_of("g1s"), stats.mean_of("g2c")
 
 
 def test_core_output_means_reference_points():
     params = InterferometerParams(n_photons=4.0)
-    m1s, m2c = core_output_means(params, 0.0)
+    m1s, m2c = _core_means(params, 0.0)
     assert m1s == 0.0
     assert math.isclose(m2c, 2.0 * math.sqrt(2.0), rel_tol=1e-12)
     # sqrt(2 mu) alpha sin(phi/2) = sqrt(2) * 2 * sin(pi/4) = 2
-    m1s, m2c = core_output_means(params, math.pi / 2.0)
+    m1s, m2c = _core_means(params, math.pi / 2.0)
     assert math.isclose(m1s, 2.0, rel_tol=1e-12)
     assert math.isclose(m2c, 2.0, rel_tol=1e-12)
-    m1s, m2c = core_output_means(params, math.pi)
+    m1s, m2c = _core_means(params, math.pi)
     assert math.isclose(m1s, 2.0 * math.sqrt(2.0), rel_tol=1e-12)
     assert abs(m2c) < 1e-12
 
 
 def test_core_output_means_scale_with_loss():
     params = InterferometerParams(mu=0.5, n_photons=100.0)
-    m1s, _ = core_output_means(params, math.pi)
+    m1s, _ = _core_means(params, math.pi)
     assert math.isclose(m1s, 10.0, rel_tol=1e-12)  # sqrt(2 * 0.5) * 10
 
 
@@ -101,10 +112,10 @@ def test_detector_means_carry_the_fringe():
     params = InterferometerParams(mu=0.9, eta=0.8, r2=0.4, n_photons=1e4)
     phi = 0.8
     gain = math.sqrt(params.eta) * math.exp(params.r2)
-    m1s, m2c = core_output_means(params, phi)
+    amp = math.sqrt(2.0 * params.mu) * params.alpha
     stats = detector_field_stats(params, phi)
-    assert math.isclose(stats.mean_of("g1s"), gain * m1s, rel_tol=1e-12)
-    assert math.isclose(stats.mean_of("g2c"), gain * m2c, rel_tol=1e-12)
+    assert math.isclose(stats.mean_of("g1s"), gain * amp * math.sin(phi / 2.0), rel_tol=1e-12)
+    assert math.isclose(stats.mean_of("g2c"), gain * amp * math.cos(phi / 2.0), rel_tol=1e-12)
 
 
 def test_detector_cross_covariance_vanishes_at_fringe_extrema(solid_params):
