@@ -9,6 +9,7 @@ package: phases in radians, squeeze factors as natural-log amplitude gains
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -67,6 +68,25 @@ def _per_phase(fn, phi):
     if isinstance(phi, np.ndarray) and phi.ndim:
         return np.fromiter(map(fn, phi.tolist()), float, phi.size)
     return fn(phi)
+
+
+# The two helpers below let one comparison serve a float and a grid; on plain
+# floats they stay in Python, where numpy's dispatch would cost more than the
+# comparison itself.
+
+
+def _largest(*values):
+    """Elementwise maximum of floats and arrays over one grid."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            return functools.reduce(np.maximum, values)
+    return max(values)
+
+
+def _anywhere(condition) -> bool:
+    """Whether ``condition``, a bool or a boolean array over a grid, holds
+    at any point."""
+    return bool(condition.any()) if isinstance(condition, np.ndarray) else bool(condition)
 
 
 class Phase:

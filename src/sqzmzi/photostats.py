@@ -12,7 +12,8 @@ finite float or 1-D grid (else ``ParameterError``), through
 phase-independent moment stays a float).
 
 Every second moment is computed twice: from the compact closed form and by
-propagating the detector quadrature statistics, or from the per-detector
+propagating the detector quadrature statistics (the mean, variance and
+covariance entries of the measured pair (g1s, g2c)), or from the per-detector
 moments.  The two routes must agree to near machine precision; a
 disagreement raises, since it can only mean an internal coding error.  Over a
 grid each check runs once, on all its points.
@@ -20,14 +21,13 @@ grid each check runs once, on all its points.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 from sys import float_info
 
 import numpy as np
 
-from .model import InterferometerParams, ParameterError, Phase, _require_normal, _shown
+from .model import InterferometerParams, ParameterError, Phase, _anywhere, _largest, _require_normal, _shown
 from .model import inefficiency, technical_noise_factor
 from .quadratures import detector_field_stats
 
@@ -56,25 +56,6 @@ def _require_close(name: str, a, b, floor: float, rtol: float = CONSISTENCY_RTOL
         i = int(np.argmin(ok))
         a, b = (float(np.broadcast_to(v, np.shape(ok)).flat[i]) for v in (a, b))
         raise ConsistencyError(f"{name}: {a!r} vs {b!r} differ beyond tolerance")
-
-
-# The two helpers below let one comparison serve a float and a grid; on plain
-# floats they stay in Python, where numpy's dispatch would cost more than the
-# comparison itself.
-
-
-def _largest(*values):
-    """Elementwise maximum of floats and arrays over one grid."""
-    for v in values:
-        if isinstance(v, np.ndarray):
-            return functools.reduce(np.maximum, values)
-    return max(values)
-
-
-def _anywhere(condition) -> bool:
-    """Whether ``condition``, a bool or a boolean array over a grid, holds
-    at any point."""
-    return bool(condition.any()) if isinstance(condition, np.ndarray) else bool(condition)
 
 
 @dataclass(frozen=True)
@@ -200,10 +181,10 @@ def photon_stats(params: InterferometerParams, phi) -> PhotonStats:
 
     # independent route: <N> = <g>^2/2, Var N = <g>^2 Var(dg), Cov likewise
     det = detector_field_stats(params, phase)
-    m1, m2 = det.mean_of("g1s"), det.mean_of("g2c")
-    _require_close("var_n1", v1, m1 * m1 * det.variance("g1s"), floor)
-    _require_close("var_n2", v2, m2 * m2 * det.variance("g2c"), floor)
-    _require_close("cov_n1n2", c12, m1 * m2 * det.covariance("g1s", "g2c"), floor)
+    m1, m2 = det.mean_g1s, det.mean_g2c
+    _require_close("var_n1", v1, m1 * m1 * det.var_g1s, floor)
+    _require_close("var_n2", v2, m2 * m2 * det.var_g2c, floor)
+    _require_close("cov_n1n2", c12, m1 * m2 * det.cov_g1s_g2c, floor)
 
     var_plus = scale * (excess + eps2)
     var_minus = scale * (squeezed * (phase.sin * phase.sin) + excess * cs * cs + eps2)

@@ -11,21 +11,26 @@ Internal losses of both arms enter only through the symmetric/antisymmetric
 vacuum combinations m_+/- = (m_1 +/- m_2)/sqrt(2), which are again independent
 vacua; the external loss ports n_1, n_2 stay separate.
 
-The moments are closed forms written out entry by entry, each detected entry
-in one step from the input variances, with no intermediate core state.  That
-is the one route: it is the runtime cross-check of the photocount moments,
-and the tests hold it to a sampling-free pass of the oracle's stepwise chain,
-one input channel at a time.
+The amplifiers keep the c and s quadratures of each port apart, so the
+detected state is two uncoupled 2 x 2 blocks, (g1s, g2c) and (g1c, g2s), and
+:class:`QuadratureStats` holds it as their named entries.  The moments are
+closed forms written out entry by entry, each detected entry in one step from
+the input variances, with no intermediate core state.  That is the one
+route: it is the runtime cross-check of the photocount moments, and the tests
+hold it to a sampling-free pass of the oracle's stepwise chain, one input
+channel at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
-from .model import InterferometerParams, ParameterError, Phase, _shown, technical_noise_factor
+from .model import InterferometerParams, ParameterError, Phase, _anywhere, _largest, _shown
+from .model import technical_noise_factor
 
 PSD_TOL = 1e-10
 
@@ -33,74 +38,53 @@ PSD_TOL = 1e-10
 # never enters the measured linearized observables) and every loss port
 VACUUM = 0.5
 
-DETECTOR_LABELS = ("g1s", "g2c")
-DETECTOR_LABELS_EXTENDED = ("g1c", "g1s", "g2c", "g2s")
-
 
 @dataclass(frozen=True)
 class QuadratureStats:
-    """Mean vector and covariance matrix of a set of labeled quadratures.
+    """Gaussian state of the detected quadratures, entry by entry.
 
-    Over a grid of working points the grid is the leading axis, mean (m, n)
-    and cov (m, n, n); the accessors then return arrays over the grid, and
-    symmetry and positive semidefiniteness are checked point by point, each
-    against its own point's scale, in one batched pass.
+    The amplifiers keep the c and s quadratures of each port apart, so the
+    state is two uncoupled 2 x 2 blocks: the measured pair (g1s, g2c), with
+    its means, and the deamplified pair (g1c, g2s), whose means are zero and
+    which only ``extended=True`` fills in (else its fields are None).  Each
+    field is a float at one phase, or a read-only array over a grid, where
+    every entry is checked at every point, against its own point's scale.
     """
 
-    labels: tuple[str, ...]
-    mean: np.ndarray
-    cov: np.ndarray
+    mean_g1s: float | np.ndarray
+    mean_g2c: float | np.ndarray
+    var_g1s: float | np.ndarray
+    var_g2c: float | np.ndarray
+    cov_g1s_g2c: float | np.ndarray
+    var_g1c: float | np.ndarray | None = None
+    var_g2s: float | np.ndarray | None = None
+    cov_g1c_g2s: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        n = len(self.labels)
-        if mean.shape[-1:] != (n,):
-            raise ValueError(f"mean shape {mean.shape} does not match {n} labels")
-        if cov.shape != mean.shape + (n,):
-            raise ValueError(f"cov shape {cov.shape} does not match {n} labels")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ParameterError(f"the moments of {self.labels} must be finite")
-        if n:
-            tol = PSD_TOL * np.maximum(1.0, abs(cov).max(axis=(-2, -1)))
-            # np.allclose(cov, cov^T, rtol=0, atol=tol) spelled out: its
-            # generality costs more than the whole check on a 2 x 2 matrix
-            cov_t = cov.swapaxes(-2, -1)
-            if not ((abs(cov - cov_t) <= tol[..., None, None]) | (cov == cov_t)).all():
-                raise ValueError("covariance matrix is not symmetric")
-            if (np.linalg.eigvalsh(cov).min(axis=-1) < -tol).any():
+        blocks = [(self.var_g1s, self.cov_g1s_g2c, self.var_g2c)]
+        if self.var_g1c is not None:
+            blocks.append((self.var_g1c, self.cov_g1c_g2s, self.var_g2s))
+        entries = [self.mean_g1s, self.mean_g2c, *(x for block in blocks for x in block)]
+        # an entry that is nan or infinite
+        if any(_anywhere((x != x) | (abs(x) > float_info.max)) for x in entries):
+            raise ParameterError("the moments of the detected quadratures must be finite")
+        # each block's eigenvalue in units of the largest |entry| (at least
+        # 1), so PSD_TOL is taken of that scale and no sum overflows where
+        # the entries do not
+        scale = _largest(1.0, *(abs(x) for block in blocks for x in block))
+        for a, b, d in blocks:
+            if _anywhere(_smallest_eigenvalue(a / scale, b / scale, d / scale) < -PSD_TOL):
                 raise ValueError("covariance matrix is not positive semidefinite")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    def _index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown quadrature label {label!r}") from None
-
-    def mean_of(self, label: str):
-        return _float_or_grid(self.mean[..., self._index(label)])
-
-    def variance(self, label: str):
-        i = self._index(label)
-        return _float_or_grid(self.cov[..., i, i])
-
-    def covariance(self, label_a: str, label_b: str):
-        return _float_or_grid(self.cov[..., self._index(label_a), self._index(label_b)])
+        for x in entries:
+            if isinstance(x, np.ndarray):
+                x.setflags(write=False)
 
 
-def _float_or_grid(x):
-    return float(x) if x.ndim == 0 else x
-
-
-def _stack(entries: list, shape: tuple[int, ...]) -> np.ndarray:
-    """``entries``, all floats or all arrays over one grid, in row-major order
-    as an array of ``shape`` behind the grid axis."""
-    flat = np.array(entries)
-    return flat.T.reshape(flat.shape[1:] + shape)
+def _smallest_eigenvalue(a, b, d):
+    """Smallest eigenvalue of the symmetric block [[a, b], [b, d]], a float or
+    elementwise over a grid."""
+    hypot = np.hypot if isinstance(b, np.ndarray) else math.hypot
+    return (a + d) / 2.0 - hypot((a - d) / 2.0, b)
 
 
 def _grown(x: float, refusal: str) -> float:
@@ -153,31 +137,21 @@ def detector_field_stats(params: InterferometerParams, phi, extended: bool = Fal
     core_leak = (1.0 - mu) * VACUUM
     leak = (1.0 - eta) * VACUUM
 
-    var_g1s = amp2 * (mu * (var_a1s * c2 + var_z2c * s2) + core_leak) + leak
-    var_g2c = amp2 * (mu * (var_a1s * s2 + var_z2c * c2) + core_leak) + leak
-    cov_sig = amp2 * (mu * sc * (var_z2c - var_a1s))
-    mean_g1s = gain * (signal * s)
-    mean_g2c = gain * (signal * c)
-
-    if not extended:
-        cov = _stack([var_g1s, cov_sig, cov_sig, var_g2c], (2, 2))
-        return QuadratureStats(DETECTOR_LABELS, _stack([mean_g1s, mean_g2c], (2,)), cov)
-
-    deamp2 = eta * math.exp(-2.0 * params.r2)
-    var_g1c = deamp2 * (mu * (var_a1c * c2 + VACUUM * s2) + core_leak) + leak
-    var_g2s = deamp2 * (mu * (var_a1c * s2 + VACUUM * c2) + core_leak) + leak
-    cov_orth = deamp2 * (mu * sc * (var_a1c - VACUUM))
-    # amplification keeps c and s uncorrelated, so the only nonzero cross terms
-    # pair like quadratures of opposite ports
-    zero = np.zeros_like(var_g1c)
-    cov = _stack(
-        [
-            var_g1c, zero, zero, cov_orth,
-            zero, var_g1s, cov_sig, zero,
-            zero, cov_sig, var_g2c, zero,
-            cov_orth, zero, zero, var_g2s,
-        ],
-        (4, 4),
-    )
-    mean = _stack([zero, mean_g1s, mean_g2c, zero], (4,))
-    return QuadratureStats(DETECTOR_LABELS_EXTENDED, mean, cov)
+    # an amplified entry that overflows on a grid is inf without numpy's
+    # warning, and the finite check refuses it as it does at one phase
+    with np.errstate(over="ignore"):
+        entries = dict(
+            mean_g1s=gain * (signal * s),
+            mean_g2c=gain * (signal * c),
+            var_g1s=amp2 * (mu * (var_a1s * c2 + var_z2c * s2) + core_leak) + leak,
+            var_g2c=amp2 * (mu * (var_a1s * s2 + var_z2c * c2) + core_leak) + leak,
+            cov_g1s_g2c=amp2 * (mu * sc * (var_z2c - var_a1s)),
+        )
+        if extended:
+            deamp2 = eta * math.exp(-2.0 * params.r2)
+            entries.update(
+                var_g1c=deamp2 * (mu * (var_a1c * c2 + VACUUM * s2) + core_leak) + leak,
+                var_g2s=deamp2 * (mu * (var_a1c * s2 + VACUUM * c2) + core_leak) + leak,
+                cov_g1c_g2s=deamp2 * (mu * sc * (var_a1c - VACUUM)),
+            )
+    return QuadratureStats(**entries)

@@ -84,6 +84,27 @@ def chain_state(params: InterferometerParams, phi: float):
     return mean, columns @ columns.T, columns
 
 
+def state_matrices(stats):
+    """(mean, cov) of a detected state laid out as a vector and a matrix, over
+    (g1s, g2c), or over chain_state's rows (g1c, g1s, g2c, g2s) for an
+    extended state, whose orthogonal pair has zero means; over a grid the
+    grid is the leading axis."""
+    cross = stats.cov_g1s_g2c
+    if stats.var_g1c is None:
+        mean = [stats.mean_g1s, stats.mean_g2c]
+        cov = [[stats.var_g1s, cross], [cross, stats.var_g2c]]
+    else:
+        zero, orth = np.zeros_like(cross), stats.cov_g1c_g2s
+        mean = [zero, stats.mean_g1s, stats.mean_g2c, zero]
+        cov = [
+            [stats.var_g1c, zero, zero, orth],
+            [zero, stats.var_g1s, cross, zero],
+            [zero, cross, stats.var_g2c, zero],
+            [orth, zero, zero, stats.var_g2s],
+        ]
+    return np.moveaxis(np.array(mean), 0, -1), np.moveaxis(np.array(cov), (0, 1), (-2, -1))
+
+
 def core_state(params: InterferometerParams, phi: float):
     """:func:`chain_state` without the amplifiers and the external loss: at
     r2 = 0 and eta = 1 the detected quadratures are the recombining

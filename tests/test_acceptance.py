@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from scipy.optimize import brentq, minimize_scalar
 
-from conftest import R1_10DB, core_state, interferometer_params, mean_slope, midpoint_grid, phases
+from conftest import R1_10DB, core_state, interferometer_params, mean_slope, midpoint_grid, phases, state_matrices
 from sqzmzi.model import InterferometerParams, Strategy
 from sqzmzi.oracle import OracleConfig, linearization_error, run
 from sqzmzi.photostats import (
@@ -227,6 +227,6 @@ def test_criterion_8_algebraic_identities(params, phi):
     _, core, _ = core_state(params, phi)
     eig_core = np.linalg.eigvalsh(core)
     assert eig_core.min() >= -1e-10 * max(eig_core.max(), 1.0)
-    detected = detector_field_stats(params, phi, extended=True)
-    eig_det = np.linalg.eigvalsh(detected.cov)
+    _, detected = state_matrices(detector_field_stats(params, phi, extended=True))
+    eig_det = np.linalg.eigvalsh(detected)
     assert eig_det.min() >= -1e-10 * max(eig_det.max(), 1.0)

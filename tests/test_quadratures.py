@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_state, core_state, interferometer_params, midpoint_grid, phases
+from conftest import chain_state, core_state, interferometer_params, midpoint_grid, phases, state_matrices
 from sqzmzi import (
     InterferometerParams,
     ParameterError,
@@ -19,7 +19,7 @@ from sqzmzi import (
     detector_field_stats,
 )
 from sqzmzi.oracle import CHANNELS
-from sqzmzi.quadratures import _input_variances
+from sqzmzi.quadratures import _input_variances, _smallest_eigenvalue
 
 R1_10DB = db_to_squeeze_factor(10.0)
 
@@ -51,7 +51,7 @@ def _core_means(params: InterferometerParams, phi: float) -> tuple[float, float]
     """The core means (<e1s>, <e2c>): the detected means without the amplifiers
     and the external loss, at r2 = 0 and eta = 1."""
     stats = detector_field_stats(replace(params, r2=0.0, eta=1.0), phi)
-    return stats.mean_of("g1s"), stats.mean_of("g2c")
+    return stats.mean_g1s, stats.mean_g2c
 
 
 def test_core_output_means_reference_points():
@@ -104,8 +104,8 @@ def test_core_noise_cross_covariance_at_quadrature_point(solid_params):
 def test_detector_variance_normalized_example(solid_params):
     # e^{2 r1} = 10, lossless, A = 1, phi = pi/2: Var(dg1s)/(G^2/2) = 0.55
     stats = detector_field_stats(solid_params, math.pi / 2.0)
-    assert math.isclose(stats.variance("g1s") / 0.5, 0.55, rel_tol=1e-9)
-    assert math.isclose(stats.variance("g2c") / 0.5, 0.55, rel_tol=1e-9)
+    assert math.isclose(stats.var_g1s / 0.5, 0.55, rel_tol=1e-9)
+    assert math.isclose(stats.var_g2c / 0.5, 0.55, rel_tol=1e-9)
 
 
 def test_detector_means_carry_the_fringe():
@@ -114,47 +114,44 @@ def test_detector_means_carry_the_fringe():
     gain = math.sqrt(params.eta) * math.exp(params.r2)
     amp = math.sqrt(2.0 * params.mu) * params.alpha
     stats = detector_field_stats(params, phi)
-    assert math.isclose(stats.mean_of("g1s"), gain * amp * math.sin(phi / 2.0), rel_tol=1e-12)
-    assert math.isclose(stats.mean_of("g2c"), gain * amp * math.cos(phi / 2.0), rel_tol=1e-12)
+    assert math.isclose(stats.mean_g1s, gain * amp * math.sin(phi / 2.0), rel_tol=1e-12)
+    assert math.isclose(stats.mean_g2c, gain * amp * math.cos(phi / 2.0), rel_tol=1e-12)
 
 
 def test_detector_cross_covariance_vanishes_at_fringe_extrema(solid_params):
     for phi in (0.0, math.pi):
         stats = detector_field_stats(solid_params, phi)
-        assert abs(stats.covariance("g1s", "g2c")) < 1e-12
+        assert abs(stats.cov_g1s_g2c) < 1e-12
 
 
 def test_detector_cross_covariance_is_odd_in_phi(solid_params):
     for phi in midpoint_grid(7):
         plus = detector_field_stats(solid_params, phi)
         minus = detector_field_stats(solid_params, -phi)
-        assert math.isclose(
-            plus.covariance("g1s", "g2c"), -minus.covariance("g1s", "g2c"), rel_tol=1e-12
-        )
-        assert math.isclose(plus.variance("g1s"), minus.variance("g1s"), rel_tol=1e-12)
+        assert math.isclose(plus.cov_g1s_g2c, -minus.cov_g1s_g2c, rel_tol=1e-12)
+        assert math.isclose(plus.var_g1s, minus.var_g1s, rel_tol=1e-12)
 
 
 def test_extended_stats_expose_the_deamplified_pair():
     params = InterferometerParams(r1=0.5, r2=0.7, mu=0.9, eta=0.85, n_photons=1e4)
     phi = 1.1
     stats = detector_field_stats(params, phi, extended=True)
-    assert stats.labels == ("g1c", "g1s", "g2c", "g2s")
-    assert stats.mean_of("g1c") == 0.0 and stats.mean_of("g2s") == 0.0
+    assert detector_field_stats(params, phi).var_g1c is None
     # amplified quadratures grow, orthogonal ones shrink, relative to r2 = 0
     flat = detector_field_stats(
         InterferometerParams(r1=0.5, r2=0.0, mu=0.9, eta=0.85, n_photons=1e4),
         phi,
         extended=True,
     )
-    assert stats.variance("g1s") > flat.variance("g1s")
-    assert stats.variance("g1c") < flat.variance("g1c")
+    assert stats.var_g1s > flat.var_g1s
+    assert stats.var_g1c < flat.var_g1c
 
 
 def test_ideal_chain_preserves_vacuum_everywhere():
     params = InterferometerParams(n_photons=100.0)  # r1 = r2 = 0, mu = eta = 1, A = 1
     for phi in midpoint_grid(11):
-        stats = detector_field_stats(params, phi, extended=True)
-        assert np.allclose(stats.cov, 0.5 * np.eye(4), atol=1e-14)
+        _, cov = state_matrices(detector_field_stats(params, phi, extended=True))
+        assert np.allclose(cov, 0.5 * np.eye(4), atol=1e-14)
 
 
 def test_bright_port_phase_noise_never_reaches_the_measured_pair():
@@ -200,18 +197,18 @@ def test_detector_stats_compose_core_with_output_map():
     for params in cases:
         for phi in midpoint_grid(10):
             composed = _compose_through_output_stage(params, phi)
-            direct = detector_field_stats(params, phi, extended=True)
+            _, direct = state_matrices(detector_field_stats(params, phi, extended=True))
             scale = max(1.0, float(np.max(np.abs(composed))))
-            assert np.allclose(direct.cov, composed, rtol=0.0, atol=1e-12 * scale)
+            assert np.allclose(direct, composed, rtol=0.0, atol=1e-12 * scale)
 
 
 @settings(max_examples=150)
 @given(interferometer_params(), phases)
 def test_composition_consistency_property(params, phi):
     composed = _compose_through_output_stage(params, phi)
-    direct = detector_field_stats(params, phi, extended=True)
+    _, direct = state_matrices(detector_field_stats(params, phi, extended=True))
     scale = max(1.0, float(np.max(np.abs(composed))))
-    assert np.allclose(direct.cov, composed, rtol=0.0, atol=1e-12 * scale)
+    assert np.allclose(direct, composed, rtol=0.0, atol=1e-12 * scale)
 
 
 def _assert_matches_chain(params, phi):
@@ -219,11 +216,11 @@ def _assert_matches_chain(params, phi):
     covariance, each to 1e-12 of max(1, its largest |entry|); returns the
     chain's columns and the two covariances."""
     mean, cov, columns = chain_state(params, phi)
-    direct = detector_field_stats(params, phi, extended=True)
-    for closed, chain in ((direct.mean, mean), (direct.cov, cov)):
+    direct_mean, direct_cov = state_matrices(detector_field_stats(params, phi, extended=True))
+    for closed, chain in ((direct_mean, mean), (direct_cov, cov)):
         scale = max(1.0, float(np.max(np.abs(chain))))
         assert np.allclose(closed, chain, rtol=0.0, atol=1e-12 * scale), (closed, chain)
-    return columns, cov, direct.cov
+    return columns, cov, direct_cov
 
 
 @settings(max_examples=300)
@@ -255,28 +252,65 @@ def test_covariances_positive_semidefinite_on_dense_grid():
     )
     for i in range(100):
         phi = -2.0 * math.pi + i * (4.0 * math.pi / 99.0)
-        for cov in (core_state(params, phi)[1], detector_field_stats(params, phi, extended=True).cov):
+        for cov in (core_state(params, phi)[1], state_matrices(detector_field_stats(params, phi, extended=True))[1]):
             scale = max(1.0, float(np.max(np.abs(cov))))
             assert float(np.linalg.eigvalsh(cov).min()) >= -1e-10 * scale
 
 
-def test_quadrature_stats_validation():
-    good = QuadratureStats(("a", "b"), np.zeros(2), np.eye(2))
-    assert good.variance("a") == 1.0
-    assert good.covariance("a", "b") == 0.0
-    with pytest.raises(KeyError):
-        good.variance("c")
-    with pytest.raises(ValueError, match="mean shape"):
-        QuadratureStats(("a", "b"), np.zeros(3), np.eye(2))
-    with pytest.raises(ValueError, match="cov shape"):
-        QuadratureStats(("a", "b"), np.zeros(2), np.eye(3))
-    with pytest.raises(ValueError, match="symmetric"):
-        QuadratureStats(("a", "b"), np.zeros(2), np.array([[1.0, 0.5], [0.1, 1.0]]))
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        QuadratureStats(("a", "b"), np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+@settings(max_examples=300)
+@given(*[st.floats(-1e6, 1e6, allow_subnormal=False)] * 3)
+def test_closed_form_eigenvalue_of_random_blocks(a, b, d):
+    scale = max(abs(a), abs(b), abs(d))
+    closed = _smallest_eigenvalue(a, b, d)
+    assert abs(closed - np.linalg.eigvalsh([[a, b], [b, d]])[0]) <= 1e-12 * scale
+
+
+@settings(max_examples=100)
+@given(interferometer_params(), phases)
+def test_closed_form_eigenvalue_of_detected_blocks(params, phi):
+    # at one phase, and over a grid, each point against its own block's scale
+    for at in (phi, [0.3, phi, 2.0]):
+        stats = detector_field_stats(params, at, extended=True)
+        for a, b, d in (
+            (stats.var_g1s, stats.cov_g1s_g2c, stats.var_g2c),
+            (stats.var_g1c, stats.cov_g1c_g2s, stats.var_g2s),
+        ):
+            block = np.moveaxis(np.array([[a, b], [b, d]]), (0, 1), (-2, -1))
+            scale = np.abs(block).max(axis=(-2, -1))
+            exact = np.linalg.eigvalsh(block)[..., 0]
+            assert np.all(abs(_smallest_eigenvalue(a, b, d) - exact) <= 1e-12 * scale)
+
+
+def _measured(var_g1s, cov_g1s_g2c, var_g2c) -> QuadratureStats:
+    """A state of the measured pair with zero means and the given block."""
+    return QuadratureStats(0.0, 0.0, var_g1s, var_g2c, cov_g1s_g2c)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        # the deamplified block at one phase: eigenvalues 3 and -1
+        (
+            lambda: replace(_measured(1.0, 0.0, 1.0), var_g1c=1.0, var_g2s=1.0, cov_g1c_g2s=2.0),
+            ValueError,
+            "positive semidefinite",
+        ),
+        # the measured block at the middle point of a grid
+        (
+            lambda: _measured(np.ones(3), np.array([0.0, 2.0, 0.0]), np.ones(3)),
+            ValueError,
+            "positive semidefinite",
+        ),
+        (lambda: _measured(1.0, math.nan, 1.0), ParameterError, "finite"),
+    ],
+    ids=["block-at-one-phase", "block-at-one-grid-point", "nan-entry"],
+)
+def test_quadrature_stats_refusals(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_quadrature_stats_arrays_are_read_only():
-    stats = detector_field_stats(InterferometerParams(), 0.3)
+    stats = detector_field_stats(InterferometerParams(), [0.3, 0.6])
     with pytest.raises(ValueError):
-        stats.cov[0, 0] = 99.0
+        stats.var_g1s[0] = 99.0
