@@ -34,7 +34,7 @@ from .model import (
     ParameterError,
     Strategy,
     StrategyKind,
-    _shown,
+    _real,
     db_to_squeeze_factor,
     inefficiency,
     squeeze_factor_to_db,
@@ -254,20 +254,17 @@ def _params_from(ctx: click.Context, values: dict) -> InterferometerParams:
         _one_of(flags, "command line")
         if flags:
             values[_SIBLING[flags[0]]] = None
-    try:
-        for r in ("r1", "r2"):
-            if values[f"{r}_db"] is not None:
-                values[r] = db_to_squeeze_factor(values[f"{r}_db"])
-        kwargs = {
-            f.name: values[f.name]
-            for f in fields(InterferometerParams)
-            if values[f.name] is not None
-        }
-        if values["a_factor"] is not None:
-            return InterferometerParams.with_technical_noise(values["a_factor"], **kwargs)
-        return InterferometerParams(**kwargs)
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from exc
+    for r in ("r1", "r2"):
+        if values[f"{r}_db"] is not None:
+            values[r] = db_to_squeeze_factor(values[f"{r}_db"])
+    kwargs = {
+        f.name: values[f.name]
+        for f in fields(InterferometerParams)
+        if values[f.name] is not None
+    }
+    if values["a_factor"] is not None:
+        return InterferometerParams.with_technical_noise(values["a_factor"], **kwargs)
+    return InterferometerParams(**kwargs)
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -306,10 +303,23 @@ def _param_options(f):
     return f
 
 
+class _Command(click.Command):
+    """A command that turns a :class:`ParameterError` into a usage error."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ParameterError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="sqzmzi")
 def main() -> None:
     """Phase sensitivity of a squeezing-assisted Mach-Zehnder interferometer."""
+
+
+main.command_class = _Command
 
 
 @main.command(name="sweep")
@@ -334,14 +344,11 @@ def sweep_cmd(ctx, phi_start, phi_end, points, strategy, phi_apr, format, output
         raise click.UsageError("at least one strategy is required")
     if "suboptimal" in strategy and phi_apr is None:
         raise click.UsageError("the suboptimal strategy needs --phi-apr")
-    try:
-        strategies = tuple(
-            Strategy(StrategyKind(name), phi_apr if name == "suboptimal" else None)
-            for name in strategy
-        )
-        grids = sweep(params, _grid(phi_start, phi_end, points), strategies)
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from exc
+    strategies = tuple(
+        Strategy(StrategyKind(name), phi_apr if name == "suboptimal" else None)
+        for name in strategy
+    )
+    grids = sweep(params, _grid(phi_start, phi_end, points), strategies)
     _write_output(render_csv(grids) if format == "csv" else render_json(grids), output)
 
 
@@ -355,36 +362,33 @@ def sweep_cmd(ctx, phi_start, phi_end, points, strategy, phi_apr, format, output
 def report_cmd(ctx, implied_gain_db, format, output, **values):
     """Summarize the design quantities of one parameter set."""
     params = _params_from(ctx, values)
-    try:
-        floor = dphi_min(params)
-        shot = snl(params.n_photons)
-        gain_db = -20.0 * math.log10(floor / shot)
-        quantities = {
-            "r1": params.r1,
-            "r1_db": squeeze_factor_to_db(params.r1),
-            "r2": params.r2,
-            "r2_db": squeeze_factor_to_db(params.r2),
-            "mu": params.mu,
-            "eta": params.eta,
-            "n_photons": params.n_photons,
-            "g2": params.g2,
-            "technical_noise_factor": technical_noise_factor(params),
-            "eps2": inefficiency(params),
-            "dphi_snl": shot,
-            "dphi_min": floor,
-            "dphi_min_normalized": floor / shot,
-            "sensitivity_gain_db": gain_db,
-            "k_factor": k_factor(params),
-            "fwhm_single": fwhm(Strategy.single(), params),
-            "fwhm_single_approx": fwhm_approx(Strategy.single(), params),
-            "fwhm_differential": fwhm(Strategy.differential(), params),
-            "fwhm_differential_approx": fwhm_approx(Strategy.differential(), params),
-            "apriori_tolerance": apriori_tolerance(params),
-        }
-        if implied_gain_db is not None:
-            quantities["implied_eps2"] = implied_inefficiency(params.r1, implied_gain_db)
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from exc
+    floor = dphi_min(params)
+    shot = snl(params.n_photons)
+    gain_db = -20.0 * math.log10(floor / shot)
+    quantities = {
+        "r1": params.r1,
+        "r1_db": squeeze_factor_to_db(params.r1),
+        "r2": params.r2,
+        "r2_db": squeeze_factor_to_db(params.r2),
+        "mu": params.mu,
+        "eta": params.eta,
+        "n_photons": params.n_photons,
+        "g2": params.g2,
+        "technical_noise_factor": technical_noise_factor(params),
+        "eps2": inefficiency(params),
+        "dphi_snl": shot,
+        "dphi_min": floor,
+        "dphi_min_normalized": floor / shot,
+        "sensitivity_gain_db": gain_db,
+        "k_factor": k_factor(params),
+        "fwhm_single": fwhm(Strategy.single(), params),
+        "fwhm_single_approx": fwhm_approx(Strategy.single(), params),
+        "fwhm_differential": fwhm(Strategy.differential(), params),
+        "fwhm_differential_approx": fwhm_approx(Strategy.differential(), params),
+        "apriori_tolerance": apriori_tolerance(params),
+    }
+    if implied_gain_db is not None:
+        quantities["implied_eps2"] = implied_inefficiency(params.r1, implied_gain_db)
     if format == "json":
         text = json.dumps(quantities, indent=2) + "\n"
     else:
@@ -434,18 +438,14 @@ def validate_cmd(ctx, phi_start, phi_end, points, oracle_samples, seed, mode,
                  z_threshold, **values):
     """Check the closed-form moments against the Monte-Carlo oracle."""
     params = _params_from(ctx, values)
-    try:
-        phis = _grid(phi_start, phi_end, points)
-        config = OracleConfig(
-            n_samples=oracle_samples,
-            seed=seed,
-            linearized_mode=(mode == "linearized"),
-        )
-        if not (math.isfinite(z_threshold) and z_threshold > 0.0):
-            raise ParameterError(f"z threshold must be > 0, got {_shown(z_threshold)}")
-        reports = oracle_mod.run(params, phis, config)
-    except ParameterError as exc:
-        raise click.UsageError(str(exc)) from exc
+    phis = _grid(phi_start, phi_end, points)
+    config = OracleConfig(
+        n_samples=oracle_samples,
+        seed=seed,
+        linearized_mode=(mode == "linearized"),
+    )
+    _real("z threshold", z_threshold, lambda x: x > 0.0, "> 0")
+    reports = oracle_mod.run(params, phis, config)
     click.echo(f"oracle validation, {mode} mode, {oracle_samples} samples per point")
     click.echo(f"{'phi':>12}  {'max |z|':>10}  worst moment")
     for report in reports:

@@ -5,6 +5,8 @@ squeezed vacuum on the other, with a phase-sensitive amplifier on each output
 port and direct photocounting behind them.  Conventions used throughout the
 package: phases in radians, squeeze factors as natural-log amplitude gains
 (decibels appear only at the CLI boundary), quadrature vacuum variance 1/2.
+Every number a public function takes is an int or a float, never a bool, and
+finite: :func:`_real` checks it by that one rule, for :func:`validate` too.
 """
 
 from __future__ import annotations
@@ -24,23 +26,31 @@ class ParameterError(ValueError):
     """A parameter set violates its physical domain."""
 
 
-_PAST_FLOAT_RANGE = "an int past the float range"
-
-
 def _shown(value) -> str:
     """``value`` as a refusal message prints it: its ``repr``, but an int past
     the float range in words, since such an int may have more digits than
     Python converts to a string (4300 by default) and none of them matter."""
     if isinstance(value, int) and not abs(value) <= float_info.max:
-        return _PAST_FLOAT_RANGE
+        return "an int past the float range"
     return repr(value)
+
+
+def _real(what: str, value, ok=None, rule: str = "finite") -> float:
+    """``value``, a number the package takes, as a float; else a ParameterError
+    "{what} must be an int or float, got ..." where it is neither (a bool is an
+    int to Python, but no number), or "{what} must be {rule}, got ..." where it
+    is not finite or fails ``ok``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        rule = "an int or float"
+    # an int past the float range is no finite float either
+    elif abs(value) <= float_info.max and (ok is None or ok(value)):
+        return float(value)
+    raise ParameterError(f"{what} must be {rule}, got {_shown(value)}")
 
 
 def db_to_squeeze_factor(db: float) -> float:
     """Convert squeezing in dB (variance convention, 10*log10 e^{2r}) to the factor r."""
-    if not abs(db) <= float_info.max:
-        raise ParameterError(f"squeezing in dB must be finite, got {_shown(db)}")
-    r = db * LN10 / 20.0
+    r = _real("squeezing in dB", db) * LN10 / 20.0
     if not abs(r) <= float_info.max:
         raise ParameterError(f"squeezing of {_shown(db)} dB is too large: its squeeze factor overflows")
     return r
@@ -48,9 +58,7 @@ def db_to_squeeze_factor(db: float) -> float:
 
 def squeeze_factor_to_db(r: float) -> float:
     """Inverse of :func:`db_to_squeeze_factor`."""
-    if not abs(r) <= float_info.max:
-        raise ParameterError(f"squeeze factor must be finite, got {_shown(r)}")
-    db = 20.0 * r / LN10
+    db = 20.0 * _real("squeeze factor", r) / LN10
     if not abs(db) <= float_info.max:
         raise ParameterError(f"squeeze factor {_shown(r)} is too large: its dB value overflows")
     return db
@@ -93,24 +101,31 @@ class Phase:
     """A finite phase phi, or a finite 1-D grid of them, with sin and cos of phi
     and sin_half, cos_half and tan_half of phi/2, each taken once through
     :func:`_per_phase`.  ``Phase(phi)`` returns a ``Phase`` unchanged, so a
-    phase handed down one evaluation is checked and tabulated once."""
+    phase handed down one evaluation is checked and tabulated once.  One phase
+    is a number by :func:`_real`, and so is each entry of a sequence (numpy
+    makes a bool among numbers a number); an array holds ints or floats."""
 
     def __new__(cls, phi):
         if isinstance(phi, Phase):
             return phi
         try:
-            one = isinstance(phi, float) or np.ndim(phi) == 0
-            phi = float(phi) if one else np.array(phi, dtype=float)
-        except OverflowError:
-            raise ParameterError(f"phi must be finite, got {_PAST_FLOAT_RANGE}") from None
-        if one:
-            bad = [] if math.isfinite(phi) else [phi]
+            grid = np.asarray(phi)
+        except ValueError:
+            raise ParameterError("phases must form a 1-D grid, got a ragged sequence") from None
+        array = isinstance(phi, np.ndarray)
+        if grid.ndim == 0 and not array:
+            phi = _real("phi", phi)
+        elif grid.ndim > 1:
+            raise ParameterError(f"phases must form a 1-D grid, got shape {grid.shape}")
         else:
-            if phi.ndim != 1:
-                raise ParameterError(f"phases must form a 1-D grid, got shape {phi.shape}")
-            bad = phi[~np.isfinite(phi)][:1].tolist()
-        if bad:
-            raise ParameterError(f"phi must be finite, got {_shown(bad[0])}")
+            if grid.dtype.kind not in "iuf" or not (array or set(map(type, phi)) <= {int, float}):
+                for x in grid.ravel().tolist() if array else phi:
+                    _real("phi", x)
+            grid = grid.astype(float)
+            # the first phase that is not finite is refused as one phase is
+            for x in grid[~np.isfinite(grid)][:1].tolist():
+                _real("phi", x)
+            phi = float(grid) if grid.ndim == 0 else grid
         self = object.__new__(cls)
         self.phi, half = phi, 0.5 * phi
         self.sin, self.cos = _per_phase(math.sin, phi), _per_phase(math.cos, phi)
@@ -158,19 +173,15 @@ class InterferometerParams:
         n_photons: float = 1e6,
     ) -> "InterferometerParams":
         """Build params from the excess-noise factor A = N(g2 - 1) + 1 instead of g2."""
-        if not 1.0 <= technical_noise <= float_info.max:
-            raise ParameterError(
-                f"technical noise factor must be >= 1, got {_shown(technical_noise)}"
-            )
-        if not 0.0 < n_photons <= float_info.max:
-            raise ParameterError(f"n_photons must be > 0, got {_shown(n_photons)}")
-        g2 = 1.0 + (technical_noise - 1.0) / n_photons
+        excess = _real("technical noise factor", technical_noise, lambda x: x >= 1.0, ">= 1")
+        n = _real("n_photons", n_photons, lambda x: x > 0.0, "> 0")
+        g2 = 1.0 + (excess - 1.0) / n
         if g2 == math.inf:
             raise ParameterError(
                 f"n_photons = {_shown(n_photons)} is too small for A = {_shown(technical_noise)}: "
                 "g2 = 1 + (A - 1)/N overflows"
             )
-        return cls(r1=r1, r2=r2, mu=mu, eta=eta, n_photons=n_photons, g2=g2)
+        return cls(r1=r1, r2=r2, mu=mu, eta=eta, n_photons=n, g2=g2)
 
     @property
     def alpha(self) -> float:
@@ -182,13 +193,10 @@ def validate(params: InterferometerParams) -> None:
     """Raise :class:`ParameterError` listing every domain violation in ``params``."""
     errors: list[str] = []
     for name in ("r1", "r2", "mu", "eta", "n_photons", "g2"):
-        value = getattr(params, name)
-        # a bool is an int to Python, but no knob
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.append(f"{name} must be an int or float, got {_shown(value)}")
-        # an int past the float range is no finite float either
-        elif not abs(value) <= float_info.max:
-            errors.append(f"{name} must be a finite number, got {_shown(value)}")
+        try:
+            _real(name, getattr(params, name), rule="a finite number")
+        except ParameterError as exc:
+            errors.append(str(exc))
     if not errors:
         _check(params.r1 >= 0.0, f"squeeze factor r1 must be >= 0, got {params.r1}", errors)
         _check(params.r2 >= 0.0, f"amplifier gain r2 must be >= 0, got {params.r2}", errors)
@@ -265,10 +273,7 @@ class Strategy:
 
     def __post_init__(self) -> None:
         if self.kind is StrategyKind.SUBOPTIMAL:
-            if self.phi_apr is None or not abs(self.phi_apr) <= float_info.max:
-                raise ParameterError(
-                    f"suboptimal strategy needs a finite phi_apr, got {_shown(self.phi_apr)}"
-                )
+            object.__setattr__(self, "phi_apr", _real("phi_apr", self.phi_apr))
         elif self.phi_apr is not None:
             raise ParameterError(f"{self.kind.value} strategy takes no phi_apr")
 

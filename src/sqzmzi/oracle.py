@@ -55,13 +55,13 @@ whose moments are taken in place and pooled exactly into the full sample's
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
-from sys import float_info
 
 import numpy as np
 
 from . import photostats
-from .model import InterferometerParams, ParameterError, Phase, _require_normal, _shown
+from .model import InterferometerParams, ParameterError, Phase, _real, _require_normal, _shown
 from .model import technical_noise_factor
 from .quadratures import VACUUM, _input_variances
 
@@ -588,7 +588,7 @@ def linearization_error(
     params: InterferometerParams,
     phi: float,
     config: OracleConfig,
-    alpha_grid: tuple[float, ...],
+    alpha_grid: Iterable[float],
 ) -> list[LinearizationPoint]:
     """Deviation of the sampled moments from the closed forms across brightness.
 
@@ -599,14 +599,12 @@ def linearization_error(
     mode the relative deviations shrink as 1/alpha^2; in linearized mode they
     are pure sampling noise at any brightness.  ``phi`` is one phase: a
     non-finite phase or a phase grid raises :class:`ParameterError` before
-    any draw.
+    any draw.  ``alpha_grid`` is any iterable of ascending photon numbers.
     """
-    if len(alpha_grid) == 0:
+    alpha_grid = [_real("alpha_grid entries", a, lambda x: x > 0.0, "> 0") for a in alpha_grid]
+    if not alpha_grid:
         raise ParameterError("alpha_grid must not be empty")
-    bad = [a for a in alpha_grid if not 0.0 < a <= float_info.max]
-    if bad:
-        raise ParameterError(f"alpha_grid entries must be > 0, got {_shown(bad[0])}")
-    if list(alpha_grid) != sorted(alpha_grid):
+    if alpha_grid != sorted(alpha_grid):
         raise ParameterError("alpha_grid must be ascending")
     phase = Phase(phi)
     if not isinstance(phase.phi, float):

@@ -212,10 +212,12 @@ def weighted_variance(params: InterferometerParams, phi, phi_apr):
     Compact form G^4 N [(e^{-2 r1} + eps^2) sin^2(phi) + (A + eps^2)(cos(phi) -
     cos(phi_apr))^2]; the quadratic in (cos phi - cos phi_apr) is why freezing k
     at an a-priori phase costs only second order in the phase error.
-    ``phi_apr`` is a float or, like ``phi``, an array over the grid.
+    ``phi_apr`` is one phase or, like ``phi``, a grid of the same shape.
     """
-    phase = Phase(phi)
-    return _weighted_variance(params, phase, Phase(phi_apr), photon_stats(params, phase))
+    phase, apr = Phase(phi), Phase(phi_apr)
+    if isinstance(apr.phi, np.ndarray) and apr.phi.shape != np.shape(phase.phi):
+        raise ParameterError(f"phi_apr must be one phase or a grid of phi's shape, got shape {apr.phi.shape}")
+    return _weighted_variance(params, phase, apr, photon_stats(params, phase))
 
 
 def _weighted_variance(params: InterferometerParams, phase: Phase, apr: Phase, stats: PhotonStats):

@@ -24,7 +24,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from sys import float_info
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .model import (
     Strategy,
     StrategyKind,
     _per_phase,
+    _real,
     _require_normal,
     _shown,
     inefficiency,
@@ -69,9 +69,7 @@ CROSSCHECK_RTOL = 1e-10
 
 def snl(n_photons: float) -> float:
     """Shot-noise-limited phase uncertainty 1/sqrt(N) of an ideal MZI."""
-    if not 0.0 < n_photons <= float_info.max:
-        raise ParameterError(f"n_photons must be > 0, got {_shown(n_photons)}")
-    return 1.0 / math.sqrt(n_photons)
+    return 1.0 / math.sqrt(_real("n_photons", n_photons, lambda x: x > 0.0, "> 0"))
 
 
 def dphi_min(params: InterferometerParams) -> float:
@@ -129,6 +127,8 @@ class SensitivityResult:
 
     def point(self, i: int) -> SensitivityResult:
         """The result at the grid's ``i``-th phase."""
+        if not isinstance(self.phi, np.ndarray):
+            raise ParameterError("point() needs a result over a phase grid, not at one phase")
         return _result(
             self.strategy, self.phi[i], self.dphi[i], self.normalized[i], self.divergent[i],
             None if self.k_opt is None else self.k_opt[i],
@@ -358,10 +358,9 @@ def apriori_tolerance(params: InterferometerParams) -> float:
 def small_deviation_dphi_squared(params: InterferometerParams, dphi_apr: float) -> float:
     """(Delta phi)^2 predicted by the small-deviation law dphi_min^2 + K dphi_apr^2
     for a suboptimal weight frozen dphi_apr away from the true phase."""
-    if not abs(dphi_apr) <= float_info.max:
-        raise ParameterError(f"dphi_apr must be finite, got {_shown(dphi_apr)}")
+    deviation = _real("dphi_apr", dphi_apr)
     floor = dphi_min(params)
-    law = floor * floor + k_factor(params) * dphi_apr * dphi_apr
+    law = floor * floor + k_factor(params) * deviation * deviation
     _require_normal(params, (f"dphi_min^2 + K dphi_apr^2 at dphi_apr = {_shown(dphi_apr)}", law))
     return law
 
@@ -373,18 +372,15 @@ def required_r2(mu: float, eta: float, target_eps2: float) -> float | None:
     it is unattainable (below the internal-loss floor (1 - mu)/mu, which no
     amount of output gain can beat).
     """
-    if not (0.0 < mu <= 1.0):
-        raise ParameterError(f"internal transmissivity must be in (0, 1], got {_shown(mu)}")
-    if not (0.0 < eta <= 1.0):
-        raise ParameterError(f"external transmissivity must be in (0, 1], got {_shown(eta)}")
-    if not 0.0 <= target_eps2 <= float_info.max:
-        raise ParameterError(f"target eps^2 must be >= 0, got {_shown(target_eps2)}")
-    floor = (1.0 - mu) / mu
-    if eta == 1.0:
-        return 0.0 if target_eps2 >= floor else None
-    if target_eps2 <= floor:
+    internal = _real("internal transmissivity", mu, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+    external = _real("external transmissivity", eta, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+    target = _real("target eps^2", target_eps2, lambda x: x >= 0.0, ">= 0")
+    floor = (1.0 - internal) / internal
+    if external == 1.0:
+        return 0.0 if target >= floor else None
+    if target <= floor:
         return None
-    reduction = (target_eps2 - floor) * mu * eta / (1.0 - eta)
+    reduction = (target - floor) * internal * external / (1.0 - external)
     if reduction == 0.0:
         raise ParameterError(
             f"mu = {_shown(mu)}, eta = {_shown(eta)} and target_eps2 = {_shown(target_eps2)} "
@@ -400,15 +396,13 @@ def implied_inefficiency(r1: float, gain_db: float) -> float:
     A measured gain of ``gain_db`` dB (amplitude convention) with input squeezing
     r1 means e^{-2 r1} + eps^2 = 10^{-gain_db/10}; solves for eps^2.
     """
-    if not 0.0 <= r1 <= float_info.max:
-        raise ParameterError(f"r1 must be >= 0, got {_shown(r1)}")
-    if not abs(gain_db) <= float_info.max:
-        raise ParameterError(f"gain_db must be finite, got {_shown(gain_db)}")
+    squeezing = _real("r1", r1, lambda x: x >= 0.0, ">= 0")
+    gain = _real("gain_db", gain_db)
     try:
-        total = 10.0 ** (-gain_db / 10.0)
+        total = 10.0 ** (-gain / 10.0)
     except OverflowError:
         raise ParameterError(f"gain_db = {_shown(gain_db)} is too small: 10^(-gain_db/10) overflows") from None
-    eps2 = total - math.exp(-2.0 * r1)
+    eps2 = total - math.exp(-2.0 * squeezing)
     if eps2 < 0.0:
         raise ParameterError(
             f"a gain of {gain_db} dB exceeds the loss-free limit for r1 = {r1}"

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import is_dataclass
+from functools import partial
 
 import numpy as np
 import pytest
@@ -120,15 +123,6 @@ def test_validation_messages_name_the_violation():
         InterferometerParams(n_photons=math.nan)
 
 
-@pytest.mark.parametrize("value", [np.float32(0.5), True, False, "0.5"])
-@pytest.mark.parametrize("name", ["r1", "r2", "mu", "eta", "n_photons", "g2"])
-def test_knobs_are_ints_or_floats(name, value):
-    # a bool is an int to Python, and a float32 converts, but neither is a
-    # knob's value: the refusal names the type, not finiteness
-    with pytest.raises(ParameterError, match=f"^{name} must be an int or float, got "):
-        InterferometerParams(**{name: value})
-
-
 @pytest.mark.parametrize("name", ["r1", "r2", "mu", "eta", "n_photons", "g2"])
 def test_int_past_the_float_range_is_not_a_finite_number(name):
     with pytest.raises(ParameterError, match=f"{name} must be a finite number"):
@@ -160,6 +154,107 @@ _NUMBER_TAKERS = {
         _PARAMS, 1.0, oracle.OracleConfig(64), (x,)
     ),
 }
+
+
+# every entry point that takes a number by the one rule of model._real, as a
+# function of that number, with the name its refusals give the number
+_ROUTED = {
+    **{
+        name: (name, lambda x, name=name: InterferometerParams(**{name: x}))
+        for name in ("r1", "r2", "mu", "eta", "n_photons", "g2")
+    },
+    "db_to_squeeze_factor": ("squeezing in dB", db_to_squeeze_factor),
+    "squeeze_factor_to_db": ("squeeze factor", squeeze_factor_to_db),
+    "with_technical_noise": ("technical noise factor", InterferometerParams.with_technical_noise),
+    "with_technical_noise-n_photons": (
+        "n_photons",
+        lambda x: InterferometerParams.with_technical_noise(2.0, n_photons=x),
+    ),
+    "Strategy.suboptimal": (
+        "phi_apr",
+        lambda x: sensitivity.phase_uncertainty(Strategy.suboptimal(x), _PARAMS, 0.5),
+    ),
+    "Phase": ("phi", Phase),
+    "Phase-grid": ("phi", lambda x: Phase([0.0, x])),
+    "phase_uncertainty": ("phi", lambda x: sensitivity.phase_uncertainty(Strategy.single(), _PARAMS, x)),
+    "sweep": ("phi", lambda x: sensitivity.sweep(_PARAMS, [0.0, x], [Strategy.suboptimal(0.5)])),
+    "oracle.run": ("phi", lambda x: oracle.run(_PARAMS, x, oracle.OracleConfig(64))),
+    "snl": ("n_photons", sensitivity.snl),
+    "small_deviation_dphi_squared": (
+        "dphi_apr",
+        lambda x: sensitivity.small_deviation_dphi_squared(_PARAMS, x),
+    ),
+    "required_r2-mu": ("internal transmissivity", lambda x: sensitivity.required_r2(x, 0.5, 0.1)),
+    "required_r2-eta": ("external transmissivity", lambda x: sensitivity.required_r2(0.9, x, 2.0)),
+    "required_r2-target_eps2": ("target eps^2", lambda x: sensitivity.required_r2(0.9, 0.5, x)),
+    "implied_inefficiency-r1": ("r1", lambda x: sensitivity.implied_inefficiency(x, 1.0)),
+    "implied_inefficiency-gain_db": ("gain_db", lambda x: sensitivity.implied_inefficiency(1.0, x)),
+    "linearization_error": (
+        "alpha_grid entries",
+        lambda x: oracle.linearization_error(_PARAMS, 1.0, oracle.OracleConfig(64), (x,)),
+    ),
+}
+
+# a bool is an int to Python and float() takes a float32 or "1.0", but none
+# of them is a number here (the ids are those pytest gives these values)
+_NOT_NUMBERS = {
+    "value0": np.float32(0.5),
+    "True": True,
+    "False": False,
+    "0.5": "0.5",
+    "numpy-bool": np.bool_(True),
+    "1.0": "1.0",
+    "None": None,
+    "complex": 1 + 0j,
+}
+_NUMBERS = {"int": 1, "float": 1.0, "numpy-float64": np.float64(1.0)}
+
+
+def _bits(result):
+    """What ``result`` holds, every number as its float's bytes, so that two
+    results compare bit for bit whatever types their numbers have."""
+    if is_dataclass(result) or isinstance(result, Phase):
+        result = vars(result)
+    if isinstance(result, dict):
+        return {key: _bits(value) for key, value in result.items()}
+    if isinstance(result, list):
+        return [_bits(value) for value in result]
+    if isinstance(result, (int, float, np.ndarray)):
+        return np.asarray(result, dtype=float).tobytes()
+    return repr(result)
+
+
+@pytest.mark.parametrize(
+    "call, value, want",
+    [
+        *(
+            pytest.param(call, value, f"^{re.escape(what)} must be an int or float, got ", id=f"{name}-{vid}")
+            for name, (what, call) in _ROUTED.items()
+            for vid, value in _NOT_NUMBERS.items()
+        ),
+        *(
+            pytest.param(call, value, partial(call, 1.0), id=f"{name}-{vid}")
+            for name, (_, call) in _ROUTED.items()
+            for vid, value in _NUMBERS.items()
+        ),
+        pytest.param(Phase, [[1.0], [1.0, 2.0]], "^phases must form a 1-D grid, got a ragged", id="Phase-ragged"),
+        pytest.param(Phase, [True, False], r"^phi must be an int or float, got True$", id="Phase-bools"),
+        pytest.param(
+            lambda x: oracle.linearization_error(_PARAMS, 1.0, oracle.OracleConfig(64), (a for a in (x, 2.0))),
+            1.0,
+            lambda: oracle.linearization_error(_PARAMS, 1.0, oracle.OracleConfig(64), [1.0, 2.0]),
+            id="linearization_error-generator",
+        ),
+    ],
+)
+def test_knobs_are_ints_or_floats(call, value, want):
+    # the refusal names the argument and the type, not finiteness; an int, a
+    # float and a numpy float are one number, with one result to the bit
+    if isinstance(want, str):
+        with pytest.raises(ParameterError, match=want):
+            call(value)
+    else:
+        assert _bits(call(value)) == _bits(want())
 
 
 @pytest.mark.parametrize("call", _NUMBER_TAKERS.values(), ids=_NUMBER_TAKERS)

@@ -151,6 +151,17 @@ def test_weighted_variance_zero_at_dark_fringe_with_matched_weight(solid_params)
     assert weighted_variance(solid_params, 0.0, 0.0) == 0.0
 
 
+def test_weighted_variance_refuses_a_phi_apr_grid_of_another_shape(solid_params):
+    # phi_apr is one phase or a grid like phi's: numpy would broadcast any
+    # other shape, or fail with its own error
+    for phi, phi_apr in [([1.0, 2.0], [0.5, 0.6, 0.7]), ([1.0], [0.5, 0.6]), (1.0, [0.5])]:
+        with pytest.raises(ParameterError, match="^phi_apr must be one phase or a grid of phi's shape"):
+            weighted_variance(solid_params, phi, phi_apr)
+    pointwise = [weighted_variance(solid_params, 1.0, 0.5), weighted_variance(solid_params, 2.0, 0.6)]
+    assert weighted_variance(solid_params, [1.0, 2.0], [0.5, 0.6]).tolist() == pointwise
+    assert weighted_variance(solid_params, [1.0, 2.0], 0.5)[0] == pointwise[0]
+
+
 def test_mean_slopes_match_finite_differences(dashed_params):
     h = 1e-6
     # central differences carry O(h^2 N) truncation noise, hence the absolute floor

@@ -593,6 +593,12 @@ def test_grid_matches_scalar_bit_for_bit(params, phis, phi_apr):
         assert list(grid.divergent) == [math.isinf(d) for d in grid.dphi]
 
 
+def test_point_needs_a_grid(solid_params):
+    # a one-phase result has no i-th phase, as render_csv says of it too
+    with pytest.raises(ParameterError, match=r"^point\(\) needs a result over a phase grid"):
+        phase_uncertainty(Strategy.single(), solid_params, 1.0).point(0)
+
+
 def test_sweep_answers_in_kind(solid_params):
     # at one phase a sweep gives every strategy's one-phase result
     strategies = ALL_STRATEGIES + (Strategy.suboptimal(0.5),)
